@@ -13,7 +13,6 @@ package aide
 // alongside.
 
 import (
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +26,6 @@ import (
 	"aide/internal/netmodel"
 	"aide/internal/policy"
 	"aide/internal/remote"
-	"aide/internal/remote/rpcbench"
 	"aide/internal/trace"
 	"aide/internal/vm"
 )
@@ -623,241 +621,6 @@ func BenchmarkRecallRoundTrip(b *testing.B) {
 		}
 	}
 	b.ReportMetric(2000, "migrations/op")
-}
-
-// BenchmarkRPCInvoke measures remote echo invocations (string + 96-byte
-// blob + int out, blob back) from concurrent client threads — the
-// paper's apps issue crossings from many threads at once, and this is
-// the load the sharded call table and lock-free send path exist for —
-// per transport flavor: the binary codec over in-process channels, the
-// binary codec over a TCP loopback, and the legacy gob framing over the
-// same loopback, the baseline the codec's speedup and allocation
-// targets are measured against (BENCH_rpc.json records the comparison).
-func BenchmarkRPCInvoke(b *testing.B) {
-	skipBench(b)
-	for _, mode := range rpcbench.Modes() {
-		b.Run(string(mode), func(b *testing.B) {
-			env, err := rpcbench.New(rpcbench.Config{Mode: mode, Workers: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := env.Close(); err != nil {
-					b.Errorf("close: %v", err)
-				}
-			}()
-			b.ReportAllocs()
-			// 8 in-flight callers regardless of core count: with requests
-			// pipelined on the socket the cost per op is the CPU the stack
-			// burns, not the loopback round-trip latency.
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				invoke := env.Caller()
-				for pb.Next() {
-					if err := invoke(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkRPCInvokeSerial is the single-caller latency variant: one
-// blocked round trip at a time, dominated by socket syscalls on the TCP
-// flavors.
-func BenchmarkRPCInvokeSerial(b *testing.B) {
-	skipBench(b)
-	for _, mode := range rpcbench.Modes() {
-		b.Run(string(mode), func(b *testing.B) {
-			env, err := rpcbench.New(rpcbench.Config{Mode: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := env.Close(); err != nil {
-					b.Errorf("close: %v", err)
-				}
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := env.Invoke(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRPCCodec isolates the wire codec from sockets and
-// scheduling: one encode+decode round trip of the representative invoke
-// message, hand-rolled binary framing vs a persistent gob stream. This
-// is the layer the codec rewrite targets; over a real socket the
-// kernel's round-trip floor (BenchmarkRPCRawTCPFloor) dominates both
-// flavors and compresses the visible gap.
-func BenchmarkRPCCodec(b *testing.B) {
-	skipBench(b)
-	for _, cfg := range []struct {
-		name string
-		step func() error
-	}{
-		{"binary", rpcbench.BinaryCodec()},
-		{"gob", rpcbench.GobCodec()},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := cfg.step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRPCRawTCPFloor measures a codec-free, platform-free echo of
-// one frame-sized buffer over TCP loopback: the host's syscall floor
-// under every end-to-end RPC number above it.
-func BenchmarkRPCRawTCPFloor(b *testing.B) {
-	skipBench(b)
-	step, closeConn, err := rpcbench.RawTCPEcho(256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := closeConn(); err != nil {
-			b.Errorf("close: %v", err)
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRPCReleaseStorm measures a 1,000-stub distributed-GC death
-// storm with coalescing on (default batching) and off (batch size 1,
-// the one-message-per-decref wire behavior before batching). The
-// releases/msg metric is the coalescing win.
-func BenchmarkRPCReleaseStorm(b *testing.B) {
-	skipBench(b)
-	const storm = 1000
-	for _, cfg := range []struct {
-		name  string
-		batch int
-	}{
-		{"batched", 0},
-		{"unbatched", 1},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			env, err := rpcbench.New(rpcbench.Config{Mode: rpcbench.ModeChan, ReleaseBatchSize: cfg.batch})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := env.Close(); err != nil {
-					b.Errorf("close: %v", err)
-				}
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := env.ReleaseStorm(storm); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := env.PC.Stats()
-			if st.ReleaseBatchesSent > 0 {
-				b.ReportMetric(float64(st.ReleasesSent)/float64(st.ReleaseBatchesSent), "releases/msg")
-			}
-		})
-	}
-}
-
-// BenchmarkRPCPipeline measures one chained-call transaction — depth
-// dependent hops, each needing the previous result as its receiver —
-// pipelined as one MsgInvokeBatch frame versus issued as depth blocking
-// round trips, at the paper-style depths 1/4/16/64 over the in-process
-// and TCP transports. The wire/op metric is the client's two-way wire
-// volume per transaction; BENCH_rpc.json records the speedup claim
-// (≥5x at depth 16 over TCP) machine-checkably.
-func BenchmarkRPCPipeline(b *testing.B) {
-	skipBench(b)
-	for _, mode := range []rpcbench.Mode{rpcbench.ModeChan, rpcbench.ModeTCP} {
-		for _, depth := range []int{1, 4, 16, 64} {
-			for _, variant := range []struct {
-				name string
-				run  func(*rpcbench.Env, int) error
-			}{
-				{"sequential", (*rpcbench.Env).SequentialChain},
-				{"pipelined", (*rpcbench.Env).PipelineChain},
-			} {
-				name := string(mode) + "/depth-" + strconv.Itoa(depth) + "/" + variant.name
-				b.Run(name, func(b *testing.B) {
-					env, err := rpcbench.New(rpcbench.Config{Mode: mode, Workers: 2})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer func() {
-						if err := env.Close(); err != nil {
-							b.Errorf("close: %v", err)
-						}
-					}()
-					wireBefore := env.WireBytes()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := variant.run(env, depth); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(env.WireBytes()-wireBefore)/float64(b.N), "wire/op")
-					if variant.name == "pipelined" && env.PipelineFrames() != int64(b.N) {
-						b.Fatalf("pipelined run sent %d frames for %d chains: it degraded to sequential",
-							env.PipelineFrames(), b.N)
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkRPCLazyMigration migrates the JavaNote-like document set
-// (1 KiB hot text + 16 KiB cold thumbnail per note) full-state and
-// lazily, reporting the measured migration wire bytes per run — the
-// number the lazy_migration section of BENCH_rpc.json is built from.
-func BenchmarkRPCLazyMigration(b *testing.B) {
-	skipBench(b)
-	const notes = 16
-	for _, cfg := range []struct {
-		name string
-		lazy bool
-	}{
-		{"full", false},
-		{"lazy", true},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var wire int64
-			for i := 0; i < b.N; i++ {
-				m, err := rpcbench.MeasureLazyMigration(notes, cfg.lazy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if m.HotFaults != 0 {
-					b.Fatalf("hot fields faulted %d times", m.HotFaults)
-				}
-				wire = m.WireBytes
-			}
-			b.ReportMetric(float64(wire), "migration-wire-bytes")
-		})
-	}
 }
 
 // skipBench skips heavyweight benchmarks when the binary runs with the

@@ -4,11 +4,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"aide/internal/experiments"
@@ -16,33 +16,63 @@ import (
 
 func main() {
 	full := flag.Bool("full", false, "run the full Figure 7 policy sweep (slow)")
-	only := flag.String("only", "", "run a single experiment (table1, table2, figure5, figure6, figure7, figure8, figure9, figure10, monitoring, ablation, energy, heapsweep, linksweep, rpc, faults, telemetry, partition, fleet, handoff)")
+	only := flag.String("only", "", "run a single experiment ("+strings.Join(stepNames(), ", ")+")")
 	smoke := flag.Bool("smoke", false, "shrink benchmark axes to CI-sized single passes")
 	dot := flag.String("dot", "", "directory to write Figure 5 execution-graph DOT files into")
 	parallel := flag.Int("parallel", 0, "worker-pool width for experiment replays (0 = GOMAXPROCS, 1 = serial; output is bit-identical at any width)")
-	jsonPath := flag.String("json", "BENCH_sweeps.json", "file to write per-artifact wall-clock seconds into (empty disables)")
 	flag.Parse()
-	if err := run(*full, *smoke, *only, *dot, *parallel, *jsonPath); err != nil {
+	if err := run(*full, *smoke, *only, *dot, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, "aide-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(full, smoke bool, only, dotDir string, parallel int, jsonPath string) error {
+func section(title, paper string) {
+	fmt.Printf("\n== %s ==\n   paper: %s\n", title, paper)
+}
+
+type step struct {
+	name string
+	f    func() error
+}
+
+// stepNames lists what -only accepts: the steps table's names, whose
+// closures are built but not run here, plus the diag dump.
+func stepNames() []string {
+	var names []string
+	for _, st := range steps(nil, false, false, "") {
+		names = append(names, st.name)
+	}
+	return append(names, "diag")
+}
+
+// checkOnly rejects an -only value that names no step, so a script
+// still calling a removed study fails instead of passing vacuously.
+func checkOnly(only string) error {
+	if only == "" {
+		return nil
+	}
+	names := stepNames()
+	for _, n := range names {
+		if n == only {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown experiment %q for -only; valid: %s", only, strings.Join(names, ", "))
+}
+
+func run(full, smoke bool, only, dotDir string, parallel int) error {
+	if err := checkOnly(only); err != nil {
+		return err
+	}
 	s := experiments.NewSuite()
 	s.Parallelism = parallel
-	section := func(title, paper string) {
-		fmt.Printf("\n== %s ==\n   paper: %s\n", title, paper)
-	}
 
 	start := time.Now()
 	if only == "diag" {
 		return diag(s)
 	}
 
-	// timings collects per-artifact wall-clock seconds for the
-	// machine-readable perf trajectory (BENCH_sweeps.json).
-	timings := make(map[string]float64)
 	artifact := func(name string, f func() error) error {
 		if only != "" && only != name {
 			return nil
@@ -51,9 +81,7 @@ func run(full, smoke bool, only, dotDir string, parallel int, jsonPath string) e
 		if err := f(); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		secs := time.Since(t0).Seconds()
-		timings[name] = secs
-		fmt.Printf("   [%s: %.2fs wall]\n", name, secs)
+		fmt.Printf("   [%s: %.2fs wall]\n", name, time.Since(t0).Seconds())
 		return nil
 	}
 
@@ -66,10 +94,19 @@ func run(full, smoke bool, only, dotDir string, parallel int, jsonPath string) e
 		}
 	}
 
-	steps := []struct {
-		name string
-		f    func() error
-	}{
+	for _, st := range steps(s, full, smoke, dotDir) {
+		if err := artifact(st.name, st.f); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("\n(total %v, parallelism %d)\n", time.Since(start).Round(time.Millisecond), parallel)
+	return nil
+}
+
+// steps is the one table of experiments: run order, the -only names and
+// the flag's help text all come from it.
+func steps(s *experiments.Suite, full, smoke bool, dotDir string) []step {
+	return []step{
 		{"table1", func() error {
 			section("Table 1: study applications", "five Java applications with varied resource demands")
 			for _, r := range experiments.Table1() {
@@ -204,10 +241,6 @@ func run(full, smoke bool, only, dotDir string, parallel int, jsonPath string) e
 			}
 			return nil
 		}},
-		{"rpc", func() error {
-			section("Extension: RPC fast path", "binary codec vs gob baseline; coalesced distributed-GC releases")
-			return rpcBench("BENCH_rpc.json")
-		}},
 		{"faults", func() error {
 			section("Extension: disconnection study", "graceful degradation to local execution when the surrogate vanishes (paper §2, §7)")
 			return faultsBench("BENCH_faults.json")
@@ -215,11 +248,6 @@ func run(full, smoke bool, only, dotDir string, parallel int, jsonPath string) e
 		{"telemetry", func() error {
 			section("Extension: telemetry overhead", "disabled instrumentation must cost ≤10 ns and 0 allocs per site")
 			return telemetryBench("BENCH_telemetry.json")
-		}},
-		{"partition", func() error {
-			section("Extension: incremental repartitioning",
-				"O(changed edges) delta pipeline vs O(N²) from-scratch; striped vs global-mutex ingestion")
-			return partitionBench("BENCH_partition.json", smoke)
 		}},
 		{"fleet", func() error {
 			section("Extension: multi-tenant fleet",
@@ -244,25 +272,6 @@ func run(full, smoke bool, only, dotDir string, parallel int, jsonPath string) e
 			return nil
 		}},
 	}
-	for _, step := range steps {
-		if err := artifact(step.name, step.f); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("\n(total %v, parallelism %d)\n", time.Since(start).Round(time.Millisecond), parallel)
-	if jsonPath != "" && len(timings) > 0 {
-		// encoding/json emits map keys sorted, so the file is stable
-		// across runs of the same artifact set.
-		buf, err := json.MarshalIndent(timings, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote per-artifact wall-clock seconds to %s\n", jsonPath)
-	}
-	return nil
 }
 
 // diag prints calibration internals: per-application trace statistics and

@@ -14,7 +14,7 @@ import (
 // suppressions tolerated and why those sites are legitimate:
 //
 //	# analyzer  max  rationale
-//	goroutinecheck 1 rpcbench raw-echo loop is torn down with its connection
+//	telemetrycheck 1 remote metrics adaptor forwards caller-provided constant names
 //
 // The driver fails the run when the live suppression inventory exceeds
 // an analyzer's budget, or when a suppression names an analyzer with no

@@ -9,11 +9,12 @@ import (
 	"strings"
 )
 
-// GobWire audits every type that crosses the wire codec. AIDE frames
-// its RPC envelope and its recorded traces with encoding/gob; a field
-// gob cannot encode fails at runtime on the first real deployment, and
-// an unexported field is silently dropped — the object arrives at the
-// surrogate missing state.
+// GobWire audits every type that crosses a codec. AIDE frames its
+// recorded traces with encoding/gob; a field gob cannot encode fails at
+// runtime on the first recording, and an unexported field is silently
+// dropped — the trace replays with state missing. The RPC envelope is
+// framed by the hand-rolled binary codec and covered by the //lint:wire
+// pins below.
 //
 // For each type passed to (*gob.Encoder).Encode or
 // (*gob.Decoder).Decode it walks the reachable type graph and reports:

@@ -216,15 +216,6 @@ func (inc *Incremental) Candidates() ([]Candidate, error) {
 	return []Candidate{inc.refine()}, nil
 }
 
-// FullCandidates bypasses warm refinement: the full heuristic over the
-// maintained matrix, regardless of dirty fraction. The escape valve for
-// callers that need the complete candidate family (e.g. when the policy
-// rejects every warm candidate).
-func (inc *Incremental) FullCandidates() ([]Candidate, error) {
-	inc.forceFull = true
-	return inc.Candidates()
-}
-
 // refine performs greedy improving single-vertex moves around the dirty
 // frontier on a working copy of the committed partition. Moving v across
 // the cut turns its crossing weight ext into internal weight and its

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"aide/internal/graph"
+	"aide/internal/monitor"
+	"aide/internal/vm"
 )
 
 // randomDeltaWorkload applies k random mutations to g and mirrors them
@@ -102,22 +105,86 @@ func TestIncrementalFallbackEqualsFullPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d candidates, want %d", round, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].CutWeight != want[i].CutWeight || got[i].Offloaded != want[i].Offloaded {
-				t.Fatalf("round %d cand %d: got %v/%d want %v/%d", round, i,
-					got[i].CutWeight, got[i].Offloaded, want[i].CutWeight, want[i].Offloaded)
-			}
-			for v := range want[i].InClient {
-				if got[i].InClient[v] != want[i].InClient[v] {
-					t.Fatalf("round %d cand %d vertex %d differs", round, i, v)
-				}
-			}
-		}
+		requireSameCandidates(t, fmt.Sprintf("round %d", round), got, want)
 		inc.Commit(got[len(got)/2])
 	}
+}
+
+func requireSameCandidates(t *testing.T, where string, got, want []Candidate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", where, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].CutWeight != want[i].CutWeight || got[i].Offloaded != want[i].Offloaded {
+			t.Fatalf("%s cand %d: got %v/%d want %v/%d", where, i,
+				got[i].CutWeight, got[i].Offloaded, want[i].CutWeight, want[i].Offloaded)
+		}
+		for v := range want[i].InClient {
+			if got[i].InClient[v] != want[i].InClient[v] {
+				t.Fatalf("%s cand %d vertex %d differs", where, i, v)
+			}
+		}
+	}
+}
+
+// TestIncrementalMonitorDrivenEqualsFullPass drives the pipeline as the
+// platform does — a real monitor ingests churn, the partitioner pulls
+// its deltas and commits warm refinements — and then forces the full
+// pass: the matrix maintained across those rounds must give exactly the
+// candidates of a cold run on a fresh snapshot of the monitor's graph.
+func TestIncrementalMonitorDrivenEqualsFullPass(t *testing.T) {
+	const n = 60
+	rng := rand.New(rand.NewSource(n))
+	class := func(i int) string { return fmt.Sprintf("C%04d", i%n) }
+	mon := monitor.New(nil)
+	for i := 0; i < n; i++ {
+		mon.OnCreate(class(i), vm.ObjectID(i), int64(1024+rng.Intn(4096)))
+		mon.OnInvoke(class(i), class(i+1), "m", 0, int64(64+rng.Intn(512)), 32, time.Microsecond, false, false)
+		for k := 0; k < 4; k++ {
+			if j := rng.Intn(n); j != i {
+				mon.OnAccess(class(i), class(j), 0, int64(16+rng.Intn(256)))
+			}
+		}
+	}
+
+	var inc Incremental
+	warm := 0
+	for round := 0; round < 4; round++ {
+		inc.Update(mon.Delta(inc.Epoch()), graph.BytesWeight)
+		cands, err := inc.Candidates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !inc.WasFull() {
+			warm++
+		}
+		inc.Commit(cands[len(cands)/2])
+		// Touch ~5% of the edges: new traffic on known pairs.
+		for k := mon.Live().EdgeCount() / 20; k >= 0; k-- {
+			i := rng.Intn(n)
+			if rng.Intn(2) == 0 {
+				mon.OnInvoke(class(i), class(i+1), "m", 0, int64(64+rng.Intn(512)), 32, 0, false, false)
+			} else {
+				mon.OnAccess(class(i), class(i+1), 0, int64(16+rng.Intn(256)))
+			}
+		}
+	}
+	if warm == 0 {
+		t.Fatal("no round took the warm path")
+	}
+
+	inc.Threshold = -1
+	inc.Update(mon.Delta(inc.Epoch()), graph.BytesWeight)
+	got, err := inc.Candidates()
+	if err != nil || !inc.WasFull() {
+		t.Fatalf("forced full pass: err=%v full=%t", err, inc.WasFull())
+	}
+	want, err := Candidates(FromGraph(mon.Graph(), graph.BytesWeight))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameCandidates(t, "forced full pass", got, want)
 }
 
 // TestIncrementalWarmPath: small deltas against a committed partition

@@ -63,20 +63,15 @@ type ClassMetaFunc func(name string) ClassMeta
 // policies subscribe here).
 type GCListener func(free, capacity int64, freed bool)
 
-// defaultShards is the stripe count; rounded up to a power of two so the
-// shard pick is a mask, and sized so 8–16 concurrent event sources rarely
-// collide.
-const defaultShards = 16
+// stripes is the ingestion stripe count: a power of two so the shard
+// pick is a mask, and sized so 8–16 concurrent event sources rarely
+// collide. Measured on 2 cores against one stripe (EXPERIMENTS.md): even
+// with 1 source, 1.3× with 2, 1.2× with 8 — so it is a constant, not an
+// option.
+const stripes = 16
 
 // Option configures a Monitor at construction.
 type Option func(*Monitor)
-
-// WithShards sets the ingestion stripe count (rounded up to a power of
-// two, minimum 1). One shard serializes every event — the contention
-// baseline the partition benchmark compares against.
-func WithShards(n int) Option {
-	return func(m *Monitor) { m.shardCount = n }
-}
 
 // WithDecay enables streaming exponential decay of edge interaction
 // weights with the given half-life measured in consumed events (the
@@ -164,7 +159,6 @@ type Monitor struct {
 	metaMu      sync.Mutex
 	pendingMeta map[graph.NodeID]uint32
 
-	shardCount int
 	shardMask  uint32
 	nodeShards []nodeShard
 	edgeShards []edgeShard
@@ -211,23 +205,23 @@ var (
 // considered pinned (the emulator supplies metadata from the trace's class
 // table instead).
 func New(meta ClassMetaFunc, opts ...Option) *Monitor {
+	return newStriped(meta, stripes, opts...)
+}
+
+// newStriped is New with n stripes, n a power of two; the stripe tests
+// use it to check that ingestion is independent of the stripe count.
+func newStriped(meta ClassMetaFunc, n int, opts ...Option) *Monitor {
 	m := &Monitor{
 		meta:        meta,
 		g:           graph.New(),
-		shardCount:  defaultShards,
 		pendingMeta: make(map[graph.NodeID]uint32),
+		shardMask:   uint32(n - 1),
+		nodeShards:  make([]nodeShard, n),
+		edgeShards:  make([]edgeShard, n),
 	}
 	for _, o := range opts {
 		o(m)
 	}
-	n := 1
-	for n < m.shardCount {
-		n <<= 1
-	}
-	m.shardCount = n
-	m.shardMask = uint32(n - 1)
-	m.nodeShards = make([]nodeShard, n)
-	m.edgeShards = make([]edgeShard, n)
 	for i := 0; i < n; i++ {
 		m.nodeShards[i].nodes = make(map[graph.NodeID]*nodeDelta)
 		m.edgeShards[i].edges = make(map[graph.EdgeKey]*edgeDelta)

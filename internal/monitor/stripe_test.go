@@ -40,15 +40,16 @@ func feedWorkload(m *Monitor, classes, events, sources int) {
 	wg.Wait()
 }
 
-// TestStripedIngestionMatchesSerial: the same workload fed serially and
-// through 8 concurrent sources must merge to identical graphs — integer
-// shard deltas commute, so ingestion interleaving cannot leak into the
-// partitioner's input.
+// TestStripedIngestionMatchesSerial: the same workload fed serially
+// into one stripe and through 8 concurrent sources into 16 must merge to
+// identical graphs — integer shard deltas commute, so neither ingestion
+// interleaving nor the stripe count can leak into the partitioner's
+// input.
 func TestStripedIngestionMatchesSerial(t *testing.T) {
 	const classes, events = 40, 10000
-	serial := New(nil)
+	serial := newStriped(nil, 1)
 	feedWorkload(serial, classes, events, 1)
-	striped := New(nil, WithShards(16))
+	striped := newStriped(nil, 16)
 	feedWorkload(striped, classes, events, 8)
 
 	gs, gp := serial.Live(), striped.Live()
@@ -155,7 +156,7 @@ func TestConcurrentSnapshotsDuringIngestion(t *testing.T) {
 // to the same totals as one full snapshot — the single-consumer contract
 // the incremental partitioner relies on.
 func TestDeltaPullLoop(t *testing.T) {
-	m := New(nil, WithShards(4))
+	m := newStriped(nil, 4)
 	var epoch int64
 	sum := map[graph.EdgeKey]int64{}
 	for round := 0; round < 5; round++ {
@@ -218,12 +219,11 @@ func TestGCListenerCOW(t *testing.T) {
 }
 
 // BenchmarkIngestion8Sources measures striped vs single-shard ingestion
-// under 8 concurrent event sources (the contention axis of the partition
-// benchmark).
+// under 8 concurrent event sources.
 func BenchmarkIngestion8Sources(b *testing.B) {
 	for _, shards := range []int{1, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m := New(nil, WithShards(shards))
+			m := newStriped(nil, shards)
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {

@@ -109,36 +109,26 @@ type MemoryPolicy struct {
 }
 
 // Choose evaluates the candidates against the policy. heapCapacity is the
-// client Java heap size in bytes.
+// client Java heap size in bytes. Selection is ChooseDense over g's
+// per-class memory; only the winner pays the full-graph walk that fills
+// the history-derived fields.
 func (p MemoryPolicy) Choose(g *graph.Graph, heapCapacity int64, cands []mincut.Candidate) (Decision, error) {
-	if heapCapacity <= 0 {
-		return Decision{}, fmt.Errorf("policy: heap capacity %d must be positive", heapCapacity)
+	nodes := g.Nodes() // ID order, so the index is the vertex ID
+	mem := make([]int64, len(nodes))
+	for v, n := range nodes {
+		mem[v] = n.Memory
 	}
-	need := int64(p.MinFreeFraction * float64(heapCapacity))
-	var best Decision
-	found := false
-	for _, c := range cands {
-		d := evaluate(g, c)
-		if d.OffloadBytes < need || d.OffloadClasses == 0 {
-			continue
-		}
-		if !found || d.CutWeight < best.CutWeight {
-			best = d
-			found = true
-		}
+	d, err := p.ChooseDense(mem, heapCapacity, cands)
+	if err != nil {
+		return Decision{}, err
 	}
-	if !found {
-		p.Rejected.Inc()
-		return Decision{}, ErrNotBeneficial
-	}
-	p.Chosen.Inc()
-	return best, nil
+	return evaluate(g, mincut.Candidate{InClient: d.InClient, CutWeight: d.CutWeight}), nil
 }
 
 // ChooseDense is Choose for the incremental repartition path, where no
 // full graph snapshot exists: mem[v] is the live memory attributed to
-// the class with vertex ID v (maintained from graph deltas). The
-// acceptance rule and cost ranking match Choose exactly; the returned
+// the class with vertex ID v (maintained from graph deltas). It is the
+// one acceptance rule and cost ranking; the returned
 // Decision carries only placement, CutWeight, OffloadBytes, and
 // OffloadClasses — the history-derived fields (CutBytes,
 // CutInteractions, OffloadCPU) stay zero because computing them would

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -69,6 +70,25 @@ func TestMemoryPolicyChoosesLooseCut(t *testing.T) {
 	}
 	if dec.CutBytes != 50 {
 		t.Fatalf("CutBytes = %d, want 50 (5 light calls)", dec.CutBytes)
+	}
+
+	// Choose is ChooseDense's selection plus the full-graph evaluation
+	// of that one winner.
+	mem := make([]int64, g.Len())
+	for v, n := range g.Nodes() {
+		mem[v] = n.Memory
+	}
+	winner, err := mp.ChooseDense(mem, 2<<20, candidatesOf(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := evaluate(g, mincut.Candidate{InClient: winner.InClient, CutWeight: winner.CutWeight})
+	if !reflect.DeepEqual(dec, want) {
+		t.Fatalf("Choose = %+v, want evaluate(ChooseDense winner) = %+v", dec, want)
+	}
+	if winner.OffloadBytes != want.OffloadBytes || winner.OffloadClasses != want.OffloadClasses {
+		t.Fatalf("dense winner %d B/%d classes, evaluated %d B/%d classes",
+			winner.OffloadBytes, winner.OffloadClasses, want.OffloadBytes, want.OffloadClasses)
 	}
 }
 

@@ -118,9 +118,8 @@ func (k MsgKind) String() string {
 	}
 }
 
-// Message is the single wire envelope. A fat struct keeps gob encoding
-// simple and self-describing; unused fields cost nothing on the wire
-// beyond their zero markers.
+// Message is the single wire envelope. A fat struct keeps the codec one
+// flat, tag-prefixed record; unused fields cost nothing on the wire.
 type Message struct {
 	ID    uint64 // request correlation; replies echo it
 	Reply bool

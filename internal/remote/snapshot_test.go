@@ -246,7 +246,7 @@ func TestSnapshotTransferOverTCP(t *testing.T) {
 	reg := testRegistry(t)
 	client := vm.New(reg, vm.Config{Role: vm.RoleClient, HeapCapacity: 1 << 20})
 	surrogate := vm.New(reg, vm.Config{Role: vm.RoleSurrogate, HeapCapacity: 8 << 20})
-	tClient, tServer := tcpTransportPair(t, NewConnTransport)
+	tClient, tServer := tcpTransportPair(t)
 	pc := NewPeer(client, tClient, Options{Workers: 2, SnapshotChunkSize: 128})
 	ps := NewPeer(surrogate, tServer, Options{Workers: 2, SnapshotChunkSize: 128})
 	t.Cleanup(func() {

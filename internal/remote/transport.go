@@ -3,7 +3,6 @@ package remote
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -130,9 +129,7 @@ type binTransport struct {
 }
 
 // NewConnTransport wraps a connected net.Conn in the binary-codec
-// transport. Both endpoints must use the same constructor; the gob
-// framing remains available via NewGobConnTransport for wire-compat
-// tests.
+// transport, the only framing the platform speaks over a socket.
 func NewConnTransport(conn net.Conn) Transport {
 	return &binTransport{
 		conn: conn,
@@ -184,56 +181,6 @@ func (t *binTransport) Recv() (*Message, error) {
 }
 
 func (t *binTransport) Close() error {
-	t.closeMu.Lock()
-	defer t.closeMu.Unlock()
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	return t.conn.Close()
-}
-
-// gobTransport frames Messages with gob over a single connection. It is
-// the pre-codec wire protocol, kept runnable for wire-compat tests and
-// as the benchmark baseline the binary codec is measured against.
-type gobTransport struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-
-	sendMu  sync.Mutex
-	closeMu sync.Mutex
-	closed  bool
-}
-
-// NewGobConnTransport wraps a connected net.Conn in the legacy
-// gob-framed transport.
-func NewGobConnTransport(conn net.Conn) Transport {
-	return &gobTransport{
-		conn: conn,
-		enc:  gob.NewEncoder(conn),
-		dec:  gob.NewDecoder(conn),
-	}
-}
-
-func (t *gobTransport) Send(m *Message) error {
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	if err := t.enc.Encode(m); err != nil {
-		return fmt.Errorf("remote: send: %w", err)
-	}
-	return nil
-}
-
-func (t *gobTransport) Recv() (*Message, error) {
-	var m Message
-	if err := t.dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("remote: recv: %w", err)
-	}
-	return &m, nil
-}
-
-func (t *gobTransport) Close() error {
 	t.closeMu.Lock()
 	defer t.closeMu.Unlock()
 	if t.closed {

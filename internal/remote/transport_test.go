@@ -44,8 +44,8 @@ func TestChannelPairClose(t *testing.T) {
 }
 
 // tcpTransportPair connects a client and server transport over a fresh
-// TCP loopback socket using the given framing constructor.
-func tcpTransportPair(t *testing.T, wrap func(net.Conn) Transport) (client, server Transport) {
+// TCP loopback socket.
+func tcpTransportPair(t *testing.T) (client, server Transport) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -62,13 +62,13 @@ func tcpTransportPair(t *testing.T, wrap func(net.Conn) Transport) (client, serv
 			t.Error(err)
 			return
 		}
-		server = wrap(conn)
+		server = NewConnTransport(conn)
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	client = wrap(conn)
+	client = NewConnTransport(conn)
 	wg.Wait()
 	if server == nil {
 		t.Fatal("accept failed")
@@ -96,20 +96,20 @@ func fullMessage() *Message {
 	}
 }
 
-func checkFullMessage(t *testing.T, got *Message, framing string) {
+func checkFullMessage(t *testing.T, got *Message) {
 	t.Helper()
 	want := fullMessage()
 	if got.ID != want.ID || got.Kind != want.Kind || len(got.Args) != 2 ||
 		got.Ret.S != "ok" || len(got.Batch) != 1 || got.Batch[0].Size != 100 ||
 		len(got.IDs) != 2 || got.ElapsedNanos != 12345 {
-		t.Fatalf("%s round trip lost data: %+v", framing, got)
+		t.Fatalf("round trip lost data: %+v", got)
 	}
 }
 
 // TestBinaryTransportOverTCP round-trips a fully populated message
 // through the default (binary codec) TCP framing.
 func TestBinaryTransportOverTCP(t *testing.T) {
-	client, server := tcpTransportPair(t, NewConnTransport)
+	client, server := tcpTransportPair(t)
 	if err := client.Send(fullMessage()); err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +117,7 @@ func TestBinaryTransportOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFullMessage(t, got, "binary")
-}
-
-// TestGobTransportOverTCP round-trips the same message through the
-// legacy gob framing, which stays wire-runnable as the codec baseline.
-func TestGobTransportOverTCP(t *testing.T) {
-	client, server := tcpTransportPair(t, NewGobConnTransport)
-	if err := client.Send(fullMessage()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFullMessage(t, got, "gob")
+	checkFullMessage(t, got)
 }
 
 // TestChannelSenderMayReuseMessage pins the Transport ownership
