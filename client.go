@@ -63,42 +63,27 @@ type Client struct {
 	pm     platformMetrics
 	tracer *telemetry.Tracer
 
-	mu sync.Mutex
-	// peers is positional: a slot keeps its index for the life of the
-	// client because offloaded and the VM's stubs address surrogates by
-	// index. A disconnected surrogate's slot is nil, never removed.
-	peers       []*remote.Peer
+	// slots owns the surrogate connections, the class placement and the
+	// handoff rounds; every change to them is one of its transitions.
+	slots *slotTable
+
+	// mu guards the policy state below. It nests inside the table's discMu
+	// (a retire bumps disconnects under it) and is never held across a
+	// call into the table.
+	mu          sync.Mutex
 	trigger     policy.MemoryTrigger
 	disc        policy.DisconnectTrigger
 	adaptive    bool
 	reports     []OffloadReport
 	rejected    int
-	offloaded   map[string]int // class → index of the surrogate hosting it
 	gcCount     int
 	rebalances  int
 	disconnects int
 
-	// handoffs tracks, per peer slot, the waiter that calls bounced with
-	// ErrDrained block on until a live handoff re-points the slot;
-	// handoffsDone counts completed handoffs. Both under c.mu.
-	handoffs     map[int]*handoffWait
-	handoffsDone int
-
-	// Speculation outcome counters (see speculate.go), under c.mu.
+	// handoffsDone counts completed live handoffs; the speculation outcome
+	// counters are described in speculate.go.
+	handoffsDone                              int
 	specLocalWins, specRemoteWins, specMisses int64
-
-	// discMu serializes disconnect handling so that concurrent failure
-	// observers (the receive loop's OnDown, failed calls entering the
-	// VM's failover hook) each return only after the peer's stubs have
-	// been reclaimed locally.
-	discMu sync.Mutex
-
-	// bg joins the asynchronous peer-close goroutines disconnect
-	// handling spawns; Detach waits for them so no goroutine outlives
-	// the client. Add happens under c.mu in the same critical section
-	// that claims the peer slot, so it is serialized against Detach's
-	// peers-clearing section and can never race a Wait at zero.
-	bg sync.WaitGroup
 }
 
 // NewClient builds a client platform over the shared class registry.
@@ -135,8 +120,7 @@ func NewClient(reg *Registry, opts ...Option) *Client {
 		Tolerance:    o.params.Tolerance,
 	}
 	c.disc = policy.DisconnectTrigger{CooldownCycles: o.disconnectCool}
-	c.offloaded = make(map[string]int)
-	c.handoffs = make(map[int]*handoffWait)
+	c.slots = newSlotTable(o.logf)
 	c.vm.SetFailoverHandler(c.failoverPeer)
 	c.vm.SetDrainHandler(c.waitHandoff)
 	return c
@@ -193,27 +177,13 @@ func (c *Client) Attach(t remote.Transport) error {
 // load. Surrogates predating the handshake admit implicitly; the client
 // attaches to them exactly as before.
 func (c *Client) AttachContext(ctx context.Context, t remote.Transport) error {
-	ro := c.opts.remoteOptions()
-	ro.OnDown = c.onPeerDown
-	p := remote.NewPeer(c.vm, t, ro)
-	c.installHandoffHandler(p)
-	c.mu.Lock()
-	c.peers = append(c.peers, p)
-	c.mu.Unlock()
+	p := c.newPeer(t, nil)
+	c.slots.add(p)
 	if _, err := p.Attach(ctx); err != nil && !errors.Is(err, remote.ErrAttachUnsupported) {
-		// Rejected (or the transport died mid-handshake): free the slot.
-		// The VM's peer table never reuses indexes, so nilling the
-		// positional entry keeps every other peer's index aligned.
-		idx := p.VMIndex()
-		c.mu.Lock()
-		if idx >= 0 && idx < len(c.peers) && c.peers[idx] == p {
-			c.peers[idx] = nil
-		}
-		c.mu.Unlock()
-		c.vm.DetachPeer(idx)
-		if cerr := p.Close(); cerr != nil && c.opts.logf != nil {
-			c.opts.logf("aide: close rejected attach: %v", cerr)
-		}
+		// Rejected (or the transport died mid-handshake): retire the slot,
+		// which has no stubs yet. The VM's peer table never reuses indexes,
+		// so every other peer's index stays aligned.
+		c.retire(p.VMIndex(), p, "refused the attach", func() int { return 0 })
 		return fmt.Errorf("aide: attach: %w", err)
 	}
 	if c.opts.speculate {
@@ -241,14 +211,7 @@ func (c *Client) AttachContext(ctx context.Context, t remote.Transport) error {
 
 // Surrogates returns the number of connected surrogates.
 func (c *Client) Surrogates() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, p := range c.peers {
-		if p != nil {
-			n++
-		}
-	}
+	_, n := c.slots.live()
 	return n
 }
 
@@ -268,74 +231,57 @@ func (c *Client) PinnedLocal() bool {
 	return c.disc.Active()
 }
 
-// onPeerDown is the remote module's OnDown hook: it runs on the goroutine
-// that observed the connection failure, so the actual teardown must not
-// block on that goroutine (Close joins it) — handleDisconnect closes the
-// peer asynchronously.
-func (c *Client) onPeerDown(p *remote.Peer, cause error) {
-	_ = cause // the peer already logged it via Logf
-	c.discMu.Lock()
-	defer c.discMu.Unlock()
-	// Identity-guarded: after a live handoff the old connection's eventual
-	// transport failure must not tear down the replacement peer now
-	// occupying the same slot.
-	c.disconnectLocked(p.VMIndex(), p)
-}
-
-// failoverPeer is the VM's disconnect-failover hook: a remote call failed
-// because its hosting peer vanished. Re-home the peer's objects locally
-// and tell the VM to retry the call against the reclaimed copies.
-func (c *Client) failoverPeer(idx int) bool {
-	c.discMu.Lock()
-	defer c.discMu.Unlock()
-	c.disconnectLocked(idx, nil)
+// failoverPeer is the VM's disconnect-failover hook: a remote call
+// through used failed because that peer vanished. The answer is always
+// retry: either this call re-homed used's objects locally, or another
+// observer did and has finished by the time disconnect returns, or a live
+// handoff replaced used before it died and the slot holds a healthy peer
+// that must not be touched — the retry lands on it.
+func (c *Client) failoverPeer(idx int, used vm.Peer) bool {
+	c.disconnect(idx, wirePeer(used))
 	return true
 }
 
-// disconnectLocked tears down one surrogate connection and fails its
-// objects over to local execution. Idempotent: the first caller does the
-// work; later callers find the slot empty and return at once (discMu
-// guarantees they return only after the reclaim completed). A non-nil
-// expect restricts the teardown to that specific peer, so a failure
-// report from a connection that already left the slot (handed off,
-// reattached) is ignored. Requires discMu; takes c.mu itself.
-func (c *Client) disconnectLocked(idx int, expect *remote.Peer) {
-	c.mu.Lock()
-	if idx < 0 || idx >= len(c.peers) || c.peers[idx] == nil ||
-		(expect != nil && c.peers[idx] != expect) {
-		c.mu.Unlock()
-		return
+// wirePeer unwraps the connection behind a VM peer-table entry.
+func wirePeer(p vm.Peer) *remote.Peer {
+	switch p := p.(type) {
+	case *remote.Peer:
+		return p
+	case *specPeer:
+		return p.inner
 	}
-	p := c.peers[idx]
-	c.peers[idx] = nil
-	for cls, i := range c.offloaded {
-		if i == idx {
-			delete(c.offloaded, cls)
-		}
-	}
-	c.disconnects++
-	c.pm.disconnects.Inc()
-	c.disc.Fire()
-	logf := c.opts.logf
-	c.bg.Add(1)
-	c.mu.Unlock()
+	return nil
+}
 
-	// Detach before reclaiming so the export-pin check inside
-	// ReclaimStubs sees the slot empty, then re-home every stub that
-	// pointed at the lost surrogate.
-	c.vm.DetachPeer(idx)
-	n := c.vm.ReclaimStubs(idx)
-	if logf != nil {
-		logf("aide: surrogate %d disconnected; reclaimed %d stubs, pinned local", idx, n)
-	}
-	// Close asynchronously: this may run on the peer's own receive loop
-	// (via OnDown), which Close joins. Detach joins the closer via c.bg.
-	go func() {
-		defer c.bg.Done()
-		if err := p.Close(); err != nil && logf != nil {
-			logf("aide: close disconnected surrogate %d: %v", idx, err)
+// disconnect tears down surrogate connection p, if slot idx still holds
+// it, and fails its objects over to local execution. Idempotent: later
+// callers, and reports about a peer that already left the slot, return
+// once the winner's reclaim has completed.
+func (c *Client) disconnect(idx int, p *remote.Peer) {
+	c.retire(idx, p, "disconnected", func() int {
+		c.mu.Lock()
+		c.disconnects++
+		c.disc.Fire()
+		c.mu.Unlock()
+		c.pm.disconnects.Inc()
+		return c.vm.ReclaimStubs(idx)
+	})
+}
+
+// retire is the one way a connection leaves its slot involuntarily: claim
+// the slot while it still holds p, detach the VM's side (so the export-pin
+// check inside the reclaim sees it empty), re-home every stub that pointed
+// at the surrogate, and close p in the background. It reports the claim.
+func (c *Client) retire(idx int, p *remote.Peer, what string, reclaim func() int) bool {
+	ok, _ := c.slots.exchange(idx, p, nil, what, func() error {
+		c.vm.DetachPeer(idx)
+		n := reclaim()
+		if c.opts.logf != nil {
+			c.opts.logf("aide: surrogate %d %s; re-homed %d stubs", idx, what, n)
 		}
-	}()
+		return nil
+	})
+	return ok
 }
 
 // AttachTCP dials a surrogate's listener and attaches to it.
@@ -359,23 +305,10 @@ func (c *Client) AttachTCPContext(ctx context.Context, addr string) error {
 // detach only when the application is done with them.
 func (c *Client) Detach() error {
 	c.mu.Lock()
-	peers := c.peers
-	c.peers = nil
 	c.adaptive = false
 	c.mu.Unlock()
 	c.vm.SetPressureHandler(nil)
-	var firstErr error
-	for _, p := range peers {
-		if p == nil {
-			continue // lost earlier; already closed by disconnect handling
-		}
-		if err := p.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	// Join the disconnect handlers' async peer-close goroutines.
-	c.bg.Wait()
-	return firstErr
+	return c.slots.closeAll()
 }
 
 // Close releases the client's resources.
@@ -389,10 +322,10 @@ func (c *Client) Ping() error {
 // PingContext is Ping bounded by ctx: probes of the remaining
 // surrogates abort when ctx is cancelled or its deadline expires.
 func (c *Client) PingContext(ctx context.Context) error {
-	c.mu.Lock()
-	peers := append([]*remote.Peer(nil), c.peers...)
-	c.mu.Unlock()
-	live := 0
+	peers, live := c.slots.live()
+	if live == 0 {
+		return ErrNoSurrogate
+	}
 	for _, p := range peers {
 		if p == nil {
 			continue
@@ -400,10 +333,6 @@ func (c *Client) PingContext(ctx context.Context) error {
 		if err := p.Probe(ctx); err != nil {
 			return err
 		}
-		live++
-	}
-	if live == 0 {
-		return ErrNoSurrogate
 	}
 	return nil
 }
@@ -417,8 +346,9 @@ func (c *Client) onGC(free, capacity int64, freed bool) {
 	fire := c.adaptive && !pinned && c.trigger.Report(free, capacity, freed)
 	c.gcCount++
 	rebalance := c.adaptive && !pinned && !fire && c.opts.rebalanceGC > 0 &&
-		len(c.offloaded) > 0 && c.gcCount%c.opts.rebalanceGC == 0
+		c.gcCount%c.opts.rebalanceGC == 0
 	c.mu.Unlock()
+	rebalance = rebalance && len(c.slots.placed()) > 0
 	if fire {
 		// Best effort: a failed or non-beneficial partitioning leaves the
 		// application running locally.
@@ -460,6 +390,15 @@ func (c *Client) partition(g *graph.Graph) ([]mincut.Candidate, error) {
 	return sc.Candidates(sc.FromGraph(g, graph.BytesWeight))
 }
 
+// traceStart reports whether the tracer is on and, only then, reads the
+// clock for the span about to be timed.
+func (c *Client) traceStart() (traced bool, start time.Time) {
+	if traced = c.tracer.Enabled(); traced {
+		start = time.Now()
+	}
+	return traced, start
+}
+
 // memoryPolicy builds the configured memory policy with decision-outcome
 // counters attached.
 func (c *Client) memoryPolicy() policy.MemoryPolicy {
@@ -492,92 +431,33 @@ func (c *Client) Offload() (*OffloadReport, error) {
 func (c *Client) OffloadContext(ctx context.Context) (*OffloadReport, error) {
 	c.mu.Lock()
 	pinned := c.disc.Active()
-	peers := append([]*remote.Peer(nil), c.peers...)
 	c.mu.Unlock()
 	if pinned {
 		return nil, ErrPinnedLocal
 	}
-	if countLive(peers) == 0 {
+	if _, live := c.slots.live(); live == 0 {
 		return nil, ErrNoSurrogate
 	}
 	if c.mon == nil {
 		return nil, errors.New("aide: monitoring disabled; nothing to partition")
 	}
 
-	traced := c.tracer.Enabled()
-	var tStart time.Time
-	if traced {
-		tStart = time.Now()
-	}
-	g := c.mon.Graph()
-	cands, err := c.partition(g)
-	if err != nil {
-		return nil, fmt.Errorf("aide: partition: %w", err)
-	}
-	mp := c.memoryPolicy()
-	dec, err := mp.Choose(g, c.opts.heap, cands)
-	if err != nil {
-		// Hard fallback: when the heap is critically full, free whatever
-		// we can rather than fail the application.
-		heap := c.vm.Heap()
-		if float64(heap.Free)/float64(heap.Capacity) < 0.05 {
-			mp.MinFreeFraction = 0
-			dec, err = mp.Choose(g, c.opts.heap, cands)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	chosen := make([]classInfo, 0, dec.OffloadClasses)
-	for _, n := range g.Nodes() {
-		if !dec.InClient[n.ID] {
-			chosen = append(chosen, classInfo{name: n.Name, size: n.Memory})
-		}
-	}
-	sort.Slice(chosen, func(i, j int) bool {
-		if chosen[i].size != chosen[j].size {
-			return chosen[i].size > chosen[j].size // biggest first
-		}
-		return chosen[i].name < chosen[j].name
-	})
-
-	placement, err := c.placeAcross(ctx, peers, chosen)
+	traced, tStart := c.traceStart()
+	chosen, cutBytes, err := c.decide()
 	if err != nil {
 		return nil, err
 	}
-
-	rep := OffloadReport{
-		CutBytes: dec.CutBytes,
-		At:       c.vm.Clock(),
+	rep := OffloadReport{CutBytes: cutBytes}
+	rep.Classes, rep.Objects, rep.Bytes, err = c.migrate(ctx, chosen)
+	if err != nil {
+		return nil, err
 	}
-	moved := make(map[string]int)
-	for idx, classes := range placement {
-		if len(classes) == 0 {
-			continue
-		}
-		objects, bytes, err := peers[idx].OffloadContext(ctx, classes)
-		if err != nil {
-			return nil, fmt.Errorf("aide: offload to surrogate %d: %w", idx, err)
-		}
-		rep.Objects += objects
-		rep.Bytes += bytes
-		rep.Classes = append(rep.Classes, classes...)
-		for _, cls := range classes {
-			moved[cls] = idx
-		}
-	}
-	sort.Strings(rep.Classes)
-	c.vm.Collect() // reclaim the space the migrated objects occupied
 	rep.FreedFraction = float64(rep.Bytes) / float64(c.opts.heap)
 	rep.At = c.vm.Clock()
 
 	c.mu.Lock()
 	c.trigger.Reset()
 	c.reports = append(c.reports, rep)
-	for cls, idx := range moved {
-		c.offloaded[cls] = idx
-	}
 	c.mu.Unlock()
 	c.pm.offloads.Inc()
 	c.pm.offloadedBytes.Add(rep.Bytes)
@@ -594,15 +474,114 @@ func (c *Client) OffloadContext(ctx context.Context) (*OffloadReport, error) {
 	return &rep, nil
 }
 
-// placeAcross assigns classes (largest first) to surrogates, greedily
-// filling the one with the most remaining free memory. With a single
-// surrogate everything goes to it without probing.
 // classInfo pairs a class with its live memory for placement decisions.
 type classInfo struct {
 	name string
 	size int64
 }
 
+// decide is the partitioning decision Offload and Rebalance share:
+// snapshot the execution graph, generate candidates with the modified
+// MINCUT heuristic, apply the memory policy, and return the classes the
+// chosen cut places on the surrogate side, biggest first, with the cut's
+// historical transfer. Classes already offloaded are weighed by the
+// recorded graph, which still carries the totals their surrogate holds.
+func (c *Client) decide() (chosen []classInfo, cutBytes int64, err error) {
+	g := c.mon.Graph()
+	cands, err := c.partition(g)
+	if err != nil {
+		return nil, 0, fmt.Errorf("aide: partition: %w", err)
+	}
+	mp := c.memoryPolicy()
+	dec, err := mp.Choose(g, c.opts.heap, cands)
+	if err != nil {
+		// Hard fallback: when the heap is critically full, free whatever
+		// we can rather than fail the application.
+		heap := c.vm.Heap()
+		if float64(heap.Free)/float64(heap.Capacity) < 0.05 {
+			mp.MinFreeFraction = 0
+			dec, err = mp.Choose(g, c.opts.heap, cands)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	chosen = make([]classInfo, 0, dec.OffloadClasses)
+	for _, n := range g.Nodes() {
+		if !dec.InClient[n.ID] {
+			chosen = append(chosen, classInfo{name: n.Name, size: n.Memory})
+		}
+	}
+	sort.Slice(chosen, func(i, j int) bool {
+		if chosen[i].size != chosen[j].size {
+			return chosen[i].size > chosen[j].size
+		}
+		return chosen[i].name < chosen[j].name
+	})
+	return chosen, dec.CutBytes, nil
+}
+
+// migrate is the outbound migration Offload and Rebalance share: spread
+// the classes across the live surrogates, move each group, and record its
+// placement as it lands, so what moved before a later surrogate fails is
+// still on the books (and can be recalled). It returns what moved, sorted.
+func (c *Client) migrate(ctx context.Context, chosen []classInfo) (moved []string, objects int, bytes int64, err error) {
+	peers, _ := c.slots.live()
+	placement, err := c.placeAcross(ctx, peers, chosen)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for idx := range peers { // slot order, so a failure leaves a defined prefix moved
+		classes := placement[idx]
+		if len(classes) == 0 {
+			continue
+		}
+		n, b, oerr := c.move(ctx, idx, classes, (*remote.Peer).OffloadContext)
+		if oerr != nil {
+			err = fmt.Errorf("aide: offload to surrogate %d: %w", idx, oerr)
+			break
+		}
+		c.slots.place(classes, idx)
+		moved = append(moved, classes...)
+		objects += n
+		bytes += b
+	}
+	sort.Strings(moved)
+	if len(moved) > 0 {
+		c.vm.Collect() // reclaim the space the migrated objects occupied
+	}
+	return moved, objects, bytes, err
+}
+
+// move runs one migration (dir is remote.Peer's OffloadContext or
+// RecallContext) against slot idx and follows the slot through a live
+// handoff, as the VM's drain and failover hooks do for application calls.
+// What a draining or just-retired home failed never ran there — its gate
+// bounces every work request once the drain begins — so re-sending it to
+// the home the handoff installed is exactly-once safe.
+func (c *Client) move(ctx context.Context, idx int, classes []string,
+	dir func(*remote.Peer, context.Context, []string) (int, int64, error)) (n int, b int64, err error) {
+	for redirects := 0; redirects <= 3; redirects++ { // as many as the VM follows for a call
+		p := c.slots.at(idx)
+		if p == nil {
+			return 0, 0, ErrNoSurrogate
+		}
+		if n, b, err = dir(p, ctx, classes); err == nil {
+			break
+		}
+		if errors.Is(err, remote.ErrDrained) && c.waitHandoff(idx, p) {
+			continue
+		}
+		if next := c.slots.at(idx); !errors.Is(err, remote.ErrClosed) || next == nil || next == p {
+			break // a real failure, or the connection was lost rather than handed off
+		}
+	}
+	return n, b, err
+}
+
+// placeAcross assigns classes (largest first) to surrogates, greedily
+// filling the one with the most remaining free memory. With a single
+// surrogate everything goes to it without probing.
 func (c *Client) placeAcross(ctx context.Context, peers []*remote.Peer, chosen []classInfo) (map[int][]string, error) {
 	live := make([]int, 0, len(peers))
 	for i, p := range peers {
@@ -641,25 +620,12 @@ func (c *Client) placeAcross(ctx context.Context, peers []*remote.Peer, chosen [
 	return placement, nil
 }
 
-// countLive counts the non-nil (still connected) entries of a peer
-// snapshot.
-func countLive(peers []*remote.Peer) int {
-	n := 0
-	for _, p := range peers {
-		if p != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // OffloadedClasses returns the classes currently placed on the surrogate,
 // sorted.
 func (c *Client) OffloadedClasses() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.offloaded))
-	for cls := range c.offloaded {
+	placed := c.slots.placed()
+	out := make([]string, 0, len(placed))
+	for cls := range placed {
 		out = append(out, cls)
 	}
 	sort.Strings(out)
@@ -684,35 +650,27 @@ func (c *Client) Recall(classes []string) (objects int, bytes int64, err error) 
 // RecallContext is Recall bounded by ctx: the per-surrogate migration
 // calls abort when ctx is cancelled or its deadline expires.
 func (c *Client) RecallContext(ctx context.Context, classes []string) (objects int, bytes int64, err error) {
-	c.mu.Lock()
-	peers := append([]*remote.Peer(nil), c.peers...)
+	peers, live := c.slots.live()
+	if live == 0 {
+		return 0, 0, ErrNoSurrogate
+	}
+	placed := c.slots.placed()
 	byPeer := make(map[int][]string)
 	for _, cls := range classes {
-		idx, ok := c.offloaded[cls]
-		if !ok {
-			idx = 0 // not tracked: ask the first surrogate (harmless no-op)
-		}
+		idx := placed[cls] // not tracked: ask the first surrogate (harmless no-op)
 		byPeer[idx] = append(byPeer[idx], cls)
-	}
-	c.mu.Unlock()
-	if countLive(peers) == 0 {
-		return 0, 0, ErrNoSurrogate
 	}
 	for idx, group := range byPeer {
 		if idx >= len(peers) || peers[idx] == nil {
 			continue
 		}
-		n, b, rerr := peers[idx].RecallContext(ctx, group)
+		n, b, rerr := c.move(ctx, idx, group, (*remote.Peer).RecallContext)
 		if rerr != nil {
 			return objects, bytes, rerr
 		}
 		objects += n
 		bytes += b
-		c.mu.Lock()
-		for _, cls := range group {
-			delete(c.offloaded, cls)
-		}
-		c.mu.Unlock()
+		c.slots.forget(group)
 	}
 	return objects, bytes, nil
 }
@@ -743,100 +701,45 @@ func (c *Client) Rebalance() (*RebalanceReport, error) {
 // RebalanceContext is Rebalance bounded by ctx: both migration
 // directions abort when ctx is cancelled or its deadline expires.
 func (c *Client) RebalanceContext(ctx context.Context) (*RebalanceReport, error) {
-	c.mu.Lock()
-	nPeers := countLive(c.peers)
-	current := make(map[string]bool, len(c.offloaded))
-	for cls := range c.offloaded {
-		current[cls] = true
-	}
-	c.mu.Unlock()
-	if nPeers == 0 {
+	if _, live := c.slots.live(); live == 0 {
 		return nil, ErrNoSurrogate
 	}
 	if c.mon == nil {
 		return nil, errors.New("aide: monitoring disabled; nothing to partition")
 	}
 
-	traced := c.tracer.Enabled()
-	var tStart time.Time
-	if traced {
-		tStart = time.Now()
-	}
+	traced, tStart := c.traceStart()
 	c.pm.rebalances.Inc()
 
-	// Desired placement from a fresh snapshot. Memory annotations for
-	// offloaded classes live on the surrogate, so weigh the decision by
-	// the recorded (historical) graph, which still carries their totals.
-	g := c.mon.Graph()
-	desired := make(map[string]bool)
-	cands, err := c.partition(g)
-	if err == nil {
-		mp := c.memoryPolicy()
-		if dec, derr := mp.Choose(g, c.opts.heap, cands); derr == nil {
-			for _, n := range g.Nodes() {
-				if !dec.InClient[n.ID] {
-					desired[n.Name] = true
-				}
-			}
-		}
-		// ErrNotBeneficial leaves desired empty: recall everything.
-	} else {
+	// Desired placement from a fresh decision. A policy that finds nothing
+	// beneficial leaves it empty: everything comes home.
+	desired, _, err := c.decide()
+	if err != nil && !errors.Is(err, ErrNotBeneficial) {
 		return nil, fmt.Errorf("aide: rebalance: %w", err)
 	}
-
+	current := c.slots.placed()
 	rep := &RebalanceReport{}
-	for cls := range desired {
-		if !current[cls] {
-			rep.Offloaded = append(rep.Offloaded, cls)
+	var outbound []classInfo
+	for _, ci := range desired {
+		if _, ok := current[ci.name]; ok {
+			delete(current, ci.name) // stays where it is
+		} else {
+			outbound = append(outbound, ci)
 		}
 	}
 	for cls := range current {
-		if !desired[cls] {
-			rep.Recalled = append(rep.Recalled, cls)
-		}
+		rep.Recalled = append(rep.Recalled, cls)
 	}
-	sort.Strings(rep.Offloaded)
 	sort.Strings(rep.Recalled)
 
-	if len(rep.Recalled) > 0 {
-		_, bytes, err := c.RecallContext(ctx, rep.Recalled)
-		if err != nil {
-			return nil, fmt.Errorf("aide: rebalance recall: %w", err)
-		}
-		rep.BytesIn = bytes
+	if _, rep.BytesIn, err = c.RecallContext(ctx, rep.Recalled); err != nil {
+		return nil, fmt.Errorf("aide: rebalance recall: %w", err)
 	}
-	if len(rep.Offloaded) > 0 {
-		c.mu.Lock()
-		peers := append([]*remote.Peer(nil), c.peers...)
-		c.mu.Unlock()
-		chosen := make([]classInfo, 0, len(rep.Offloaded))
-		for _, cls := range rep.Offloaded {
-			var size int64
-			if n, ok := g.Lookup(cls); ok {
-				size = n.Memory
-			}
-			chosen = append(chosen, classInfo{name: cls, size: size})
-		}
-		placement, err := c.placeAcross(ctx, peers, chosen)
+	if len(outbound) > 0 {
+		rep.Offloaded, _, rep.BytesOut, err = c.migrate(ctx, outbound)
 		if err != nil {
 			return nil, fmt.Errorf("aide: rebalance: %w", err)
 		}
-		for idx, group := range placement {
-			if len(group) == 0 {
-				continue
-			}
-			_, bytes, err := peers[idx].OffloadContext(ctx, group)
-			if err != nil {
-				return nil, fmt.Errorf("aide: rebalance offload: %w", err)
-			}
-			rep.BytesOut += bytes
-			c.mu.Lock()
-			for _, cls := range group {
-				c.offloaded[cls] = idx
-			}
-			c.mu.Unlock()
-		}
-		c.vm.Collect()
 	}
 	if traced {
 		c.tracer.Emit(telemetry.Span{
@@ -869,13 +772,11 @@ func (c *Client) SurrogateInfos() ([]remote.PeerInfo, error) {
 // SurrogateInfosContext is SurrogateInfos bounded by ctx: the resource
 // probes abort when ctx is cancelled or its deadline expires.
 func (c *Client) SurrogateInfosContext(ctx context.Context) ([]remote.PeerInfo, error) {
-	c.mu.Lock()
-	peers := append([]*remote.Peer(nil), c.peers...)
-	c.mu.Unlock()
-	if countLive(peers) == 0 {
+	peers, live := c.slots.live()
+	if live == 0 {
 		return nil, ErrNoSurrogate
 	}
-	infos := make([]remote.PeerInfo, 0, len(peers))
+	infos := make([]remote.PeerInfo, 0, live)
 	for i, p := range peers {
 		if p == nil {
 			continue

@@ -309,6 +309,39 @@ func TestPeriodicRebalance(t *testing.T) {
 	}
 }
 
+// docAndChunks builds two sizeable classes' worth of heap — one 600 KB Doc
+// and a chain of 64 Chunks — and touches the Doc once: with two
+// surrogates attached the greedy spreader uses both (each can hold the
+// pieces, and balancing by free memory splits them).
+func docAndChunks(t *testing.T, client *Client) (*Thread, ObjectID) {
+	t.Helper()
+	th := client.Thread()
+	doc, err := th.New("Doc", 600<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.VM().SetRoot("doc", doc)
+	var prev ObjectID
+	for i := 0; i < 64; i++ {
+		id, err := th.New("Chunk", 8<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != InvalidObject {
+			if err := th.SetField(id, "next", RefOf(prev)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client.VM().SetRoot("chunks", id)
+		prev = id
+		th.ClearTemps()
+	}
+	if _, err := th.Invoke(doc, "append", Int(3)); err != nil {
+		t.Fatal(err)
+	}
+	return th, doc
+}
+
 func TestMultiSurrogateOffloadSpreads(t *testing.T) {
 	reg := demoRegistry(t)
 	s1 := NewSurrogate(reg, WithHeap(8<<20))
@@ -343,33 +376,7 @@ func TestMultiSurrogateOffloadSpreads(t *testing.T) {
 		t.Fatalf("infos = %v, %v", infos, err)
 	}
 
-	// Two sizeable classes: the greedy spreader should use both
-	// surrogates (each can hold the pieces, and balancing by free memory
-	// splits them).
-	th := client.Thread()
-	doc, err := th.New("Doc", 600<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.VM().SetRoot("doc", doc)
-	var prev ObjectID
-	for i := 0; i < 64; i++ {
-		id, err := th.New("Chunk", 8<<10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev != InvalidObject {
-			if err := th.SetField(id, "next", RefOf(prev)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		client.VM().SetRoot("chunks", id)
-		prev = id
-		th.ClearTemps()
-	}
-	if _, err := th.Invoke(doc, "append", Int(3)); err != nil {
-		t.Fatal(err)
-	}
+	th, doc := docAndChunks(t, client)
 
 	rep, err := client.Offload()
 	if err != nil {

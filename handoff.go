@@ -12,38 +12,16 @@ import (
 	"aide/internal/vm"
 )
 
-// handoffWait parks the application threads whose calls bounced off a
-// draining surrogate until the session's new home is wired in. done
-// stays set after the channel closes so a straggler that reads the
-// drained error late still retries immediately; installed records the
-// peer the completed handoff wired in, so a bounce coming from that
-// very peer is recognized as the start of the NEXT drain rather than a
-// straggler of the last one. An aborted handoff closes the round with
-// installed nil — the session resumed in place, so every bounce retries
-// immediately against it. Guarded by c.mu.
-type handoffWait struct {
-	ch        chan struct{}
-	done      bool
-	installed vm.Peer
-}
-
 // waitHandoff is the VM's drain handler: a remote call on slot idx came
 // back with the typed drained redirect, issued through peer used. Block
 // until the concurrent handoff replaces the slot's peer (then retry the
 // call against the new home), or give up after the handoff timeout (the
-// call then surfaces ErrDrained to the application).
+// call then surfaces ErrDrained to the application). A straggler of a
+// handoff that already completed — including a call failed by the
+// replaced connection's own close — retries at once.
 func (c *Client) waitHandoff(idx int, used vm.Peer) bool {
-	c.mu.Lock()
-	hw := c.handoffs[idx]
-	switch {
-	case hw == nil:
-		hw = &handoffWait{ch: make(chan struct{})}
-		c.handoffs[idx] = hw
-	case hw.done && (used == nil || used != hw.installed):
-		// Straggler of the completed handoff: the bounce came from the
-		// replaced peer and the slot already points at the new home.
-		aborted := hw.installed == nil
-		c.mu.Unlock()
+	wait, aborted := c.slots.bounce(idx, wirePeer(used))
+	if wait == nil {
 		if aborted {
 			// The round aborted and the session resumed in place. The
 			// surrogate clears its draining gate only when our error
@@ -53,37 +31,40 @@ func (c *Client) waitHandoff(idx int, used vm.Peer) bool {
 			time.Sleep(2 * time.Millisecond)
 		}
 		return true
-	case hw.done:
-		// The bounce came from the peer the last handoff installed: that
-		// home is draining now. Open a fresh round and park on it.
-		hw = &handoffWait{ch: make(chan struct{})}
-		c.handoffs[idx] = hw
 	}
 	timeout := c.opts.handoffTimeout
-	c.mu.Unlock()
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case <-hw.ch:
+	case <-wait:
 		return true
 	case <-timer.C:
 		return false
 	}
 }
 
-// installHandoffHandler subscribes a surrogate connection to live
-// handoffs: when the surrogate drains, it pushes the session snapshot
-// here with the destination's address.
-func (c *Client) installHandoffHandler(p *remote.Peer) {
+// newPeer opens the client's half of a surrogate connection over t, wired
+// into disconnect handling and subscribed to live handoffs: when the
+// surrogate drains, it pushes the session snapshot here with the
+// destination's address. A non-nil takeover inherits that VM peer slot
+// instead of attaching a fresh one.
+func (c *Client) newPeer(t remote.Transport, takeover *int) *remote.Peer {
+	ro := c.opts.remoteOptions()
+	// OnDown runs on the goroutine that observed the failure, which Close
+	// joins — hence the slot table closing the peer in the background.
+	ro.OnDown = func(p *remote.Peer, _ error) { c.disconnect(p.VMIndex(), p) }
+	ro.Takeover = takeover
+	p := remote.NewPeer(c.vm, t, ro)
 	p.SetSnapshotHandler(func(method, dest string, img []byte) error {
 		if method != remote.SnapHandoff {
 			return fmt.Errorf("aide: client cannot consume snapshot push %q", method)
 		}
 		return c.handleHandoff(p, dest, img)
 	})
+	return p
 }
 
 // dial resolves a destination surrogate address to a transport, through
@@ -109,36 +90,19 @@ func (c *Client) dial(ctx context.Context, addr string) (remote.Transport, error
 // makes it resume in place instead.
 func (c *Client) handleHandoff(old *remote.Peer, dest string, img []byte) error {
 	idx := old.VMIndex()
-	traced := c.tracer.Enabled()
-	var tStart time.Time
-	if traced {
-		tStart = time.Now()
-	}
+	traced, tStart := c.traceStart()
 
-	// Publish (or adopt) the wait entry before any slow work so threads
+	// Publish (or adopt) the wait round before any slow work so threads
 	// bounced by the draining gate park instead of erroring.
-	c.mu.Lock()
-	hw := c.handoffs[idx]
-	if hw == nil || hw.done {
-		hw = &handoffWait{ch: make(chan struct{})}
-		c.handoffs[idx] = hw
-	}
-	c.mu.Unlock()
+	c.slots.openRound(idx)
 
 	// fail abandons the handoff: the surrogate sees our error, clears
 	// draining, and the session resumes in place — so wake every parked
-	// waiter now (done with no installed peer: any later bounce is
-	// treated as a retriable straggler) instead of leaving them to sit
-	// out the full handoff timeout and surface ErrDrained for a session
-	// that is serving again.
+	// waiter now (a round closed with no installed peer makes any later
+	// bounce a retriable straggler) rather than let them sit out the handoff
+	// timeout and surface ErrDrained for a session that is serving again.
 	fail := func(err error) error {
-		c.mu.Lock()
-		if c.handoffs[idx] == hw && !hw.done {
-			hw.done = true
-			hw.installed = nil
-			close(hw.ch)
-		}
-		c.mu.Unlock()
+		c.slots.closeRound(idx, nil)
 		return err
 	}
 
@@ -149,11 +113,7 @@ func (c *Client) handleHandoff(old *remote.Peer, dest string, img []byte) error 
 	if err != nil {
 		return fail(fmt.Errorf("aide: handoff dial %s: %w", dest, err))
 	}
-	ro := c.opts.remoteOptions()
-	ro.OnDown = c.onPeerDown
-	ro.Takeover = &idx
-	np := remote.NewPeer(c.vm, t, ro)
-	c.installHandoffHandler(np)
+	np := c.newPeer(t, &idx)
 	abort := func(err error) error {
 		if cerr := np.Close(); cerr != nil && c.opts.logf != nil {
 			c.opts.logf("aide: close aborted handoff peer: %v", cerr)
@@ -167,40 +127,24 @@ func (c *Client) handleHandoff(old *remote.Peer, dest string, img []byte) error 
 		return abort(fmt.Errorf("aide: handoff restore at %s: %w", dest, err))
 	}
 
-	// Swap under discMu so the exchange cannot interleave with a
-	// disconnect teardown of the same slot.
-	c.discMu.Lock()
-	c.mu.Lock()
-	if idx < 0 || idx >= len(c.peers) || c.peers[idx] != old {
-		c.mu.Unlock()
-		c.discMu.Unlock()
-		return abort(errors.New("aide: handoff: peer slot lost mid-transfer"))
-	}
-	c.peers[idx] = np
-	// Claim the async old-peer closer in the same critical section that
-	// claims the slot, so it is serialized against Detach's bg.Wait.
-	c.bg.Add(1)
-	c.mu.Unlock()
+	// The swap cannot interleave with a disconnect teardown of the slot.
+	// On success the table closes old in the background, only after this
+	// handler's own ack — we are on one of old's serve workers — is written.
 	var vp vm.Peer = np
 	if c.opts.speculate {
 		vp = newSpecPeer(c, np)
 	}
-	if err := c.vm.ReplacePeer(idx, vp); err != nil {
-		c.mu.Lock()
-		c.peers[idx] = old
-		c.bg.Done()
-		c.mu.Unlock()
-		c.discMu.Unlock()
+	ok, err := c.slots.exchange(idx, old, np, "handed-off", func() error { return c.vm.ReplacePeer(idx, vp) })
+	if err != nil {
 		return abort(fmt.Errorf("aide: handoff swap: %w", err))
 	}
-	c.discMu.Unlock()
+	if !ok {
+		return abort(errors.New("aide: handoff: peer slot lost mid-transfer"))
+	}
 
+	c.slots.closeRound(idx, np)
 	c.mu.Lock()
-	hw.done = true
-	hw.installed = vp
-	close(hw.ch)
 	c.handoffsDone++
-	logf := c.opts.logf
 	c.mu.Unlock()
 	c.pm.handoffs.Inc()
 	if traced {
@@ -209,21 +153,6 @@ func (c *Client) handleHandoff(old *remote.Peer, dest string, img []byte) error 
 			Bytes: int64(len(img)), Start: tStart, Dur: time.Since(tStart),
 		})
 	}
-	// Close the old connection asynchronously: this handler runs on one
-	// of its own serve workers, which Close joins. Let the old peer's
-	// in-flight replies land first — a call answered before the drain
-	// quiesced may still be on the wire, and closing under it would turn
-	// an executed call into a spurious failure.
-	go func() {
-		defer c.bg.Done()
-		deadline := time.Now().Add(time.Second)
-		for old.PendingCalls() > 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if err := old.Close(); err != nil && logf != nil {
-			logf("aide: close handed-off surrogate %d: %v", idx, err)
-		}
-	}()
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,16 +56,24 @@ func newHandoffFixtureOpts(t *testing.T, clientOpts, surrogateOpts []Option) *ha
 	if err := f.client.AttachTCP(f.addr1); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
+	f.offloadDoc(t)
+	return f
+}
+
+// offloadDoc creates the fixture's Doc on the attached client and offloads
+// it, after one interaction so the monitor has a graph to partition.
+func (f *handoffFixture) offloadDoc(t *testing.T) {
+	t.Helper()
+	var err error
 	f.th = f.client.Thread()
 	if f.doc, err = f.th.New("Doc", 300<<10); err != nil {
 		t.Fatalf("new Doc: %v", err)
 	}
 	f.client.VM().SetRoot("doc", f.doc)
-	f.append(t) // one interaction so the monitor has a graph to partition
+	f.append(t)
 	if _, err := f.client.Offload(); err != nil {
 		t.Fatalf("offload: %v", err)
 	}
-	return f
 }
 
 // append adds 2 to the Doc counter and asserts the exactly-once
@@ -98,6 +108,7 @@ func TestLiveHandoffBetweenTCPSurrogates(t *testing.T) {
 	// when the drain hits; each one must see the exact cumulative value.
 	stop := make(chan struct{})
 	done := make(chan error, 1)
+	var appends atomic.Int64
 	go func() {
 		for {
 			select {
@@ -110,10 +121,24 @@ func TestLiveHandoffBetweenTCPSurrogates(t *testing.T) {
 				done <- err
 				return
 			}
+			appends.Add(1)
 		}
 	}()
+	// awaitAppends blocks until the appender has completed n more calls
+	// (or has died, which the caller then reports).
+	awaitAppends := func(n int64) {
+		t.Helper()
+		for target := appends.Load() + n; appends.Load() < target; {
+			select {
+			case err := <-done:
+				t.Fatalf("appender: %v", err)
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
 
-	time.Sleep(50 * time.Millisecond) // let the appender reach steady state
+	awaitAppends(50) // the appender is in steady state against s1
 	moved, err := f.s1.Drain(context.Background(), f.addr2)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
@@ -121,7 +146,7 @@ func TestLiveHandoffBetweenTCPSurrogates(t *testing.T) {
 	if moved != 1 {
 		t.Fatalf("drain moved %d sessions, want 1", moved)
 	}
-	time.Sleep(50 * time.Millisecond) // let post-handoff appends land on s2
+	awaitAppends(50) // post-handoff appends have landed on s2
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatalf("appender during drain: %v", err)
@@ -306,10 +331,6 @@ func TestDrainEmptyDestinationRejected(t *testing.T) {
 	}
 }
 
-// fakeVMPeer is an inert vm.Peer used only for pointer identity in the
-// waitHandoff round-detection tests; no method is ever called.
-type fakeVMPeer struct{ vm.Peer }
-
 // TestWaitHandoffRounds pins the drain handler's round detection: a
 // bounce from the peer a completed handoff replaced is a straggler and
 // retries immediately, while a bounce from the peer that handoff
@@ -320,13 +341,10 @@ func TestWaitHandoffRounds(t *testing.T) {
 	c := NewClient(reg, WithHeap(1<<20), WithHandoffTimeout(50*time.Millisecond))
 	defer func() { _ = c.Close() }()
 
-	oldPeer := &fakeVMPeer{}
-	newPeer := &fakeVMPeer{}
-	done := make(chan struct{})
-	close(done)
-	c.mu.Lock()
-	c.handoffs[0] = &handoffWait{ch: done, done: true, installed: newPeer}
-	c.mu.Unlock()
+	// Inert peers: only their identity matters, no method is ever called.
+	oldPeer, newPeer := new(remote.Peer), new(remote.Peer)
+	c.slots.openRound(0)
+	c.slots.closeRound(0, newPeer)
 
 	// A straggler bounced by the replaced peer retries immediately.
 	if !c.waitHandoff(0, oldPeer) {
@@ -343,16 +361,7 @@ func TestWaitHandoffRounds(t *testing.T) {
 	go func() { released <- c.waitHandoff(0, newPeer) }()
 	// The parker must have replaced the stale done entry with a fresh
 	// open round before blocking.
-	deadline := time.Now().Add(time.Second)
-	var hw *handoffWait
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		hw = c.handoffs[0]
-		open := hw != nil && !hw.done
-		c.mu.Unlock()
-		if open {
-			break
-		}
+	for deadline := time.Now().Add(time.Second); !c.slots.roundOpen(0) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	select {
@@ -360,20 +369,14 @@ func TestWaitHandoffRounds(t *testing.T) {
 		t.Fatalf("parker returned %v before the new round completed", r)
 	default:
 	}
-	c.mu.Lock()
-	hw.done = true
-	hw.installed = oldPeer
-	close(hw.ch)
-	c.mu.Unlock()
+	c.slots.closeRound(0, oldPeer)
 	if !<-released {
 		t.Fatal("parker did not retry after the new round completed")
 	}
 
 	// With no handoff arriving, a new-round park gives up at the
 	// handoff timeout and surfaces the drained error.
-	c.mu.Lock()
-	c.handoffs[0] = &handoffWait{ch: make(chan struct{}), done: true, installed: oldPeer}
-	c.mu.Unlock()
+	// (The last completed round installed oldPeer.)
 	if c.waitHandoff(0, oldPeer) {
 		t.Fatal("abandoned round did not time out")
 	}

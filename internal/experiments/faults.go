@@ -256,7 +256,7 @@ func recoveryRun(now func() time.Time, severAt int64) (d time.Duration, recovere
 
 	var mu sync.Mutex
 	failovers := 0
-	rig.client.SetFailoverHandler(func(idx int) bool {
+	rig.client.SetFailoverHandler(func(idx int, _ vm.Peer) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		failovers++

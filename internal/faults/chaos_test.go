@@ -76,7 +76,7 @@ func newChaosPlatform(t testing.TB, prof faults.Profile, clientOpts remote.Optio
 func failoverLocal(client *vm.VM) *int32 {
 	var mu sync.Mutex
 	var calls int32
-	client.SetFailoverHandler(func(idx int) bool {
+	client.SetFailoverHandler(func(idx int, _ vm.Peer) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		calls++
@@ -258,6 +258,71 @@ func TestSeverAtRandomPoint(t *testing.T) {
 	for it := 0; it < iterations; it++ {
 		severAt := 1 + rng.Int63n(60)
 		severIteration(t, it, severAt)
+	}
+}
+
+// lateRecv withholds the inner transport's failure from the receive loop
+// until release closes: the ordering in which a sender learns of a sever
+// before the receive loop does.
+type lateRecv struct {
+	remote.Transport
+	release chan struct{}
+}
+
+func (l lateRecv) Recv() (*remote.Message, error) {
+	m, err := l.Transport.Recv()
+	if err != nil {
+		<-l.release
+	}
+	return m, err
+}
+
+// TestSeverSeenBySenderFirst scripts the losing side of the race
+// TestSeverAtRandomPoint hits by chance: the sever lands on a send, and
+// the receive loop has not noticed yet. The failed send must itself
+// disconnect the peer so the call fails over, instead of surfacing a bare
+// "connection closed" the VM does not recognize as a lost peer.
+func TestSeverSeenBySenderFirst(t *testing.T) {
+	reg := counterRegistry(t)
+	client := vm.New(reg, vm.Config{Role: vm.RoleClient, HeapCapacity: 1 << 20})
+	surrogate := vm.New(reg, vm.Config{Role: vm.RoleSurrogate, HeapCapacity: 8 << 20})
+	ct, st := remote.NewChannelPair()
+	late := lateRecv{Transport: ct, release: make(chan struct{})}
+	inj := faults.Wrap(late, faults.Profile{})
+	pc := remote.NewPeer(client, inj, remote.Options{Workers: 2, RetryMax: 2, RetryBase: 50 * time.Microsecond, CallTimeout: 5 * time.Second})
+	ps := remote.NewPeer(surrogate, st, remote.Options{Workers: 2})
+	defer func() {
+		close(late.release)
+		_ = pc.Close()
+		_ = ps.Close()
+	}()
+	calls := failoverLocal(client)
+
+	th := client.NewThread()
+	id, err := th.New("Counter", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.SetRoot("ctr", id)
+	if _, _, err := pc.Offload([]string{"Counter"}); err != nil {
+		t.Fatal(err)
+	}
+	if ret, err := th.Invoke(id, "inc"); err != nil || ret.I != 1 {
+		t.Fatalf("remote inc = %v, %v", ret, err)
+	}
+	if err := inj.Sever(); err != nil {
+		t.Fatal(err)
+	}
+	// The receive loop is still blind; only this send can tell.
+	ret, err := th.Invoke(id, "inc")
+	if err != nil {
+		t.Fatalf("inc across the sever: %v", err)
+	}
+	if ret.I != 1 { // the reclaimed copy restarts zeroed
+		t.Fatalf("inc after failover returned %d, want 1", ret.I)
+	}
+	if *calls != 1 || pc.State() != remote.StateDisconnected {
+		t.Fatalf("failovers = %d, peer state %v; want 1, disconnected", *calls, pc.State())
 	}
 }
 

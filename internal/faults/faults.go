@@ -381,9 +381,14 @@ func (t *Transport) delay(m *remote.Message) error {
 		}
 		if err := t.inner.Send(cp); err != nil {
 			// The transport died while the message was in flight; a real
-			// network loses it the same way.
-			t.dropped.Add(1)
-			t.tm.dropped.Inc()
+			// network loses it the same way. Our own Close is not a fault:
+			// counting what it cuts off would make Dropped depend on timing.
+			select {
+			case <-t.closed:
+			default:
+				t.dropped.Add(1)
+				t.tm.dropped.Inc()
+			}
 		}
 	}()
 	return nil

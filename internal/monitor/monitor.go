@@ -321,10 +321,12 @@ func (m *Monitor) record(f func(r *Recorder)) {
 // merges commute and each class/pair lives in exactly one shard, so the
 // merged graph is independent of shard iteration order.
 func (m *Monitor) flushLocked() {
+	// createMu stays held to the end: a class first seen mid-flush would
+	// have deltas in a shard before its node exists in the graph.
 	m.createMu.Lock()
+	defer m.createMu.Unlock()
 	pend := m.pending
 	m.pending = nil
-	m.createMu.Unlock()
 	for i := range pend {
 		pc := &pend[i]
 		n := m.g.Intern(pc.name)

@@ -320,6 +320,13 @@ func (e *RemoteError) Unwrap() error {
 // ErrClosed is returned for operations on a closed peer connection.
 var ErrClosed = errors.New("remote: connection closed")
 
+// errRetired is the close cause of a connection whose session was handed
+// off live: still ErrClosed, but also the drained redirect, because a
+// call it fails never executed here (Call refuses before sending once the
+// peer is closed, and the retired session's gate bounced every work
+// request sent earlier) and must be retried at the new home.
+var errRetired = fmt.Errorf("%w: session handed off: %w", ErrClosed, ErrDrained)
+
 // ErrCallTimeout is returned when a call's deadline (Options.CallTimeout)
 // expires before the reply arrives. The peer is marked degraded; enough
 // consecutive timeouts (Options.DisconnectAfter) escalate to a full

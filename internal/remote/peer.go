@@ -207,6 +207,11 @@ type Peer struct {
 	snapCache   []byte
 	chunkSize   int
 
+	// retired flips when this side acknowledges a SnapHandoff push: the
+	// session this connection carried now lives elsewhere, so Close fails
+	// stragglers with errRetired instead of plain ErrClosed.
+	retired atomic.Bool
+
 	// serveN counts in-flight serve() dispatches; serveCond (over
 	// serveMu) wakes WaitServeIdle so a draining surrogate can quiesce a
 	// session before snapshotting it.
@@ -574,12 +579,18 @@ func (p *Peer) failErr() error {
 }
 
 // Close tears down the connection half: in-flight calls fail with
-// ErrClosed. Ad-hoc platform teardown (paper §2) is Close on both sides.
+// ErrClosed (plus the drained redirect on a connection whose session was
+// handed off, so a caller that picked this peer just before the swap is
+// re-dispatched). Ad-hoc platform teardown (paper §2) is Close on both sides.
 // Buffered releases flush first, so the peer drops its export pins
 // before the transport dies.
 func (p *Peer) Close() error {
 	p.flushReleases()
-	first := p.fail(ErrClosed)
+	cause := ErrClosed
+	if p.retired.Load() {
+		cause = errRetired
+	}
+	first := p.fail(cause)
 	err := p.transport.Close()
 	p.wg.Wait()
 	if !first {
@@ -861,7 +872,8 @@ func isBatchFrame(k MsgKind) bool {
 // exactly-once is only at risk after a successful send, and the
 // receiver's dedupe window covers even that (an "errored" send that was
 // in fact delivered). context.Canceled propagates immediately, never
-// retried.
+// retried; a transport that reports itself closed is not transient and
+// escalates to disconnected at once.
 func (p *Peer) sendRetry(ctx context.Context, m *Message) error {
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -870,6 +882,13 @@ func (p *Peer) sendRetry(ctx context.Context, m *Message) error {
 		}
 		if err = p.transport.Send(m); err == nil {
 			return nil
+		}
+		if errors.Is(err, ErrClosed) {
+			// The transport is closed under a peer that is not: a loss this
+			// sender saw before the receive loop did. No retry can succeed,
+			// so escalate — the caller gets the disconnect and its failover.
+			p.fail(fmt.Errorf("%w: send: %v", ErrDisconnected, err))
+			return p.failErr()
 		}
 		if attempt >= p.retryMax {
 			return err

@@ -229,6 +229,8 @@ func (p *Peer) serveSnapshot(m *Message, reply *Message) {
 	if err := h(m.Method, m.Class, img); err != nil {
 		reply.Err = err.Error()
 		reply.ErrCode = uint8(CodeOf(err))
+	} else if m.Method == SnapHandoff {
+		p.retired.Store(true)
 	}
 }
 

@@ -280,3 +280,39 @@ func TestSnapshotTransferOverTCP(t *testing.T) {
 		t.Fatalf("pushed image differs over TCP: got %d bytes, want %d", len(got), len(img))
 	}
 }
+
+// TestHandedOffPeerClosesWithDrainedRedirect: once a peer has acknowledged
+// a SnapHandoff push its session lives elsewhere, so a call its Close
+// fails must read as the drained redirect (the VM re-dispatches it to the
+// new home) while still matching ErrClosed. Any other push mode, and a
+// refused handoff, leave the close cause plain.
+func TestHandedOffPeerClosesWithDrainedRedirect(t *testing.T) {
+	cases := []struct {
+		name, mode string
+		verdict    error
+		redirected bool
+	}{
+		{"handoff acknowledged", SnapHandoff, nil, true},
+		{"handoff refused", SnapHandoff, errors.New("cannot re-home"), false},
+		{"restore", SnapRestore, nil, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pc, ps := snapPair(t, Options{Workers: 1})
+			pc.SetSnapshotHandler(func(string, string, []byte) error { return tc.verdict })
+			if err := ps.PushSnapshot(context.Background(), tc.mode, "dest:1", []byte("img")); (err == nil) != (tc.verdict == nil) {
+				t.Fatalf("push: %v", err)
+			}
+			if err := pc.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			err := pc.Ping()
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("call on the closed peer = %v, want ErrClosed", err)
+			}
+			if got := errors.Is(err, ErrDrained); got != tc.redirected {
+				t.Fatalf("call on the closed peer = %v; drained redirect %v, want %v", err, got, tc.redirected)
+			}
+		})
+	}
+}

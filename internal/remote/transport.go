@@ -31,7 +31,9 @@ type chanTransport struct {
 	out chan<- *Message
 	in  <-chan *Message
 
-	mu     sync.Mutex
+	// closed is shared by both ends, so once — guarding its close — is too:
+	// the two sides of a platform routinely close at the same moment.
+	once   *sync.Once
 	closed chan struct{}
 }
 
@@ -40,8 +42,9 @@ func NewChannelPair() (Transport, Transport) {
 	ab := make(chan *Message, 64)
 	ba := make(chan *Message, 64)
 	closed := make(chan struct{})
-	a := &chanTransport{out: ab, in: ba, closed: closed}
-	b := &chanTransport{out: ba, in: ab, closed: closed}
+	once := new(sync.Once)
+	a := &chanTransport{out: ab, in: ba, closed: closed, once: once}
+	b := &chanTransport{out: ba, in: ab, closed: closed, once: once}
 	return a, b
 }
 
@@ -101,13 +104,7 @@ func (t *chanTransport) Recv() (*Message, error) {
 }
 
 func (t *chanTransport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	select {
-	case <-t.closed:
-	default:
-		close(t.closed)
-	}
+	t.once.Do(func() { close(t.closed) })
 	return nil
 }
 

@@ -67,10 +67,13 @@ func TestFailoverRetriesAfterRemoteError(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, idx, stub := newErringRig(t, gone)
 			fired := 0
-			v.SetFailoverHandler(func(peerIdx int) bool {
+			v.SetFailoverHandler(func(peerIdx int, used Peer) bool {
 				fired++
 				if peerIdx != idx {
 					t.Errorf("handler got peer %d, want %d", peerIdx, idx)
+				}
+				if _, ok := used.(*erringPeer); !ok {
+					t.Errorf("handler was not told which peer failed: used = %T", used)
 				}
 				v.DetachPeer(peerIdx)
 				v.ReclaimStubs(peerIdx)
@@ -96,7 +99,7 @@ func TestFailoverRetriesAfterRemoteError(t *testing.T) {
 func TestFailoverRetriesAfterDetachedSlot(t *testing.T) {
 	v, idx, stub := newErringRig(t, errors.New("unused"))
 	v.DetachPeer(idx)
-	v.SetFailoverHandler(func(peerIdx int) bool {
+	v.SetFailoverHandler(func(peerIdx int, _ Peer) bool {
 		v.ReclaimStubs(peerIdx)
 		return true
 	})
@@ -107,7 +110,7 @@ func TestFailoverRetriesAfterDetachedSlot(t *testing.T) {
 
 	v2, idx2, stub2 := newErringRig(t, errors.New("unused"))
 	v2.DetachPeer(idx2)
-	v2.SetFailoverHandler(func(peerIdx int) bool {
+	v2.SetFailoverHandler(func(peerIdx int, _ Peer) bool {
 		v2.ReclaimStubs(peerIdx)
 		return true
 	})
@@ -118,7 +121,7 @@ func TestFailoverRetriesAfterDetachedSlot(t *testing.T) {
 
 	v3, idx3, stub3 := newErringRig(t, errors.New("unused"))
 	v3.DetachPeer(idx3)
-	v3.SetFailoverHandler(func(peerIdx int) bool {
+	v3.SetFailoverHandler(func(peerIdx int, _ Peer) bool {
 		v3.ReclaimStubs(peerIdx)
 		return true
 	})
@@ -149,7 +152,7 @@ func TestFailoverDoesNotRetryWithoutCause(t *testing.T) {
 	t.Run("handler-declines", func(t *testing.T) {
 		v, idx, stub := newErringRig(t, errors.New("unused"))
 		v.DetachPeer(idx)
-		v.SetFailoverHandler(func(int) bool { return false })
+		v.SetFailoverHandler(func(int, Peer) bool { return false })
 		th := v.NewThread()
 		if _, err := th.Invoke(stub, "getVal"); !errors.Is(err, ErrPeerGone) {
 			t.Fatalf("err = %v, want ErrPeerGone", err)
@@ -158,7 +161,7 @@ func TestFailoverDoesNotRetryWithoutCause(t *testing.T) {
 	t.Run("other-error", func(t *testing.T) {
 		cause := errors.New("i/o timeout")
 		v, _, stub := newErringRig(t, cause)
-		v.SetFailoverHandler(func(int) bool {
+		v.SetFailoverHandler(func(int, Peer) bool {
 			t.Error("handler must not fire for a non-gone error")
 			return true
 		})
@@ -185,7 +188,7 @@ func TestPeerSlotBeyondTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.SetRoot("stub", stub)
-	v.SetFailoverHandler(func(int) bool {
+	v.SetFailoverHandler(func(int, Peer) bool {
 		t.Error("failover must not fire for a never-attached index")
 		return true
 	})

@@ -23,7 +23,7 @@ retry:
 			idx := o.PeerIdx
 			v.mu.Unlock()
 			err := v.peerSlotErr(idx)
-			if !retried && v.failoverIfGone(idx, err) {
+			if !retried && v.failoverIfGone(idx, nil, err) {
 				retried = true
 				goto retry
 			}
@@ -35,7 +35,7 @@ retry:
 		v.mu.Unlock()
 		val, err := peer.GetFieldRemote(peerID, field)
 		if err != nil {
-			if !retried && v.failoverIfGone(peerIdx, err) {
+			if !retried && v.failoverIfGone(peerIdx, peer, err) {
 				retried = true
 				goto retry
 			}
@@ -108,7 +108,7 @@ retry:
 			idx := o.PeerIdx
 			v.mu.Unlock()
 			err := v.peerSlotErr(idx)
-			if !retried && v.failoverIfGone(idx, err) {
+			if !retried && v.failoverIfGone(idx, nil, err) {
 				retried = true
 				goto retry
 			}
@@ -119,7 +119,7 @@ retry:
 		hooks := v.hooks
 		v.mu.Unlock()
 		if err := peer.SetFieldRemote(peerID, field, val); err != nil {
-			if !retried && v.failoverIfGone(peerIdx, err) {
+			if !retried && v.failoverIfGone(peerIdx, peer, err) {
 				retried = true
 				goto retry
 			}

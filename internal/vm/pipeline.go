@@ -376,7 +376,8 @@ func (p *Pipeline) runBatched(ctx context.Context, peerIdx int, pp PipelinePeer,
 			p.releaseExports(exports, 0)
 			return false, nil, nil
 		}
-		if v.failoverIfGone(peerIdx, callErr) {
+		used, _ := pp.(Peer) // pp came out of the peer table, so it is one
+		if v.failoverIfGone(peerIdx, used, callErr) {
 			// The peer vanished mid-frame and its objects were re-homed
 			// locally; re-execute sequentially on the reclaimed copies.
 			// (Failover already dropped a sole peer's pins wholesale.)

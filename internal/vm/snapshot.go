@@ -346,18 +346,8 @@ func (v *VM) SetDrainHandler(f func(peerIdx int, used Peer) bool) {
 // drainIfRedirected reports whether the caller should retry an operation
 // that failed with err: true when err shows the hosting surrogate is
 // draining and the installed drain handler re-pointed the peer slot.
-// Called without v.mu held.
 func (v *VM) drainIfRedirected(peerIdx int, used Peer, err error) bool {
-	if err == nil || !errors.Is(err, ErrSessionDrained) {
-		return false
-	}
-	v.mu.Lock()
-	f := v.drain
-	v.mu.Unlock()
-	if f == nil {
-		return false
-	}
-	return f(peerIdx, used)
+	return v.consult(ErrSessionDrained, &v.drain, peerIdx, used, err)
 }
 
 // ReclaimStubsFrom is ReclaimStubs with a donor: every stub hosted by

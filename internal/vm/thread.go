@@ -148,7 +148,7 @@ func (t *Thread) Invoke(target ObjectID, method string, args ...Value) (Value, e
 		peerIdx := o.PeerIdx
 		used := v.peerAt(peerIdx)
 		ret, err := v.invokeRemoteLocked(o, method, args)
-		if err != nil && !retried && v.failoverIfGone(peerIdx, err) {
+		if err != nil && !retried && v.failoverIfGone(peerIdx, used, err) {
 			// The handler re-homed the peer's objects locally; the retry
 			// re-reads the object and executes on the reclaimed copy.
 			retried = true

@@ -236,9 +236,10 @@ type VM struct {
 	tracer *telemetry.Tracer
 
 	// failover is consulted when a remote operation fails with
-	// ErrPeerGone; returning true means the handler re-homed the peer's
-	// objects locally (ReclaimStubs) and the operation should be retried.
-	failover func(peerIdx int) bool
+	// ErrPeerGone; returning true means the slot no longer holds the
+	// failed peer (its objects were re-homed locally, or a handoff
+	// replaced it) and the operation should be retried.
+	failover func(peerIdx int, used Peer) bool
 
 	// drain is consulted when a remote operation is refused with
 	// ErrSessionDrained; returning true means the handler re-pointed the
@@ -344,12 +345,15 @@ func (v *VM) DetachPeer(idx int) {
 
 // SetFailoverHandler installs the disconnect-failover hook: when a remote
 // operation fails because its hosting peer is gone (ErrPeerGone), the VM
-// invokes the handler with the peer's index and, if it reports success,
-// retries the operation — by then the handler must have re-homed the
-// affected objects locally (DetachPeer + ReclaimStubs). The handler runs
-// without the VM lock held and must be idempotent: concurrent failed
-// calls may each invoke it for the same peer.
-func (v *VM) SetFailoverHandler(f func(peerIdx int) bool) {
+// invokes the handler with the peer's index and the peer value the
+// failed operation used (nil when the slot was already detached) and, if
+// it reports success, retries the operation — by then the handler must
+// have re-homed that peer's objects locally (DetachPeer + ReclaimStubs),
+// or found the slot holding a different, live peer (a handoff replaced
+// the one that died) and left it alone, so the retry lands on the
+// replacement. The handler runs without the VM lock held and must be
+// idempotent: concurrent failed calls may each invoke it for one peer.
+func (v *VM) SetFailoverHandler(f func(peerIdx int, used Peer) bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.failover = f
@@ -357,19 +361,22 @@ func (v *VM) SetFailoverHandler(f func(peerIdx int) bool) {
 
 // failoverIfGone reports whether the caller should retry an operation
 // that failed with err: true when err shows the hosting peer vanished
-// and the installed failover handler re-homed its objects. Called
-// without v.mu held.
-func (v *VM) failoverIfGone(peerIdx int, err error) bool {
-	if err == nil || !errors.Is(err, ErrPeerGone) {
+// and the installed failover handler dealt with it.
+func (v *VM) failoverIfGone(peerIdx int, used Peer, err error) bool {
+	return v.consult(ErrPeerGone, &v.failover, peerIdx, used, err)
+}
+
+// consult asks *hook, if one is installed and err is the condition it
+// handles, whether the operation that failed with err on peerIdx through
+// used should be retried. Called without v.mu held.
+func (v *VM) consult(condition error, hook *func(int, Peer) bool, peerIdx int, used Peer, err error) bool {
+	if err == nil || !errors.Is(err, condition) {
 		return false
 	}
 	v.mu.Lock()
-	f := v.failover
+	f := *hook
 	v.mu.Unlock()
-	if f == nil {
-		return false
-	}
-	return f(peerIdx)
+	return f != nil && f(peerIdx, used)
 }
 
 // peerSlotErr classifies a missing peer for a remote stub: a slot inside

@@ -127,20 +127,15 @@ func (c *Client) noteSpec(outcome string, start time.Time, traced bool, peerIdx 
 	switch outcome {
 	case "local":
 		c.specLocalWins++
-	case "remote":
-		c.specRemoteWins++
-	default:
-		c.specMisses++
-	}
-	c.mu.Unlock()
-	switch outcome {
-	case "local":
 		c.pm.specLocalWins.Inc()
 	case "remote":
+		c.specRemoteWins++
 		c.pm.specRemoteWins.Inc()
 	default:
+		c.specMisses++
 		c.pm.specMisses.Inc()
 	}
+	c.mu.Unlock()
 	if traced {
 		c.tracer.Emit(telemetry.Span{
 			Kind: telemetry.SpanSpeculate, Note: outcome, Peer: peerIdx,
@@ -159,11 +154,7 @@ func (sp *specPeer) InvokeRemote(peerObj ObjectID, method string, args []Value) 
 	}
 	c := sp.c
 	idx := sp.inner.VMIndex()
-	traced := c.tracer.Enabled()
-	var tStart time.Time
-	if traced {
-		tStart = time.Now()
-	}
+	traced, tStart := c.traceStart()
 	if !scalarValues(args) {
 		c.noteSpec("miss", tStart, traced, idx)
 		return sp.inner.InvokeRemote(peerObj, method, args)
@@ -174,15 +165,9 @@ func (sp *specPeer) InvokeRemote(peerObj ObjectID, method string, args []Value) 
 		return sp.inner.InvokeRemote(peerObj, method, args)
 	}
 
-	// Claim the race goroutine against Detach's join in the same critical
-	// section that verifies the slot is still ours.
-	c.mu.Lock()
-	ok := idx >= 0 && idx < len(c.peers) && c.peers[idx] == sp.inner
-	if ok {
-		c.bg.Add(1)
-	}
-	c.mu.Unlock()
-	if !ok {
+	// The race goroutine joins the client's background group only while
+	// the slot is still ours.
+	if !c.slots.hold(idx, sp.inner) {
 		c.noteSpec("miss", tStart, traced, idx)
 		return sp.inner.InvokeRemote(peerObj, method, args)
 	}
@@ -194,7 +179,7 @@ func (sp *specPeer) InvokeRemote(peerObj ObjectID, method string, args []Value) 
 	}
 	rch := make(chan remoteResult, 1)
 	go func() {
-		defer c.bg.Done()
+		defer c.slots.bg.Done()
 		v, d, rerr := sp.inner.InvokeRemote(peerObj, method, args)
 		rch <- remoteResult{v, d, rerr}
 	}()
@@ -262,38 +247,10 @@ func (sp *specPeer) InvokeRemote(peerObj ObjectID, method string, args []Value) 
 // clone was NOT promoted (a concurrent handoff or disconnect owns the
 // slot) and the caller must not present the clone's result as applied.
 func (sp *specPeer) promote(clone *vm.VM) bool {
-	c := sp.c
 	idx := sp.inner.VMIndex()
-	c.discMu.Lock()
-	defer c.discMu.Unlock()
-	c.mu.Lock()
-	if idx < 0 || idx >= len(c.peers) || c.peers[idx] != sp.inner {
-		c.mu.Unlock()
-		return false // a disconnect or another racing thread already owns the slot
-	}
-	p := c.peers[idx]
-	c.peers[idx] = nil
-	for cls, i := range c.offloaded {
-		if i == idx {
-			delete(c.offloaded, cls)
-		}
-	}
-	logf := c.opts.logf
-	c.bg.Add(1)
-	c.mu.Unlock()
-
-	c.vm.DetachPeer(idx)
-	n := c.vm.ReclaimStubsFrom(idx, clone.ExportSnapshot())
-	if logf != nil {
-		logf("aide: speculation won against surrogate %d; promoted clone, upgraded %d stubs", idx, n)
-	}
-	go func() {
-		defer c.bg.Done()
-		if err := p.Close(); err != nil && logf != nil {
-			logf("aide: close out-speculated surrogate %d: %v", idx, err)
-		}
-	}()
-	return true
+	return sp.c.retire(idx, sp.inner, "out-speculated", func() int {
+		return sp.c.vm.ReclaimStubsFrom(idx, clone.ExportSnapshot())
+	})
 }
 
 // The remaining vm.Peer methods delegate to the wire connection. Reads

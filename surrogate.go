@@ -56,11 +56,11 @@ type Surrogate struct {
 	admitted  int
 	committed int64
 	// Monotonic decision counters, surfaced by Stats().
-	admittedTotal, rejectedTotal, shedTotal, evictedTotal, drainedTotal int64
+	admittedTotal, rejectedTotal, shedTotal, evictedTotal, drainedTotal, drainAbortedTotal int64
 
 	ln     net.Listener
 	closed bool
-	// wg joins the accept loop and the asynchronous reap goroutines;
+	// wg joins the accept loop and the asynchronous session closers;
 	// Close waits on it so no goroutine outlives the surrogate. Add
 	// happens under mu, serialized against Close's closed-flag flip, so
 	// it can never race a Wait at zero.
@@ -76,6 +76,12 @@ type session struct {
 	peer  *remote.Peer
 	vm    *vm.VM
 	quota int64
+
+	// ready closes once Serve has installed the connection's handlers and
+	// filed the session (or found the surrogate closed). The peer serves
+	// from the moment it is built, so the gate and OnDown wait on it: no
+	// request is served or failure reaped before the table knows the session.
+	ready chan struct{}
 
 	// admitted is the gate's lock-free fast path; transitions happen
 	// under the surrogate mutex. rejectErr is guarded by that mutex.
@@ -97,12 +103,17 @@ type SurrogateStats struct {
 	// Admitted counts sessions ever admitted; Rejected those refused at
 	// the session or heap-quota cap; Shed those refused while degraded;
 	// Evicted those torn down to reclaim capacity; Drained those handed
-	// off live to another surrogate.
-	Admitted int64
-	Rejected int64
-	Shed     int64
-	Evicted  int64
-	Drained  int64
+	// off live to another surrogate. DrainAborted counts handoffs a drain
+	// gave up on without reporting an error because the session's own
+	// connection closed under the transfer: the client left and the
+	// session is reaped like any lost connection. A drain that "moved 0
+	// sessions" with a nil error shows up here.
+	Admitted     int64
+	Rejected     int64
+	Shed         int64
+	Evicted      int64
+	Drained      int64
+	DrainAborted int64
 }
 
 // NewSurrogate builds a surrogate platform over the shared class registry.
@@ -194,12 +205,13 @@ func (s *Surrogate) Stats() SurrogateStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SurrogateStats{
-		Active:   s.admitted,
-		Admitted: s.admittedTotal,
-		Rejected: s.rejectedTotal,
-		Shed:     s.shedTotal,
-		Evicted:  s.evictedTotal,
-		Drained:  s.drainedTotal,
+		Active:       s.admitted,
+		Admitted:     s.admittedTotal,
+		Rejected:     s.rejectedTotal,
+		Shed:         s.shedTotal,
+		Evicted:      s.evictedTotal,
+		Drained:      s.drainedTotal,
+		DrainAborted: s.drainAbortedTotal,
 	}
 }
 
@@ -240,30 +252,18 @@ func (s *Surrogate) Serve(t remote.Transport) {
 		Tracer:       s.opts.tracer,
 	})
 	sv.SetStatelessNativeLocal(s.opts.stateless)
-	sess := &session{vm: sv, quota: quota}
+	sess := &session{vm: sv, quota: quota, ready: make(chan struct{})}
 
 	ro := s.opts.remoteOptions()
 	ro.Gate = func(kind remote.MsgKind) error { return s.gate(sess, kind) }
 	ro.SessionInfo = s.occupancy
-	ro.OnDown = func(p *remote.Peer, cause error) {
-		_ = cause // the peer already logged it via Logf
-		// Reap asynchronously: OnDown runs on the peer's own receive
-		// loop, which Close joins. The reaper itself joins via s.wg;
-		// once Close has flipped the flag it owns the teardown and the
-		// reap is redundant.
+	ro.OnDown = func(*remote.Peer, error) {
+		// A failed client connection (the peer logged the cause) takes its
+		// session with it: its objects are unreachable (no reattach lease).
+		<-sess.ready
 		s.mu.Lock()
-		closed := s.closed
-		if !closed {
-			s.wg.Add(1)
-		}
+		s.retireLocked(sess, errSessionGone, "reap client")
 		s.mu.Unlock()
-		if closed {
-			return
-		}
-		go func() {
-			defer s.wg.Done()
-			s.reap(p)
-		}()
 	}
 	p := remote.NewPeer(sv, t, ro)
 	// Snapshot plumbing: incoming pushes either restore a shipped session
@@ -291,7 +291,9 @@ func (s *Surrogate) Serve(t remote.Transport) {
 			if err := s.authorizeDrain(img); err != nil {
 				return err
 			}
-			return s.drainFrom(dest, p)
+			// The work is scoped to the directive connection's lifetime.
+			_, err := s.drain(p.LifeContext(), dest, p)
+			return err
 		default:
 			return fmt.Errorf("aide: surrogate cannot consume snapshot push %q", method)
 		}
@@ -300,25 +302,65 @@ func (s *Surrogate) Serve(t remote.Transport) {
 		return snapshot.Snapshot(sess.vm).Encode(), nil
 	})
 	s.mu.Lock()
-	if s.closed {
-		// The session may have been admitted by an early request racing
-		// Close's snapshot; roll the occupancy back before discarding.
-		if sess.admitted.Load() {
-			s.admitted--
-			s.committed -= sess.quota
-		}
-		s.mu.Unlock()
+	sess.peer = p
+	closed := s.closed
+	if !closed {
+		s.seq++
+		sess.seq = s.seq
+		s.sessions[p] = sess
+		s.order = append(s.order, sess)
+	}
+	s.mu.Unlock()
+	close(sess.ready)
+	if closed {
 		if err := p.Close(); err != nil && s.opts.logf != nil {
 			s.opts.logf("aide: serve after close: %v", err)
 		}
+	}
+}
+
+// errSessionGone is the sticky verdict of a session retired for any reason
+// but eviction: whatever still reaches its gate is refused, not re-admitted.
+var errSessionGone = errors.New("aide: session closed")
+
+// retireLocked is the one way a session leaves the surrogate (eviction,
+// completed handoff, lost connection, Close): its quota goes back to the
+// ledger if, and only if, it was admitted; why becomes the sticky answer
+// to anything still reaching its gate; and the first caller to find it
+// filed takes it out of sessions and order and hands the connection to a
+// background closer (joined by s.wg) — a peer Close must not run under
+// s.mu, where its workers may be blocked in gate→admit, nor on the peer's
+// own receive loop, which it joins. Once Close has begun it owns the
+// teardown and no closer is spawned.
+func (s *Surrogate) retireLocked(sess *session, why error, what string) {
+	if sess.rejectErr == nil {
+		sess.rejectErr = why
+	}
+	if sess.admitted.Swap(false) {
+		s.admitted--
+		s.committed -= sess.quota
+	}
+	if s.sessions[sess.peer] != sess {
 		return
 	}
-	s.seq++
-	sess.seq = s.seq
-	sess.peer = p
-	s.sessions[p] = sess
-	s.order = append(s.order, sess)
-	s.mu.Unlock()
+	delete(s.sessions, sess.peer)
+	for i, q := range s.order {
+		if q == sess {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+	if s.closed {
+		return
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		sess.vm.DetachPeer(sess.peer.VMIndex())
+		if err := sess.peer.Close(); err != nil && s.opts.logf != nil {
+			s.opts.logf("aide: surrogate %s: %v", what, err)
+		}
+	}()
 }
 
 // gate screens one incoming request for the session (remote.Options.Gate).
@@ -331,6 +373,9 @@ func (s *Surrogate) Serve(t remote.Transport) {
 // typed redirect; otherwise work kinds require admission, and the first
 // one (or an explicit MsgAttach) runs it.
 func (s *Surrogate) gate(sess *session, kind remote.MsgKind) error {
+	if !sess.admitted.Load() { // an admitted session is long since ready
+		<-sess.ready
+	}
 	switch kind {
 	case remote.MsgPing, remote.MsgPong, remote.MsgInfo, remote.MsgRelease, remote.MsgReleaseBatch,
 		remote.MsgSnapshot, remote.MsgSnapshotAck:
@@ -420,10 +465,8 @@ func (s *Surrogate) EvictSessions(n int) int {
 	return len(s.evictLocked(n))
 }
 
-// evictLocked implements eviction under s.mu. Victims are marked, removed
-// from the registry, and handed to reaper goroutines — the peer Close
-// must not run under s.mu, because its workers may be blocked in
-// gate→admit on the same mutex.
+// evictLocked implements eviction under s.mu: each victim is retired with
+// the typed eviction error as its sticky verdict.
 func (s *Surrogate) evictLocked(n int) []*session {
 	if n <= 0 || s.closed {
 		return nil
@@ -451,23 +494,9 @@ func (s *Surrogate) evictLocked(n int) []*session {
 	}
 	victims := cands[:n]
 	for _, v := range victims {
-		v.admitted.Store(false)
-		v.rejectErr = fmt.Errorf("%w: reclaiming %dB of quota", remote.ErrEvicted, v.quota)
-		s.admitted--
-		s.committed -= v.quota
+		s.retireLocked(v, fmt.Errorf("%w: reclaiming %dB of quota", remote.ErrEvicted, v.quota), "evict session")
 		s.evictedTotal++
 		s.sm.evicted.Inc()
-		delete(s.sessions, v.peer)
-		s.removeOrderLocked(v)
-		logf := s.opts.logf
-		s.wg.Add(1)
-		go func(p *remote.Peer, sv *vm.VM) {
-			defer s.wg.Done()
-			sv.DetachPeer(p.VMIndex())
-			if err := p.Close(); err != nil && logf != nil {
-				logf("aide: surrogate evict session: %v", err)
-			}
-		}(v.peer, v.vm)
 	}
 	return victims
 }
@@ -501,15 +530,9 @@ func (s *Surrogate) authorizeDrain(key []byte) error {
 	return nil
 }
 
-// drainFrom services a SnapDrain directive that arrived over the peer
-// from (the fleet coordinator's connection). The work is scoped to that
-// connection's lifetime, and the directive carrier's own serve slot is
+// drain implements Drain. A non-nil from is the peer a wire directive
+// arrived on (the fleet coordinator's connection): its own serve slot is
 // discounted when quiescing its session.
-func (s *Surrogate) drainFrom(dest string, from *remote.Peer) error {
-	_, err := s.drain(from.LifeContext(), dest, from)
-	return err
-}
-
 func (s *Surrogate) drain(ctx context.Context, dest string, from *remote.Peer) (int, error) {
 	if dest == "" {
 		return 0, errors.New("aide: drain needs a destination address")
@@ -535,8 +558,12 @@ func (s *Surrogate) drain(ctx context.Context, dest string, from *remote.Peer) (
 		if err := s.drainSession(ctx, sess, dest, allow); err != nil {
 			if errors.Is(err, remote.ErrClosed) {
 				// The session's own connection died mid-handoff: the client
-				// left (teardown racing the drain) and the reaper owns the
-				// session. Nothing is stranded, so nothing to report.
+				// left (teardown racing the drain) and OnDown retires the
+				// session. Nothing is stranded, so nothing to report — but it
+				// is counted, and traced as this session's failed SpanDrain.
+				s.mu.Lock()
+				s.drainAbortedTotal++
+				s.mu.Unlock()
 				continue
 			}
 			if firstErr == nil {
@@ -555,25 +582,16 @@ func (s *Surrogate) drain(ctx context.Context, dest string, from *remote.Peer) (
 // with the destination address, and on the client's acknowledgment
 // retire the session here. The span duration is the surrogate-side
 // blackout: the window in which the tenant had no serving home.
-func (s *Surrogate) drainSession(ctx context.Context, sess *session, dest string, allow int) error {
-	tr := s.opts.tracer
-	var sid uint64
-	var start time.Time
-	if tr.Enabled() {
-		sid = tr.NextID()
-		start = time.Now()
+func (s *Surrogate) drainSession(ctx context.Context, sess *session, dest string, allow int) (err error) {
+	if tr := s.opts.tracer; tr.Enabled() {
+		sid, start := tr.NextID(), time.Now()
+		defer func() {
+			tr.Emit(telemetry.Span{
+				ID: sid, Kind: telemetry.SpanDrain, Note: "session:" + dest,
+				Peer: sess.peer.VMIndex(), Err: err != nil, Start: start, Dur: time.Since(start),
+			})
+		}()
 	}
-	err := s.handoff(ctx, sess, dest, allow)
-	if tr.Enabled() {
-		tr.Emit(telemetry.Span{
-			ID: sid, Kind: telemetry.SpanDrain, Note: "session:" + dest,
-			Peer: sess.peer.VMIndex(), Err: err != nil, Start: start, Dur: time.Since(start),
-		})
-	}
-	return err
-}
-
-func (s *Surrogate) handoff(ctx context.Context, sess *session, dest string, allow int) error {
 	sess.draining.Store(true)
 	sess.peer.WaitServeIdle(allow)
 	img := snapshot.Snapshot(sess.vm).Encode()
@@ -586,70 +604,11 @@ func (s *Surrogate) handoff(ctx context.Context, sess *session, dest string, all
 	// The client restored at dest and swapped its slot; retire the
 	// session. The gate keeps bouncing stragglers via the captured sess.
 	s.mu.Lock()
-	if _, ok := s.sessions[sess.peer]; ok {
-		delete(s.sessions, sess.peer)
-		s.removeOrderLocked(sess)
-	}
-	if sess.admitted.Load() {
-		sess.admitted.Store(false)
-		s.admitted--
-		s.committed -= sess.quota
-	}
+	s.retireLocked(sess, errSessionGone, "drain session")
 	s.drainedTotal++
 	s.sm.drained.Inc()
-	closed := s.closed
-	if !closed {
-		s.wg.Add(1)
-	}
-	logf := s.opts.logf
 	s.mu.Unlock()
-	if closed {
-		return nil // Close owns the teardown
-	}
-	go func(p *remote.Peer, sv *vm.VM) {
-		defer s.wg.Done()
-		sv.DetachPeer(p.VMIndex())
-		if err := p.Close(); err != nil && logf != nil {
-			logf("aide: surrogate drain session: %v", err)
-		}
-	}(sess.peer, sess.vm)
 	return nil
-}
-
-func (s *Surrogate) removeOrderLocked(sess *session) {
-	for i, q := range s.order {
-		if q == sess {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// reap removes a failed client connection. The tenant's session VM dies
-// with the session — its adopted objects are unreachable once the peer is
-// gone (a real deployment would lease them for reattach) — and the peer
-// slot is detached so stubs importing client objects fail fast.
-func (s *Surrogate) reap(p *remote.Peer) {
-	s.mu.Lock()
-	sess := s.sessions[p]
-	if sess != nil {
-		delete(s.sessions, p)
-		s.removeOrderLocked(sess)
-		if sess.admitted.Load() {
-			sess.admitted.Store(false)
-			s.admitted--
-			s.committed -= sess.quota
-		}
-	}
-	logf := s.opts.logf
-	s.mu.Unlock()
-	if sess == nil {
-		return // already evicted or closed
-	}
-	sess.vm.DetachPeer(p.VMIndex())
-	if err := p.Close(); err != nil && logf != nil {
-		logf("aide: surrogate reap client: %v", err)
-	}
 }
 
 // ListenAndServe accepts client connections on addr until Close. It
@@ -693,14 +652,10 @@ func (s *Surrogate) Close() error {
 	s.closed = true
 	ln := s.ln
 	s.ln = nil
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
+	sessions := append([]*session(nil), s.order...)
+	for _, sess := range sessions {
+		s.retireLocked(sess, errSessionGone, "close")
 	}
-	s.sessions = make(map[*remote.Peer]*session)
-	s.order = nil
-	s.admitted = 0
-	s.committed = 0
 	s.mu.Unlock()
 	var firstErr error
 	if ln != nil {
