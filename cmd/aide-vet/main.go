@@ -1,5 +1,5 @@
 // Command aide-vet runs AIDE's custom static-analysis suite: lockcheck,
-// detcheck, rpcerr, gobwire, telemetrycheck, goroutinecheck, ctxcheck,
+// detcheck, rpcerr, wirecheck, telemetrycheck, goroutinecheck, ctxcheck,
 // and atomiccheck (see internal/lint).
 //
 // Standalone:

@@ -116,9 +116,9 @@ func TestRPCErr(t *testing.T) {
 	runTestdata(t, RPCErr, "rpcerr_clean")
 }
 
-func TestGobWire(t *testing.T) {
-	runTestdata(t, GobWire, "gobwire_bad")
-	runTestdata(t, GobWire, "gobwire_clean")
+func TestWireCheck(t *testing.T) {
+	runTestdata(t, WireCheck, "wirecheck_bad")
+	runTestdata(t, WireCheck, "wirecheck_clean")
 }
 
 func TestTelemetryCheck(t *testing.T) {
@@ -195,11 +195,11 @@ func TestForScoping(t *testing.T) {
 		pkg  string
 		want string
 	}{
-		{"aide/internal/remote", "lockcheck detcheck rpcerr gobwire telemetrycheck goroutinecheck ctxcheck atomiccheck"},
-		{"aide/internal/vm", "lockcheck rpcerr gobwire telemetrycheck goroutinecheck ctxcheck atomiccheck"},
-		{"aide/internal/emulator", "detcheck rpcerr gobwire telemetrycheck goroutinecheck ctxcheck atomiccheck"},
-		{"aide/internal/apps", "rpcerr gobwire telemetrycheck goroutinecheck ctxcheck atomiccheck"},
-		{"aide/internal/telemetry", "lockcheck detcheck rpcerr gobwire telemetrycheck goroutinecheck ctxcheck atomiccheck"},
+		{"aide/internal/remote", "lockcheck detcheck rpcerr wirecheck telemetrycheck goroutinecheck ctxcheck atomiccheck"},
+		{"aide/internal/vm", "lockcheck rpcerr wirecheck telemetrycheck goroutinecheck ctxcheck atomiccheck"},
+		{"aide/internal/emulator", "detcheck rpcerr wirecheck telemetrycheck goroutinecheck ctxcheck atomiccheck"},
+		{"aide/internal/apps", "rpcerr wirecheck telemetrycheck goroutinecheck ctxcheck atomiccheck"},
+		{"aide/internal/telemetry", "lockcheck detcheck rpcerr wirecheck telemetrycheck goroutinecheck ctxcheck atomiccheck"},
 	}
 	for _, tc := range cases {
 		if got := strings.Join(names(tc.pkg), " "); got != tc.want {

@@ -220,7 +220,7 @@ func RunTimed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, erro
 // All returns every analyzer in the suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		LockCheck, DetCheck, RPCErr, GobWire, TelemetryCheck,
+		LockCheck, DetCheck, RPCErr, WireCheck, TelemetryCheck,
 		GoroutineCheck, CtxCheck, AtomicCheck,
 	}
 }

@@ -1,7 +1,7 @@
-// Package gobwire_clean round-trips a wire type gobwire must accept:
+// Package wirecheck_clean round-trips a wire type wirecheck must accept:
 // all-exported encodable fields, and an interface field whose concrete
 // types the package registers with gob.
-package gobwire_clean
+package wirecheck_clean
 
 import (
 	"bytes"

@@ -9,15 +9,24 @@ import (
 	"strings"
 )
 
-// GobWire audits every type that crosses a codec. AIDE frames its
-// recorded traces with encoding/gob; a field gob cannot encode fails at
-// runtime on the first recording, and an unexported field is silently
-// dropped — the trace replays with state missing. The RPC envelope is
-// framed by the hand-rolled binary codec and covered by the //lint:wire
-// pins below.
+// WireCheck audits every type that crosses a codec. Its main job is the
+// hand-rolled binary codecs' contract, enforced by field-count pins: a
+// constant declared as
 //
-// For each type passed to (*gob.Encoder).Encode or
-// (*gob.Decoder).Decode it walks the reachable type graph and reports:
+//	//lint:wire <Type>            (or <import/path>.<Type>)
+//	const somethingWireFields = N
+//
+// asserts that the named struct has exactly N fields. The binary codecs
+// (internal/remote/codec.go, internal/snapshot/codec.go) encode every
+// field explicitly, so adding a field without teaching the codec about
+// it would silently drop it on the wire; the pin turns that into a vet
+// failure until the codec and the pin are updated together.
+//
+// Recorded traces are still framed with encoding/gob; a field gob cannot
+// encode fails at runtime on the first recording, and an unexported field
+// is silently dropped — the trace replays with state missing. So for each
+// type passed to (*gob.Encoder).Encode or (*gob.Decoder).Decode, and for
+// each pinned type, it walks the reachable type graph and reports:
 //
 //   - func-, chan-, complex- and unsafe.Pointer-typed fields (gob
 //     cannot encode them),
@@ -26,26 +35,13 @@ import (
 //     runtime),
 //   - interface-typed fields when the package performs no gob.Register
 //     (the concrete types could never decode).
-//
-// It additionally enforces the hand-rolled binary codec's contract via
-// field-count pins: a constant declared as
-//
-//	//lint:wire <Type>            (or <import/path>.<Type>)
-//	const somethingWireFields = N
-//
-// asserts that the named struct has exactly N fields. The binary codec
-// (internal/remote/codec.go) encodes every field explicitly, so adding a
-// field without teaching the codec about it would silently drop it on
-// the wire; the pin turns that into a vet failure until the codec and
-// the pin are updated together. Pinned types are also walked with the
-// encodability rules above.
-var GobWire = &Analyzer{
-	Name: "gobwire",
-	Doc:  "types crossing the gob wire codec must be registered and hold only encodable exported fields",
-	Run:  runGobWire,
+var WireCheck = &Analyzer{
+	Name: "wirecheck",
+	Doc:  "wire structs match their codec's //lint:wire field-count pins; types crossing gob hold only encodable exported fields",
+	Run:  runWireCheck,
 }
 
-func runGobWire(pass *Pass) error {
+func runWireCheck(pass *Pass) error {
 	var roots []gobRoot
 	registers := 0
 	for _, file := range pass.Files {

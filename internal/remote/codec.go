@@ -2,11 +2,13 @@ package remote
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 
 	"aide/internal/vm"
+	"aide/internal/wire"
 )
 
 // Binary wire codec for the RPC envelope. Every remote crossing — field
@@ -71,7 +73,7 @@ const (
 )
 
 // The binary codec encodes every field of the structs below; these pins
-// are checked by the gobwire analyzer against the struct definitions, so
+// are checked by the wirecheck analyzer against the struct definitions, so
 // a new field cannot be added without updating the codec (and the pin)
 // in the same change.
 //
@@ -104,8 +106,35 @@ var framePool = sync.Pool{
 func getFrameBuf() *[]byte            { return framePool.Get().(*[]byte) }
 func putFrameBuf(p *[]byte, b []byte) { *p = b[:0]; framePool.Put(p) }
 
-func isZeroWireValue(w *vm.WireValue) bool {
-	return w.Kind == vm.KindNil
+// appendTagVarint and appendTagString append an optional scalar field —
+// nothing when it is zero, else its tag and value; sizeTagVarint and
+// sizeTagString mirror them for sizeMessage.
+func appendTagVarint(buf []byte, tag byte, v int64) []byte {
+	if v == 0 {
+		return buf
+	}
+	return binary.AppendVarint(append(buf, tag), v)
+}
+
+func sizeTagVarint(v int64) int {
+	if v == 0 {
+		return 0
+	}
+	return 1 + wire.VarintSize(v)
+}
+
+func appendTagString(buf []byte, tag byte, s string) []byte {
+	if s == "" {
+		return buf
+	}
+	return wire.AppendString(append(buf, tag), s)
+}
+
+func sizeTagString(s string) int {
+	if s == "" {
+		return 0
+	}
+	return 1 + wire.StringSize(s)
 }
 
 // appendMessage appends m's payload (no length prefix) to buf.
@@ -115,26 +144,11 @@ func appendMessage(buf []byte, m *Message) []byte {
 	if m.Reply {
 		buf = append(buf, tagReply)
 	}
-	if m.Err != "" {
-		buf = append(buf, tagErr)
-		buf = vm.AppendString(buf, m.Err)
-	}
-	if m.Obj != 0 {
-		buf = append(buf, tagObj)
-		buf = binary.AppendVarint(buf, int64(m.Obj))
-	}
-	if m.Class != "" {
-		buf = append(buf, tagClass)
-		buf = vm.AppendString(buf, m.Class)
-	}
-	if m.Method != "" {
-		buf = append(buf, tagMethod)
-		buf = vm.AppendString(buf, m.Method)
-	}
-	if m.Field != "" {
-		buf = append(buf, tagField)
-		buf = vm.AppendString(buf, m.Field)
-	}
+	buf = appendTagString(buf, tagErr, m.Err)
+	buf = appendTagVarint(buf, tagObj, int64(m.Obj))
+	buf = appendTagString(buf, tagClass, m.Class)
+	buf = appendTagString(buf, tagMethod, m.Method)
+	buf = appendTagString(buf, tagField, m.Field)
 	if m.SelfIsSenderLocal {
 		buf = append(buf, tagSelfIsSenderLocal)
 	}
@@ -145,14 +159,11 @@ func appendMessage(buf []byte, m *Message) []byte {
 			buf = m.Args[i].AppendWire(buf)
 		}
 	}
-	if !isZeroWireValue(&m.Ret) {
+	if m.Ret.Kind != vm.KindNil {
 		buf = append(buf, tagRet)
 		buf = m.Ret.AppendWire(buf)
 	}
-	if m.ElapsedNanos != 0 {
-		buf = append(buf, tagElapsedNanos)
-		buf = binary.AppendVarint(buf, m.ElapsedNanos)
-	}
+	buf = appendTagVarint(buf, tagElapsedNanos, m.ElapsedNanos)
 	if len(m.Batch) > 0 {
 		buf = append(buf, tagBatch)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Batch)))
@@ -171,28 +182,16 @@ func appendMessage(buf []byte, m *Message) []byte {
 		buf = append(buf, tagClasses)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Classes)))
 		for _, c := range m.Classes {
-			buf = vm.AppendString(buf, c)
+			buf = wire.AppendString(buf, c)
 		}
 	}
-	if m.Objects != 0 {
-		buf = append(buf, tagObjects)
-		buf = binary.AppendVarint(buf, m.Objects)
-	}
-	if m.MovedBytes != 0 {
-		buf = append(buf, tagMovedBytes)
-		buf = binary.AppendVarint(buf, m.MovedBytes)
-	}
-	if m.FreeBytes != 0 {
-		buf = append(buf, tagFreeBytes)
-		buf = binary.AppendVarint(buf, m.FreeBytes)
-	}
-	if m.CapacityBytes != 0 {
-		buf = append(buf, tagCapacityBytes)
-		buf = binary.AppendVarint(buf, m.CapacityBytes)
-	}
+	buf = appendTagVarint(buf, tagObjects, m.Objects)
+	buf = appendTagVarint(buf, tagMovedBytes, m.MovedBytes)
+	buf = appendTagVarint(buf, tagFreeBytes, m.FreeBytes)
+	buf = appendTagVarint(buf, tagCapacityBytes, m.CapacityBytes)
 	if m.CPUSpeed != 0 {
 		buf = append(buf, tagCPUSpeed)
-		buf = appendFloat(buf, m.CPUSpeed)
+		buf = wire.AppendFloat(buf, m.CPUSpeed)
 	}
 	if len(m.Calls) > 0 {
 		buf = append(buf, tagCalls)
@@ -208,30 +207,17 @@ func appendMessage(buf []byte, m *Message) []byte {
 			buf = m.Rets[i].AppendWire(buf)
 		}
 	}
-	if m.ErrIndex != 0 {
-		buf = append(buf, tagErrIndex)
-		buf = binary.AppendVarint(buf, int64(m.ErrIndex))
-	}
+	buf = appendTagVarint(buf, tagErrIndex, int64(m.ErrIndex))
 	if m.ErrCode != 0 {
 		buf = append(buf, tagErrCode, m.ErrCode)
 	}
-	if m.Sessions != 0 {
-		buf = append(buf, tagSessions)
-		buf = binary.AppendVarint(buf, m.Sessions)
-	}
+	buf = appendTagVarint(buf, tagSessions, m.Sessions)
 	if len(m.Blob) > 0 {
 		buf = append(buf, tagBlob)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Blob)))
-		buf = append(buf, m.Blob...)
+		buf = wire.AppendBytes(buf, m.Blob)
 	}
-	if m.Seq != 0 {
-		buf = append(buf, tagSeq)
-		buf = binary.AppendVarint(buf, m.Seq)
-	}
-	if m.Total != 0 {
-		buf = append(buf, tagTotal)
-		buf = binary.AppendVarint(buf, m.Total)
-	}
+	buf = appendTagVarint(buf, tagSeq, m.Seq)
+	buf = appendTagVarint(buf, tagTotal, m.Total)
 	return buf
 }
 
@@ -249,7 +235,7 @@ func appendPipelineCall(buf []byte, c *vm.PipelineCall) []byte {
 		buf = append(buf, byte(MsgInvoke))
 		buf = binary.AppendVarint(buf, int64(c.Obj))
 	}
-	buf = vm.AppendString(buf, c.Method)
+	buf = wire.AppendString(buf, c.Method)
 	buf = binary.AppendUvarint(buf, uint64(len(c.Args)))
 	for i := range c.Args {
 		buf = c.Args[i].AppendWire(buf)
@@ -266,194 +252,147 @@ func appendPipelineCall(buf []byte, c *vm.PipelineCall) []byte {
 func sizePipelineCall(c *vm.PipelineCall) int {
 	n := 1
 	if c.Recv >= 0 {
-		n += vm.VarintSize(int64(c.Recv))
+		n += wire.VarintSize(int64(c.Recv))
 	} else {
-		n += vm.VarintSize(int64(c.Obj))
+		n += wire.VarintSize(int64(c.Obj))
 	}
-	n += vm.StringSize(c.Method)
-	n += vm.UvarintSize(uint64(len(c.Args)))
+	n += wire.StringSize(c.Method)
+	n += wire.UvarintSize(uint64(len(c.Args)))
 	for i := range c.Args {
 		n += c.Args[i].WireLen()
 	}
-	n += vm.UvarintSize(uint64(len(c.ArgPromises)))
+	n += wire.UvarintSize(uint64(len(c.ArgPromises)))
 	for _, ap := range c.ArgPromises {
-		n += vm.VarintSize(int64(ap.Pos)) + vm.VarintSize(int64(ap.Call))
+		n += wire.VarintSize(int64(ap.Pos)) + wire.VarintSize(int64(ap.Call))
 	}
 	return n
 }
 
-// decodePipelineCall decodes one pipelined call in place, returning the
-// remaining bytes. A concrete receiver decodes with the canonical Recv
-// of -1. Argument slices are carved full-capacity out of *arena (grown
-// in blocks), so a frame of many calls costs a handful of allocations
-// rather than one per call.
-func decodePipelineCall(c *vm.PipelineCall, data []byte, arena *[]vm.WireValue) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("truncated pipeline call")
-	}
-	form := MsgKind(data[0])
-	x, rest, err := vm.ReadVarint(data[1:])
-	if err != nil {
-		return nil, err
-	}
+// decodePipelineCall decodes one pipelined call in place. A concrete
+// receiver decodes with the canonical Recv of -1. Argument slices are
+// carved full-capacity out of *arena (grown in blocks), so a frame of
+// many calls costs a handful of allocations rather than one per call.
+func decodePipelineCall(c *vm.PipelineCall, r *wire.Reader, arena *[]vm.WireValue) {
+	form := MsgKind(r.Byte())
+	x := r.Varint()
 	switch form {
 	case MsgPromiseRef:
-		if x < 0 || x > math.MaxInt32 {
-			return nil, fmt.Errorf("pipeline promise receiver %d out of range", x)
-		}
-		c.Recv = int32(x)
+		c.Recv = promiseIndex(r, x)
 	case MsgInvoke:
 		c.Recv = -1
 		c.Obj = vm.ObjectID(x)
 	default:
-		return nil, fmt.Errorf("unknown pipeline receiver form %d", data[0])
+		r.Fail(errReceiverForm)
 	}
-	if c.Method, rest, err = vm.ReadString(rest); err != nil {
-		return nil, err
-	}
-	n, rest, err := readCount(rest)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		if n > uint64(len(*arena)) {
-			size := n
-			if size < 64 {
-				size = 64
-			}
-			*arena = make([]vm.WireValue, size)
+	c.Method = r.String()
+	if n := r.Count(); n > 0 {
+		if n > len(*arena) {
+			*arena = make([]vm.WireValue, max(n, 64))
 		}
 		c.Args = (*arena)[:n:n]
 		*arena = (*arena)[n:]
 		for i := range c.Args {
-			if rest, err = vm.DecodeWireValueInto(&c.Args[i], rest); err != nil {
-				return nil, err
-			}
+			c.Args[i].ReadWire(r)
 		}
 	}
-	if n, rest, err = readCount(rest); err != nil {
-		return nil, err
-	}
-	if n > 0 {
+	if n := r.Count(); n > 0 {
 		c.ArgPromises = make([]vm.PromiseArg, n)
 		for i := range c.ArgPromises {
-			var pos, call int64
-			if pos, rest, err = vm.ReadVarint(rest); err != nil {
-				return nil, err
-			}
-			if call, rest, err = vm.ReadVarint(rest); err != nil {
-				return nil, err
-			}
-			if pos < 0 || pos > math.MaxInt32 || call < 0 || call > math.MaxInt32 {
-				return nil, fmt.Errorf("pipeline promise argument (%d, %d) out of range", pos, call)
-			}
-			c.ArgPromises[i] = vm.PromiseArg{Pos: int32(pos), Call: int32(call)}
+			c.ArgPromises[i] = vm.PromiseArg{Pos: promiseIndex(r, r.Varint()), Call: promiseIndex(r, r.Varint())}
 		}
 	}
-	return rest, nil
+}
+
+// Sentinels, not fmt.Errorf: a call list is walked to its end (as no-ops,
+// form byte 0) after the reader has failed, and that must not allocate.
+var (
+	errReceiverForm = errors.New("unknown pipeline receiver form")
+	errPromiseRange = errors.New("pipeline promise index out of int32 range")
+)
+
+// promiseIndex narrows a decoded promise receiver, argument position or
+// call index, failing the reader when it is negative or past int32.
+func promiseIndex(r *wire.Reader, x int64) int32 {
+	if x < 0 || x > math.MaxInt32 {
+		r.Fail(errPromiseRange)
+		return 0
+	}
+	return int32(x)
 }
 
 // sizeMessage returns the exact payload size appendMessage would
 // produce. It must mirror appendMessage field for field; the codec tests
 // and the fuzz round-trip enforce equality.
 func sizeMessage(m *Message) int {
-	n := 2 + vm.UvarintSize(m.ID)
+	n := 2 + wire.UvarintSize(m.ID)
 	if m.Reply {
 		n++
 	}
-	if m.Err != "" {
-		n += 1 + vm.StringSize(m.Err)
-	}
-	if m.Obj != 0 {
-		n += 1 + vm.VarintSize(int64(m.Obj))
-	}
-	if m.Class != "" {
-		n += 1 + vm.StringSize(m.Class)
-	}
-	if m.Method != "" {
-		n += 1 + vm.StringSize(m.Method)
-	}
-	if m.Field != "" {
-		n += 1 + vm.StringSize(m.Field)
-	}
+	n += sizeTagString(m.Err)
+	n += sizeTagVarint(int64(m.Obj))
+	n += sizeTagString(m.Class)
+	n += sizeTagString(m.Method)
+	n += sizeTagString(m.Field)
 	if m.SelfIsSenderLocal {
 		n++
 	}
 	if len(m.Args) > 0 {
-		n += 1 + vm.UvarintSize(uint64(len(m.Args)))
+		n += 1 + wire.UvarintSize(uint64(len(m.Args)))
 		for i := range m.Args {
 			n += m.Args[i].WireLen()
 		}
 	}
-	if !isZeroWireValue(&m.Ret) {
+	if m.Ret.Kind != vm.KindNil {
 		n += 1 + m.Ret.WireLen()
 	}
-	if m.ElapsedNanos != 0 {
-		n += 1 + vm.VarintSize(m.ElapsedNanos)
-	}
+	n += sizeTagVarint(m.ElapsedNanos)
 	if len(m.Batch) > 0 {
-		n += 1 + vm.UvarintSize(uint64(len(m.Batch)))
+		n += 1 + wire.UvarintSize(uint64(len(m.Batch)))
 		for i := range m.Batch {
 			n += m.Batch[i].WireLen()
 		}
 	}
 	if len(m.IDs) > 0 {
-		n += 1 + vm.UvarintSize(uint64(len(m.IDs)))
+		n += 1 + wire.UvarintSize(uint64(len(m.IDs)))
 		for _, id := range m.IDs {
-			n += vm.VarintSize(int64(id))
+			n += wire.VarintSize(int64(id))
 		}
 	}
 	if len(m.Classes) > 0 {
-		n += 1 + vm.UvarintSize(uint64(len(m.Classes)))
+		n += 1 + wire.UvarintSize(uint64(len(m.Classes)))
 		for _, c := range m.Classes {
-			n += vm.StringSize(c)
+			n += wire.StringSize(c)
 		}
 	}
-	if m.Objects != 0 {
-		n += 1 + vm.VarintSize(m.Objects)
-	}
-	if m.MovedBytes != 0 {
-		n += 1 + vm.VarintSize(m.MovedBytes)
-	}
-	if m.FreeBytes != 0 {
-		n += 1 + vm.VarintSize(m.FreeBytes)
-	}
-	if m.CapacityBytes != 0 {
-		n += 1 + vm.VarintSize(m.CapacityBytes)
-	}
+	n += sizeTagVarint(m.Objects)
+	n += sizeTagVarint(m.MovedBytes)
+	n += sizeTagVarint(m.FreeBytes)
+	n += sizeTagVarint(m.CapacityBytes)
 	if m.CPUSpeed != 0 {
 		n += 1 + 8
 	}
 	if len(m.Calls) > 0 {
-		n += 1 + vm.UvarintSize(uint64(len(m.Calls)))
+		n += 1 + wire.UvarintSize(uint64(len(m.Calls)))
 		for i := range m.Calls {
 			n += sizePipelineCall(&m.Calls[i])
 		}
 	}
 	if len(m.Rets) > 0 {
-		n += 1 + vm.UvarintSize(uint64(len(m.Rets)))
+		n += 1 + wire.UvarintSize(uint64(len(m.Rets)))
 		for i := range m.Rets {
 			n += m.Rets[i].WireLen()
 		}
 	}
-	if m.ErrIndex != 0 {
-		n += 1 + vm.VarintSize(int64(m.ErrIndex))
-	}
+	n += sizeTagVarint(int64(m.ErrIndex))
 	if m.ErrCode != 0 {
 		n += 2
 	}
-	if m.Sessions != 0 {
-		n += 1 + vm.VarintSize(m.Sessions)
-	}
+	n += sizeTagVarint(m.Sessions)
 	if len(m.Blob) > 0 {
-		n += 1 + vm.UvarintSize(uint64(len(m.Blob))) + len(m.Blob)
+		n += 1 + wire.UvarintSize(uint64(len(m.Blob))) + len(m.Blob)
 	}
-	if m.Seq != 0 {
-		n += 1 + vm.VarintSize(m.Seq)
-	}
-	if m.Total != 0 {
-		n += 1 + vm.VarintSize(m.Total)
-	}
+	n += sizeTagVarint(m.Seq)
+	n += sizeTagVarint(m.Total)
 	return n
 }
 
@@ -461,7 +400,7 @@ func sizeMessage(m *Message) int {
 // payload) for the message.
 func frameSize(m *Message) int {
 	n := sizeMessage(m)
-	return vm.UvarintSize(uint64(n)) + n
+	return wire.UvarintSize(uint64(n)) + n
 }
 
 // appendFrame appends the length-prefixed frame to buf. It verifies the
@@ -482,170 +421,107 @@ func appendFrame(buf []byte, m *Message) ([]byte, error) {
 // Message. The result does not alias data; callers may recycle the
 // buffer immediately.
 func decodeMessage(data []byte) (*Message, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("remote: codec: truncated header (%d bytes)", len(data))
+	r := wire.NewReader(data)
+	if v := r.Byte(); v != wireVersion {
+		r.Fail(fmt.Errorf("unsupported wire version %d (have %d)", v, wireVersion))
 	}
-	if data[0] != wireVersion {
-		return nil, fmt.Errorf("remote: codec: unsupported wire version %d (have %d)", data[0], wireVersion)
-	}
-	m := &Message{Kind: MsgKind(data[1])}
-	id, rest, err := vm.ReadUvarint(data[2:])
-	if err != nil {
-		return nil, fmt.Errorf("remote: codec: message id: %w", err)
-	}
-	m.ID = id
-	for len(rest) > 0 {
-		tag := rest[0]
-		rest = rest[1:]
-		switch tag {
+	m := &Message{Kind: MsgKind(r.Byte()), ID: r.Uvarint()}
+	for r.Len() > 0 {
+		switch tag := r.Byte(); tag {
 		case tagReply:
 			m.Reply = true
 		case tagErr:
-			m.Err, rest, err = vm.ReadString(rest)
+			m.Err = r.String()
 		case tagObj:
-			var v int64
-			v, rest, err = vm.ReadVarint(rest)
-			m.Obj = vm.ObjectID(v)
+			m.Obj = vm.ObjectID(r.Varint())
 		case tagClass:
-			m.Class, rest, err = vm.ReadString(rest)
+			m.Class = r.String()
 		case tagMethod:
-			m.Method, rest, err = vm.ReadString(rest)
+			m.Method = r.String()
 		case tagField:
-			m.Field, rest, err = vm.ReadString(rest)
+			m.Field = r.String()
 		case tagSelfIsSenderLocal:
 			m.SelfIsSenderLocal = true
 		case tagArgs:
-			var n uint64
-			if n, rest, err = readCount(rest); err == nil && n > 0 {
-				m.Args = make([]vm.WireValue, n)
-				for i := range m.Args {
-					if rest, err = vm.DecodeWireValueInto(&m.Args[i], rest); err != nil {
-						break
-					}
-				}
-			}
+			m.Args = readValues(&r)
 		case tagRet:
-			m.Ret, rest, err = vm.DecodeWireValue(rest)
+			m.Ret.ReadWire(&r)
 		case tagElapsedNanos:
-			m.ElapsedNanos, rest, err = vm.ReadVarint(rest)
+			m.ElapsedNanos = r.Varint()
 		case tagBatch:
-			var n uint64
-			if n, rest, err = readCount(rest); err == nil && n > 0 {
+			if n := r.Count(); n > 0 {
 				m.Batch = make([]vm.MigratedObject, n)
 				for i := range m.Batch {
-					if m.Batch[i], rest, err = vm.DecodeMigratedObject(rest); err != nil {
-						break
-					}
+					m.Batch[i].ReadWire(&r)
 				}
 			}
 		case tagIDs:
-			var n uint64
-			if n, rest, err = readCount(rest); err == nil && n > 0 {
+			if n := r.Count(); n > 0 {
 				m.IDs = make([]vm.ObjectID, n)
 				for i := range m.IDs {
-					var v int64
-					if v, rest, err = vm.ReadVarint(rest); err != nil {
-						break
-					}
-					m.IDs[i] = vm.ObjectID(v)
+					m.IDs[i] = vm.ObjectID(r.Varint())
 				}
 			}
 		case tagClasses:
-			var n uint64
-			if n, rest, err = readCount(rest); err == nil && n > 0 {
+			if n := r.Count(); n > 0 {
 				m.Classes = make([]string, n)
 				for i := range m.Classes {
-					if m.Classes[i], rest, err = vm.ReadString(rest); err != nil {
-						break
-					}
+					m.Classes[i] = r.String()
 				}
 			}
 		case tagObjects:
-			m.Objects, rest, err = vm.ReadVarint(rest)
+			m.Objects = r.Varint()
 		case tagMovedBytes:
-			m.MovedBytes, rest, err = vm.ReadVarint(rest)
+			m.MovedBytes = r.Varint()
 		case tagFreeBytes:
-			m.FreeBytes, rest, err = vm.ReadVarint(rest)
+			m.FreeBytes = r.Varint()
 		case tagCapacityBytes:
-			m.CapacityBytes, rest, err = vm.ReadVarint(rest)
+			m.CapacityBytes = r.Varint()
 		case tagCPUSpeed:
-			m.CPUSpeed, rest, err = readFloat(rest)
+			m.CPUSpeed = r.Float()
 		case tagCalls:
-			var n uint64
-			if n, rest, err = readCount(rest); err == nil && n > 0 {
+			if n := r.Count(); n > 0 {
 				m.Calls = make([]vm.PipelineCall, n)
 				var argArena []vm.WireValue
 				for i := range m.Calls {
-					if rest, err = decodePipelineCall(&m.Calls[i], rest, &argArena); err != nil {
-						break
-					}
+					decodePipelineCall(&m.Calls[i], &r, &argArena)
 				}
 			}
 		case tagRets:
-			var n uint64
-			if n, rest, err = readCount(rest); err == nil && n > 0 {
-				m.Rets = make([]vm.WireValue, n)
-				for i := range m.Rets {
-					if rest, err = vm.DecodeWireValueInto(&m.Rets[i], rest); err != nil {
-						break
-					}
-				}
-			}
+			m.Rets = readValues(&r)
 		case tagErrIndex:
-			var v int64
-			v, rest, err = vm.ReadVarint(rest)
-			m.ErrIndex = int32(v)
+			m.ErrIndex = int32(r.Varint())
 		case tagErrCode:
-			if len(rest) < 1 {
-				return nil, fmt.Errorf("remote: codec: truncated error code")
-			}
-			m.ErrCode = rest[0]
-			rest = rest[1:]
+			m.ErrCode = r.Byte()
 		case tagSessions:
-			m.Sessions, rest, err = vm.ReadVarint(rest)
+			m.Sessions = r.Varint()
 		case tagBlob:
-			var n uint64
-			if n, rest, err = readCount(rest); err == nil && n > 0 {
-				m.Blob = append([]byte(nil), rest[:n]...)
-				rest = rest[n:]
-			}
+			m.Blob = r.Bytes()
 		case tagSeq:
-			m.Seq, rest, err = vm.ReadVarint(rest)
+			m.Seq = r.Varint()
 		case tagTotal:
-			m.Total, rest, err = vm.ReadVarint(rest)
+			m.Total = r.Varint()
 		default:
-			return nil, fmt.Errorf("remote: codec: unknown field tag %d", tag)
+			r.Fail(fmt.Errorf("unknown field tag %d", tag))
 		}
-		if err != nil {
-			return nil, fmt.Errorf("remote: codec: field tag %d: %w", tag, err)
-		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("remote: codec: %w", err)
 	}
 	return m, nil
 }
 
-// readCount reads a list-length uvarint and rejects counts that exceed
-// the remaining bytes (every encoded element occupies at least one
-// byte), so a corrupt frame cannot force an arbitrary allocation.
-func readCount(data []byte) (uint64, []byte, error) {
-	n, rest, err := vm.ReadUvarint(data)
-	if err != nil {
-		return 0, nil, err
+// readValues decodes a counted WireValue list; an empty list is nil.
+func readValues(r *wire.Reader) []vm.WireValue {
+	n := r.Count()
+	if n == 0 {
+		return nil
 	}
-	if n > uint64(len(rest)) {
-		return 0, nil, fmt.Errorf("element count %d exceeds %d remaining bytes", n, len(rest))
+	vals := make([]vm.WireValue, n)
+	for i := range vals {
+		vals[i].ReadWire(r)
 	}
-	return n, rest, nil
-}
-
-func appendFloat(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
-func readFloat(data []byte) (float64, []byte, error) {
-	if len(data) < 8 {
-		return 0, nil, fmt.Errorf("truncated float")
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(data)), data[8:], nil
+	return vals
 }
 
 // AppendFrame appends m's complete wire frame — uvarint length prefix
@@ -659,12 +535,14 @@ func AppendFrame(buf []byte, m *Message) ([]byte, error) {
 
 // DecodeFrame decodes one frame produced by AppendFrame.
 func DecodeFrame(data []byte) (*Message, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("remote: codec: bad frame length prefix")
+	r := wire.NewReader(data)
+	n := r.Count()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("remote: codec: frame length prefix: %w", err)
 	}
-	if n > maxFrame || n > uint64(len(data)-k) {
-		return nil, fmt.Errorf("remote: codec: frame length %d exceeds %d available bytes", n, len(data)-k)
+	if n > maxFrame {
+		return nil, fmt.Errorf("remote: codec: frame of %d bytes exceeds limit", n)
 	}
-	return decodeMessage(data[k : k+int(n)])
+	payload := data[len(data)-r.Len():]
+	return decodeMessage(payload[:n])
 }

@@ -344,7 +344,6 @@ func TestMessageRoundTripRandom(t *testing.T) {
 // truncation, bad versions, unknown tags, unknown value kinds, and
 // absurd element counts are errors, never silent misreads.
 func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
-	good := appendMessage(nil, codecMessages()[0])
 	cases := map[string][]byte{
 		"empty":            {},
 		"header only":      {wireVersion},
@@ -355,7 +354,6 @@ func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
 		"huge id count":    {wireVersion, byte(MsgPing), 1, tagIDs, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"bad value kind":   {wireVersion, byte(MsgPing), 1, tagRet, 99},
 		"truncated float":  {wireVersion, byte(MsgPing), 1, tagCPUSpeed, 1, 2, 3},
-		"truncated frame":  good[:len(good)-1],
 
 		"huge call count":          {wireVersion, byte(MsgInvokeBatch), 1, tagCalls, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"truncated pipeline call":  {wireVersion, byte(MsgInvokeBatch), 1, tagCalls, 1},
@@ -376,6 +374,25 @@ func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
 	for name, data := range cases {
 		if _, err := decodeMessage(data); err == nil {
 			t.Errorf("%s: decodeMessage accepted corrupt input", name)
+		}
+	}
+	// A failed reader is still walked to the end of any list in progress:
+	// that walk allocates nothing, so a hostile count buys no work.
+	zeros := append([]byte{wireVersion, byte(MsgInvokeBatch), 1, tagCalls, 100}, make([]byte, 100)...)
+	if n := testing.AllocsPerRun(10, func() { decodeMessage(zeros) }); n > 8 {
+		t.Errorf("a 100-call list failing at its first call cost %.0f allocations", n)
+	}
+	// The decoder asks its sticky reader for the verdict once, at the end;
+	// were that forgotten, a truncated frame would be accepted with zeros
+	// in it. Every strict prefix is rejected or — cut on a field boundary —
+	// a shorter message in canonical form.
+	for _, m := range codecMessages() {
+		good := appendMessage(nil, m)
+		for cut := 0; cut < len(good); cut++ {
+			got, err := decodeMessage(good[:cut])
+			if err == nil && !bytes.Equal(appendMessage(nil, got), good[:cut]) {
+				t.Errorf("%s (reply=%v): accepted a %d/%d-byte prefix as %+v", m.Kind, m.Reply, cut, len(good), got)
+			}
 		}
 	}
 }

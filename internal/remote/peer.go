@@ -198,7 +198,9 @@ type Peer struct {
 	// the puller acks. snapBuf/snapSeq assemble the in-order chunk stream
 	// of one incoming push — one transfer at a time per peer, which the
 	// protocol guarantees because a pusher awaits each chunk's reply
-	// before sending the next. chunkSize is fixed at construction.
+	// before sending the next. chunkSize and maxImage are fixed at
+	// construction; maxImage caps an image assembled from chunks in either
+	// direction (a field only so the in-package tests can lower it).
 	snapMu      sync.Mutex
 	snapHandler func(method, dest string, img []byte) error
 	snapSource  func() ([]byte, error)
@@ -206,6 +208,7 @@ type Peer struct {
 	snapSeq     int64
 	snapCache   []byte
 	chunkSize   int
+	maxImage    int
 
 	// retired flips when this side acknowledges a SnapHandoff push: the
 	// session this connection carried now lives elsewhere, so Close fails
@@ -423,6 +426,7 @@ func NewPeer(local *vm.VM, t Transport, opts Options) *Peer {
 		sessionInfo:     opts.SessionInfo,
 		lazyMigration:   opts.LazyMigration,
 		chunkSize:       opts.SnapshotChunkSize,
+		maxImage:        maxFrame,
 		stop:            make(chan struct{}),
 		m:               newPeerMetrics(opts.Telemetry),
 		tracer:          opts.Tracer,

@@ -142,6 +142,10 @@ func (p *Peer) pullSnapshot(ctx context.Context) ([]byte, error) {
 		if reply.Seq != seq || reply.Total < seq {
 			return nil, fmt.Errorf("remote: snapshot pull: peer answered chunk %d/%d to a request for chunk %d", reply.Seq, reply.Total, seq)
 		}
+		if len(img)+len(reply.Blob) > p.maxImage {
+			p.ackPull(ctx) // reset the exchange: the peer need not keep serving this image
+			return nil, fmt.Errorf("remote: snapshot pull: chunk %d/%d takes the image past the %d-byte limit", seq, reply.Total, p.maxImage)
+		}
 		img = append(img, reply.Blob...)
 		p.m.snapshotChunks.Inc()
 		p.m.snapshotBytes.Add(int64(len(reply.Blob)))
@@ -149,12 +153,16 @@ func (p *Peer) pullSnapshot(ctx context.Context) ([]byte, error) {
 			break
 		}
 	}
-	// Release the peer's cached capture. A lost ack is harmless: the
-	// cache is overwritten by the next pull's fresh capture.
+	p.ackPull(ctx)
+	return img, nil
+}
+
+// ackPull releases the peer's cached capture. A lost ack is harmless: the
+// cache is overwritten by the next pull's fresh capture.
+func (p *Peer) ackPull(ctx context.Context) {
 	if _, err := p.Call(ctx, &Message{Kind: MsgSnapshotAck}); err != nil {
 		p.logfSafe("remote: snapshot pull: ack failed (peer cache retained): %v", err)
 	}
-	return img, nil
 }
 
 // DrainRemote orders the serving side to hand its live sessions off to
@@ -194,19 +202,26 @@ func (p *Peer) serveSnapshot(m *Message, reply *Message) {
 		return
 	}
 	p.snapMu.Lock()
-	switch {
-	case m.Seq == 1:
+	if m.Seq == 1 {
 		// First chunk (re)starts assembly, discarding any stale partial
 		// transfer a failed earlier push left behind.
-		p.snapBuf = append([]byte(nil), m.Blob...)
+		p.snapBuf, p.snapSeq = nil, 0
+	}
+	switch {
 	case m.Seq != p.snapSeq+1:
 		seen := p.snapSeq
 		p.snapMu.Unlock()
 		reply.Err = fmt.Sprintf("snapshot chunk %d arrived after chunk %d (out of order)", m.Seq, seen)
 		return
-	default:
-		p.snapBuf = append(p.snapBuf, m.Blob...)
+	case len(p.snapBuf)+len(m.Blob) > p.maxImage:
+		// Total is the pusher's claim and chunks are not counted against
+		// it, so the assembled size is what bounds a push.
+		p.snapBuf, p.snapSeq = nil, 0
+		p.snapMu.Unlock()
+		reply.Err = fmt.Sprintf("snapshot chunk %d/%d takes the image past the %d-byte limit", m.Seq, m.Total, p.maxImage)
+		return
 	}
+	p.snapBuf = append(p.snapBuf, m.Blob...)
 	p.snapSeq = m.Seq
 	done := m.Seq == m.Total
 	var img []byte

@@ -316,3 +316,81 @@ func TestHandedOffPeerClosesWithDrainedRedirect(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotAssemblyIsCapped pins the reassembly bound in both
+// directions: chunks are appended as they come and Total is only the
+// sender's claim, so it is the assembled size that must stop a peer that
+// keeps sending. The refusal names the limit, drops the partial image and
+// leaves the connection usable.
+func TestSnapshotAssemblyIsCapped(t *testing.T) {
+	const limit = 256
+	var got []byte
+	pc, ps := snapPair(t, Options{Workers: 1, SnapshotChunkSize: 64})
+	ps.maxImage = limit
+	ps.SetSnapshotHandler(func(method, dest string, img []byte) error {
+		got = img
+		return nil
+	})
+	err := pc.PushSnapshot(context.Background(), SnapRestore, "", testImage(1000))
+	if err == nil || !strings.Contains(err.Error(), "256-byte limit") || !strings.Contains(err.Error(), "chunk 5/16") {
+		t.Fatalf("over-long push: err = %v, want a refusal of chunk 5/16 naming the limit", err)
+	}
+	ps.snapMu.Lock()
+	held := len(ps.snapBuf) + cap(ps.snapBuf)
+	ps.snapMu.Unlock()
+	if held != 0 || got != nil {
+		t.Fatalf("refused push left %d buffered bytes, handler saw %d", held, len(got))
+	}
+	if err := pc.PushSnapshot(context.Background(), SnapRestore, "", testImage(limit)); err != nil {
+		t.Fatalf("push of exactly the limit after a refusal: %v", err)
+	}
+	if !bytes.Equal(got, testImage(limit)) {
+		t.Fatalf("push after a refusal assembled %d bytes, want %d", len(got), limit)
+	}
+
+	// Pull: a hand-driven serving end answers every chunk request with
+	// "one more to come" until it is acked, then serves two chunks.
+	ta, tb := NewChannelPair()
+	puller := NewPeer(vm.New(testRegistry(t), vm.Config{Role: vm.RoleClient, HeapCapacity: 1 << 20}), ta, Options{Workers: 1})
+	puller.maxImage = limit
+	chunk := testImage(100)
+	var served, acks atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			m, err := tb.Recv()
+			if err != nil {
+				return
+			}
+			reply := &Message{Kind: m.Kind, ID: m.ID, Reply: true}
+			switch {
+			case m.Kind == MsgSnapshotAck:
+				acks.Add(1)
+			case m.Kind == MsgSnapshot && acks.Load() == 0:
+				served.Add(1)
+				reply.Seq, reply.Total, reply.Blob = m.Seq, m.Seq+1, chunk
+			case m.Kind == MsgSnapshot:
+				reply.Seq, reply.Total, reply.Blob = m.Seq, 2, chunk
+			}
+			if err := tb.Send(reply); err != nil {
+				return
+			}
+		}
+	}()
+	img, err := puller.PullSnapshot(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "256-byte limit") || img != nil {
+		t.Fatalf("endless pull: %d bytes, err = %v, want a refusal naming the limit", len(img), err)
+	}
+	if served.Load() != 3 || acks.Load() != 1 {
+		t.Fatalf("endless pull took %d chunks and sent %d acks before refusing, want 3 and 1", served.Load(), acks.Load())
+	}
+	img, err = puller.PullSnapshot(context.Background())
+	if err != nil || !bytes.Equal(img, append(append([]byte(nil), chunk...), chunk...)) {
+		t.Fatalf("pull after a refusal: %d bytes, err = %v", len(img), err)
+	}
+	if err := puller.Close(); err != nil {
+		t.Errorf("close puller: %v", err)
+	}
+	<-done
+}

@@ -155,6 +155,10 @@ func (t *binTransport) Send(m *Message) error {
 	return nil
 }
 
+// recvStep is the least Recv grows its buffer by, and so the most a peer
+// can make it allocate ahead of the bytes it has actually sent.
+const recvStep = 1 << 20
+
 func (t *binTransport) Recv() (*Message, error) {
 	n, err := binary.ReadUvarint(t.r)
 	if err != nil {
@@ -163,13 +167,23 @@ func (t *binTransport) Recv() (*Message, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: recv: frame of %d bytes exceeds limit", n)
 	}
-	if uint64(cap(t.readBuf)) < n {
-		t.readBuf = make([]byte, n)
+	// A frame that fits the retained buffer is one ReadFull into it. A
+	// larger one fills what capacity there is and then grows by doubling
+	// (recvStep at least, the frame's length at most), so the length
+	// prefix alone — a claim, from a peer that may not be admitted yet —
+	// never sizes an allocation: a stalled sender costs what it sent.
+	size, buf := int(n), t.readBuf[:0]
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(size, max(2*len(buf), recvStep))), buf...)
+		}
+		got := len(buf)
+		buf = buf[:min(size, cap(buf))]
+		if _, err := io.ReadFull(t.r, buf[got:]); err != nil {
+			return nil, fmt.Errorf("remote: recv: %w", err)
+		}
 	}
-	buf := t.readBuf[:n]
-	if _, err := io.ReadFull(t.r, buf); err != nil {
-		return nil, fmt.Errorf("remote: recv: %w", err)
-	}
+	t.readBuf = buf
 	m, err := decodeMessage(buf)
 	if err != nil {
 		return nil, fmt.Errorf("remote: recv: %w", err)

@@ -1,9 +1,12 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +162,55 @@ func TestChannelSenderMayReuseMessage(t *testing.T) {
 		if err := a.Send(m); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecvAllocationFollowsBytesReceived pins the receive bound: a sender
+// (perhaps not yet admitted) that declares maxFrame and stalls costs the
+// receiver about what it sent, not what it declared — and a legitimate
+// frame larger than any growth step still arrives intact.
+func TestRecvAllocationFollowsBytesReceived(t *testing.T) {
+	hostile, conn := net.Pipe()
+	tr := NewConnTransport(conn)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan error, 1)
+	go func() {
+		_, err := tr.Recv()
+		done <- err
+	}()
+	// net.Pipe writes return once read: when the payload byte has been
+	// taken, Recv is past the prefix and inside its first ReadFull.
+	for _, b := range [][]byte{binary.AppendUvarint(nil, maxFrame), {wireVersion}} {
+		if _, err := hostile.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+		t.Errorf("a stalled %d-byte claim made the receiver allocate %d bytes", maxFrame, grew)
+	}
+	hostile.Close()
+	if err := <-done; err == nil {
+		t.Error("Recv accepted a frame cut off after one byte")
+	}
+	tr.Close()
+
+	a, b := net.Pipe()
+	ta, tb := NewConnTransport(a), NewConnTransport(b)
+	defer ta.Close()
+	defer tb.Close()
+	big := &Message{Kind: MsgSnapshot, ID: 1, Blob: bytes.Repeat([]byte{0xA5, 0x5A, 7}, 1<<20)}
+	go func() { done <- ta.Send(big) }()
+	got, err := tb.Recv()
+	if err != nil {
+		t.Fatalf("3 MiB frame: %v", err)
+	}
+	if !bytes.Equal(got.Blob, big.Blob) {
+		t.Fatalf("3 MiB frame arrived changed (%d of %d blob bytes)", len(got.Blob), len(big.Blob))
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -2,22 +2,21 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 
 	"aide/internal/vm"
+	"aide/internal/wire"
 )
 
-// Versioned binary encoding of an Image. The rules match the platform's
-// wire codec (internal/vm/wirecodec.go): LEB128 uvarints for counts,
-// zigzag varints for signed integers, 8-byte little-endian IEEE-754 for
-// floats, length-prefixed strings and blobs, and canonicalization of
-// zero-length blobs to nil so encode(decode(encode(x))) is
-// byte-identical to encode(x). Field order inside the image is fixed by
-// vm.ExportSnapshot's deterministic sort, so the same VM state always
-// encodes to the same bytes.
+// Versioned binary encoding of an Image, built from internal/wire's
+// primitives (the encoding rules are in that package's doc). Field order
+// inside the image is fixed by vm.ExportSnapshot's deterministic sort, so
+// the same VM state always encodes to the same bytes; absent optional
+// parts are flag bits, never zero-valued payloads, so every image has
+// exactly one encoding.
 //
-// The gobwire analyzer pins every encoded struct's field count against
+// The wirecheck analyzer pins every encoded struct's field count against
 // this codec: growing a struct without teaching the codec its new field
 // is a build-time lint failure, not a silent wire corruption.
 
@@ -68,13 +67,13 @@ func (img *Image) Encode() []byte {
 
 	buf = binary.AppendUvarint(buf, uint64(len(s.Roots)))
 	for _, r := range s.Roots {
-		buf = vm.AppendString(buf, r.Name)
+		buf = wire.AppendString(buf, r.Name)
 		buf = binary.AppendUvarint(buf, uint64(r.ID))
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(s.Statics)))
 	for _, ss := range s.Statics {
-		buf = vm.AppendString(buf, ss.Class)
+		buf = wire.AppendString(buf, ss.Class)
 		buf = binary.AppendUvarint(buf, uint64(len(ss.Values)))
 		for i := range ss.Values {
 			buf = appendValue(buf, &ss.Values[i])
@@ -87,19 +86,17 @@ func (img *Image) Encode() []byte {
 		buf = binary.AppendVarint(buf, sr.Bytes)
 		buf = binary.AppendUvarint(buf, uint64(len(sr.Names)))
 		for i, name := range sr.Names {
-			buf = vm.AppendString(buf, name)
+			buf = wire.AppendString(buf, name)
 			buf = appendValue(buf, &sr.Values[i])
 		}
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(img.Aux)))
-	buf = append(buf, img.Aux...)
-	return buf
+	return wire.AppendBytes(buf, img.Aux)
 }
 
 func appendObject(buf []byte, so *vm.SnapshotObject) []byte {
 	buf = binary.AppendUvarint(buf, uint64(so.ID))
-	buf = vm.AppendString(buf, so.Class)
+	buf = wire.AppendString(buf, so.Class)
 	buf = binary.AppendVarint(buf, so.Size)
 	var flags byte
 	if so.Remote {
@@ -145,302 +142,144 @@ func appendValue(buf []byte, val *vm.Value) []byte {
 	case vm.KindInt:
 		buf = binary.AppendVarint(buf, val.I)
 	case vm.KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(val.F))
+		buf = wire.AppendFloat(buf, val.F)
 	case vm.KindBool:
-		if val.B {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = wire.AppendBool(buf, val.B)
 	case vm.KindString:
-		buf = vm.AppendString(buf, val.S)
+		buf = wire.AppendString(buf, val.S)
 	case vm.KindBytes:
-		buf = binary.AppendUvarint(buf, uint64(len(val.Bytes)))
-		buf = append(buf, val.Bytes...)
+		buf = wire.AppendBytes(buf, val.Bytes)
 	case vm.KindRef:
 		buf = binary.AppendUvarint(buf, uint64(val.Ref))
 	}
 	return buf
 }
 
+// Format-level rejections: a flag bit may be set only when its payload
+// is non-zero, so accepted input is always what Encode would produce.
+var (
+	errZeroExport = errors.New("non-canonical zero export pin")
+	errZeroLazy   = errors.New("non-canonical zero lazy provenance")
+	errNoFields   = errors.New("non-canonical empty field list")
+)
+
 // Decode parses an encoded image. It rejects unknown versions, unknown
-// flag bits, unknown value kinds, truncation, and declared lengths that
-// exceed the remaining input — acceptance implies the canonical
-// round-trip property Encode pins.
+// flag bits, unknown value kinds, truncation, declared lengths that
+// exceed the remaining input, and trailing bytes — acceptance implies
+// the canonical round-trip property Encode pins.
 func Decode(data []byte) (*Image, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("snapshot: decode: empty input")
+	r := wire.NewReader(data)
+	if v := r.Byte(); v != imageVersion {
+		r.Fail(fmt.Errorf("unsupported version %d", v))
 	}
-	if data[0] != imageVersion {
-		return nil, fmt.Errorf("snapshot: decode: unsupported version %d", data[0])
-	}
-	rest := data[1:]
-
-	s := &vm.SnapshotState{}
-	n, rest, err := vm.ReadUvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: decode next-id: %w", err)
-	}
-	s.NextID = vm.ObjectID(n)
-
-	count, rest, err := vm.ReadUvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: decode object count: %w", err)
-	}
-	// Every encoded object occupies at least 4 bytes (ID, class length,
-	// size, flags); a count beyond the remaining bytes is corrupt —
-	// reject before allocating.
-	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("snapshot: decode: object count %d exceeds %d remaining bytes", count, len(rest))
-	}
-	if count > 0 {
-		s.Objects = make([]vm.SnapshotObject, count)
+	s := &vm.SnapshotState{NextID: vm.ObjectID(r.Uvarint())}
+	if n := r.Count(); n > 0 {
+		s.Objects = make([]vm.SnapshotObject, n)
 		for i := range s.Objects {
-			if rest, err = decodeObject(&s.Objects[i], rest); err != nil {
-				return nil, fmt.Errorf("snapshot: decode object %d: %w", i, err)
-			}
+			decodeObject(&s.Objects[i], &r)
 		}
 	}
-
-	count, rest, err = vm.ReadUvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: decode root count: %w", err)
-	}
-	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("snapshot: decode: root count %d exceeds %d remaining bytes", count, len(rest))
-	}
-	if count > 0 {
-		s.Roots = make([]vm.SnapshotRoot, count)
+	if n := r.Count(); n > 0 {
+		s.Roots = make([]vm.SnapshotRoot, n)
 		for i := range s.Roots {
-			r := &s.Roots[i]
-			if r.Name, rest, err = vm.ReadString(rest); err != nil {
-				return nil, fmt.Errorf("snapshot: decode root %d: %w", i, err)
-			}
-			var id uint64
-			if id, rest, err = vm.ReadUvarint(rest); err != nil {
-				return nil, fmt.Errorf("snapshot: decode root %d: %w", i, err)
-			}
-			r.ID = vm.ObjectID(id)
+			s.Roots[i] = vm.SnapshotRoot{Name: r.String(), ID: vm.ObjectID(r.Uvarint())}
 		}
 	}
-
-	count, rest, err = vm.ReadUvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: decode static count: %w", err)
-	}
-	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("snapshot: decode: static count %d exceeds %d remaining bytes", count, len(rest))
-	}
-	if count > 0 {
-		s.Statics = make([]vm.SnapshotStatic, count)
+	if n := r.Count(); n > 0 {
+		s.Statics = make([]vm.SnapshotStatic, n)
 		for i := range s.Statics {
 			ss := &s.Statics[i]
-			if ss.Class, rest, err = vm.ReadString(rest); err != nil {
-				return nil, fmt.Errorf("snapshot: decode static %d: %w", i, err)
-			}
-			var vals uint64
-			if vals, rest, err = vm.ReadUvarint(rest); err != nil {
-				return nil, fmt.Errorf("snapshot: decode static %d: %w", i, err)
-			}
-			if vals > uint64(len(rest)) {
-				return nil, fmt.Errorf("snapshot: decode: static %d value count %d exceeds %d remaining bytes", i, vals, len(rest))
-			}
-			if vals > 0 {
+			ss.Class = r.String()
+			if vals := r.Count(); vals > 0 {
 				ss.Values = make([]vm.Value, vals)
 				for j := range ss.Values {
-					if rest, err = decodeValue(&ss.Values[j], rest); err != nil {
-						return nil, fmt.Errorf("snapshot: decode static %d value %d: %w", i, j, err)
-					}
+					decodeValue(&ss.Values[j], &r)
 				}
 			}
 		}
 	}
-
-	count, rest, err = vm.ReadUvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: decode residual count: %w", err)
-	}
-	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("snapshot: decode: residual count %d exceeds %d remaining bytes", count, len(rest))
-	}
-	if count > 0 {
-		s.Residual = make([]vm.SnapshotResidual, count)
+	if n := r.Count(); n > 0 {
+		s.Residual = make([]vm.SnapshotResidual, n)
 		for i := range s.Residual {
 			sr := &s.Residual[i]
-			var id uint64
-			if id, rest, err = vm.ReadUvarint(rest); err != nil {
-				return nil, fmt.Errorf("snapshot: decode residual %d: %w", i, err)
-			}
-			sr.ID = vm.ObjectID(id)
-			if sr.Bytes, rest, err = vm.ReadVarint(rest); err != nil {
-				return nil, fmt.Errorf("snapshot: decode residual %d: %w", i, err)
-			}
-			var fields uint64
-			if fields, rest, err = vm.ReadUvarint(rest); err != nil {
-				return nil, fmt.Errorf("snapshot: decode residual %d: %w", i, err)
-			}
-			if fields > uint64(len(rest)) {
-				return nil, fmt.Errorf("snapshot: decode: residual %d field count %d exceeds %d remaining bytes", i, fields, len(rest))
-			}
-			if fields > 0 {
+			sr.ID = vm.ObjectID(r.Uvarint())
+			sr.Bytes = r.Varint()
+			if fields := r.Count(); fields > 0 {
 				sr.Names = make([]string, fields)
 				sr.Values = make([]vm.Value, fields)
 				for j := range sr.Names {
-					if sr.Names[j], rest, err = vm.ReadString(rest); err != nil {
-						return nil, fmt.Errorf("snapshot: decode residual %d field %d: %w", i, j, err)
-					}
-					if rest, err = decodeValue(&sr.Values[j], rest); err != nil {
-						return nil, fmt.Errorf("snapshot: decode residual %d field %d: %w", i, j, err)
-					}
+					sr.Names[j] = r.String()
+					decodeValue(&sr.Values[j], &r)
 				}
 			}
 		}
 	}
-
-	auxLen, rest, err := vm.ReadUvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: decode aux length: %w", err)
+	img := &Image{State: s, Aux: r.Bytes()}
+	if n := r.Len(); n != 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", n))
 	}
-	if auxLen > uint64(len(rest)) {
-		return nil, fmt.Errorf("snapshot: decode: aux length %d exceeds %d remaining bytes", auxLen, len(rest))
-	}
-	img := &Image{State: s}
-	if auxLen > 0 {
-		img.Aux = append([]byte(nil), rest[:auxLen]...)
-	}
-	rest = rest[auxLen:]
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("snapshot: decode: %d trailing bytes", len(rest))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("snapshot: decode: %w", err)
 	}
 	return img, nil
 }
 
-func decodeObject(so *vm.SnapshotObject, data []byte) ([]byte, error) {
-	id, rest, err := vm.ReadUvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	so.ID = vm.ObjectID(id)
-	if so.Class, rest, err = vm.ReadString(rest); err != nil {
-		return nil, err
-	}
-	if so.Size, rest, err = vm.ReadVarint(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) == 0 {
-		return nil, fmt.Errorf("truncated flags")
-	}
-	flags := rest[0]
-	rest = rest[1:]
+func decodeObject(so *vm.SnapshotObject, r *wire.Reader) {
+	so.ID = vm.ObjectID(r.Uvarint())
+	so.Class = r.String()
+	so.Size = r.Varint()
+	flags := r.Byte()
 	if flags&^byte(flagKnown) != 0 {
-		return nil, fmt.Errorf("unknown flag bits %#x", flags)
+		r.Fail(fmt.Errorf("unknown flag bits %#x", flags))
+		return
 	}
 	if flags&flagRemote != 0 {
 		so.Remote = true
-		var idx int64
-		if idx, rest, err = vm.ReadVarint(rest); err != nil {
-			return nil, err
-		}
-		so.PeerIdx = int(idx)
-		var pid uint64
-		if pid, rest, err = vm.ReadUvarint(rest); err != nil {
-			return nil, err
-		}
-		so.PeerID = vm.ObjectID(pid)
-		if so.RemoteSize, rest, err = vm.ReadVarint(rest); err != nil {
-			return nil, err
-		}
+		so.PeerIdx = int(r.Varint())
+		so.PeerID = vm.ObjectID(r.Uvarint())
+		so.RemoteSize = r.Varint()
 	}
 	if flags&flagExported != 0 {
-		if so.Exported, rest, err = vm.ReadVarint(rest); err != nil {
-			return nil, err
-		}
-		if so.Exported == 0 {
-			return nil, fmt.Errorf("non-canonical zero export pin")
+		if so.Exported = r.Varint(); so.Exported == 0 {
+			r.Fail(errZeroExport)
 		}
 	}
 	if flags&flagLazy != 0 {
-		var from int64
-		if from, rest, err = vm.ReadVarint(rest); err != nil {
-			return nil, err
-		}
-		so.LazyFrom = int(from)
-		var src uint64
-		if src, rest, err = vm.ReadUvarint(rest); err != nil {
-			return nil, err
-		}
-		so.LazySrc = vm.ObjectID(src)
+		so.LazyFrom = int(r.Varint())
+		so.LazySrc = vm.ObjectID(r.Uvarint())
 		if so.LazyFrom == 0 && so.LazySrc == 0 {
-			return nil, fmt.Errorf("non-canonical zero lazy provenance")
+			r.Fail(errZeroLazy)
 		}
 	}
 	if flags&flagFields != 0 {
-		var fields uint64
-		if fields, rest, err = vm.ReadUvarint(rest); err != nil {
-			return nil, err
+		n := r.Count()
+		if n == 0 {
+			r.Fail(errNoFields)
 		}
-		if fields == 0 {
-			return nil, fmt.Errorf("non-canonical empty field list")
-		}
-		if fields > uint64(len(rest)) {
-			return nil, fmt.Errorf("field count %d exceeds %d remaining bytes", fields, len(rest))
-		}
-		so.Fields = make([]vm.Value, fields)
+		so.Fields = make([]vm.Value, n)
 		for i := range so.Fields {
-			if rest, err = decodeValue(&so.Fields[i], rest); err != nil {
-				return nil, err
-			}
+			decodeValue(&so.Fields[i], r)
 		}
 	}
-	return rest, nil
 }
 
-func decodeValue(val *vm.Value, data []byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("truncated value")
-	}
-	*val = vm.Value{Kind: vm.ValueKind(data[0])}
-	rest := data[1:]
-	var err error
+func decodeValue(val *vm.Value, r *wire.Reader) {
+	*val = vm.Value{Kind: vm.ValueKind(r.Byte())}
 	switch val.Kind {
 	case vm.KindNil, vm.KindDeferred:
 	case vm.KindInt:
-		val.I, rest, err = vm.ReadVarint(rest)
+		val.I = r.Varint()
 	case vm.KindFloat:
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("truncated float")
-		}
-		val.F = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		rest = rest[8:]
+		val.F = r.Float()
 	case vm.KindBool:
-		if len(rest) < 1 {
-			return nil, fmt.Errorf("truncated bool")
-		}
-		val.B = rest[0] != 0
-		rest = rest[1:]
+		val.B = r.Bool()
 	case vm.KindString:
-		val.S, rest, err = vm.ReadString(rest)
+		val.S = r.String()
 	case vm.KindBytes:
-		var n uint64
-		n, rest, err = vm.ReadUvarint(rest)
-		if err == nil {
-			if n > uint64(len(rest)) {
-				return nil, fmt.Errorf("blob length %d exceeds %d remaining bytes", n, len(rest))
-			}
-			if n > 0 {
-				val.Bytes = append([]byte(nil), rest[:n]...)
-			}
-			rest = rest[n:]
-		}
+		val.Bytes = r.Bytes()
 	case vm.KindRef:
-		var id uint64
-		id, rest, err = vm.ReadUvarint(rest)
-		val.Ref = vm.ObjectID(id)
+		val.Ref = vm.ObjectID(r.Uvarint())
 	default:
-		return nil, fmt.Errorf("unknown value kind %d", val.Kind)
+		r.Fail(fmt.Errorf("unknown value kind %d", val.Kind))
 	}
-	if err != nil {
-		return nil, err
-	}
-	return rest, nil
 }

@@ -3,153 +3,45 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"sync/atomic"
+
+	"aide/internal/wire"
 )
 
-// Binary wire-codec hooks: the hand-rolled encoding of the VM's wire
-// types (WireValue, WireRef, MigratedObject), shared by the remote
-// module's message codec. Keeping the per-type encoders next to the type
-// definitions keeps the codec and the structs in one review unit; the
-// gobwire analyzer additionally pins each struct's field count against
-// the codec's contract (see internal/remote/codec.go).
-//
-// Encoding rules (DESIGN.md "Wire protocol"):
-//
-//   - unsigned counts and lengths are LEB128 uvarints,
-//   - signed integers are zigzag varints (encoding/binary.AppendVarint),
-//   - floats are 8-byte little-endian IEEE-754 bit patterns,
-//   - strings and byte blobs are uvarint length + raw bytes,
-//   - a decoded zero-length blob or list is canonicalized to nil, so
-//     encode(decode(encode(x))) is byte-identical to encode(x).
-
-// ReadUvarint decodes a uvarint from data, returning the value and the
-// remaining bytes.
-func ReadUvarint(data []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("vm: wire: truncated or oversized uvarint")
-	}
-	return x, data[n:], nil
-}
-
-// ReadVarint decodes a zigzag varint from data, returning the value and
-// the remaining bytes.
-func ReadVarint(data []byte) (int64, []byte, error) {
-	x, n := binary.Varint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("vm: wire: truncated or oversized varint")
-	}
-	return x, data[n:], nil
-}
-
-// UvarintSize returns the encoded size of x as a uvarint.
-func UvarintSize(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-// VarintSize returns the encoded size of x as a zigzag varint.
-func VarintSize(x int64) int {
-	return UvarintSize(uint64(x)<<1 ^ uint64(x>>63))
-}
-
-// AppendString appends a uvarint-length-prefixed string.
-func AppendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// StringSize returns the encoded size of s.
-func StringSize(s string) int {
-	return UvarintSize(uint64(len(s))) + len(s)
-}
-
-// ReadString decodes a length-prefixed string. The returned string is a
-// copy (or an interned equal); it never aliases data.
-func ReadString(data []byte) (string, []byte, error) {
-	n, rest, err := ReadUvarint(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("vm: wire: string length %d exceeds %d remaining bytes", n, len(rest))
-	}
-	return internBytes(rest[:n]), rest[n:], nil
-}
-
-// Short-string interning for the decode path: wire traffic repeats the
-// same method, class, and field names endlessly — a pipelined frame
-// would otherwise allocate one copy per call. The cache is a small
-// direct-mapped table of atomically published strings; collisions just
-// fall back to a fresh copy, and concurrent decoders (one per peer)
-// race benignly on publication.
-const internMaxLen = 32
-
-var internTab [512]atomic.Pointer[string]
-
-func internBytes(b []byte) string {
-	if len(b) == 0 || len(b) > internMaxLen {
-		return string(b)
-	}
-	h := uint32(2166136261) // FNV-1a
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	slot := &internTab[h%uint32(len(internTab))]
-	if p := slot.Load(); p != nil && *p == string(b) {
-		return *p
-	}
-	s := string(b)
-	slot.Store(&s)
-	return s
-}
+// Binary wire form of the VM's wire types (WireValue, WireRef,
+// MigratedObject), embedded by the remote module's message codec. Each
+// type's AppendWire, WireLen and ReadWire sit next to each other so the
+// codec and the structs are one review unit; the wirecheck analyzer
+// additionally pins each struct's field count against the codec's
+// contract (see internal/remote/codec.go). Primitives, their failure
+// modes and the encoding rules are internal/wire's.
 
 // AppendWire appends the reference's binary wire form: a locality byte,
 // the zigzag-varint ID, and — for sender-namespace references only — the
 // class name the receiver needs to type its stub.
 func (r *WireRef) AppendWire(buf []byte) []byte {
-	if r.ReceiverLocal {
-		buf = append(buf, 1)
-		return binary.AppendVarint(buf, int64(r.ID))
-	}
-	buf = append(buf, 0)
+	buf = wire.AppendBool(buf, r.ReceiverLocal)
 	buf = binary.AppendVarint(buf, int64(r.ID))
-	return AppendString(buf, r.Class)
+	if !r.ReceiverLocal {
+		buf = wire.AppendString(buf, r.Class)
+	}
+	return buf
 }
 
 // WireLen returns the exact encoded size of the reference.
 func (r *WireRef) WireLen() int {
-	n := 1 + VarintSize(int64(r.ID))
+	n := 1 + wire.VarintSize(int64(r.ID))
 	if !r.ReceiverLocal {
-		n += StringSize(r.Class)
+		n += wire.StringSize(r.Class)
 	}
 	return n
 }
 
-// DecodeWireRef decodes one WireRef, returning the remaining bytes.
-func DecodeWireRef(data []byte) (WireRef, []byte, error) {
-	if len(data) == 0 {
-		return WireRef{}, nil, fmt.Errorf("vm: wire: truncated ref")
-	}
-	var r WireRef
-	r.ReceiverLocal = data[0] != 0
-	id, rest, err := ReadVarint(data[1:])
-	if err != nil {
-		return WireRef{}, nil, err
-	}
-	r.ID = ObjectID(id)
+// ReadWire decodes one WireRef in place.
+func (r *WireRef) ReadWire(rd *wire.Reader) {
+	*r = WireRef{ReceiverLocal: rd.Bool(), ID: ObjectID(rd.Varint())}
 	if !r.ReceiverLocal {
-		r.Class, rest, err = ReadString(rest)
-		if err != nil {
-			return WireRef{}, nil, err
-		}
+		r.Class = rd.String()
 	}
-	return r, rest, nil
 }
 
 // AppendWire appends the value's binary wire form: a kind byte followed
@@ -161,18 +53,13 @@ func (w *WireValue) AppendWire(buf []byte) []byte {
 	case KindInt:
 		buf = binary.AppendVarint(buf, w.I)
 	case KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.F))
+		buf = wire.AppendFloat(buf, w.F)
 	case KindBool:
-		if w.B {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = wire.AppendBool(buf, w.B)
 	case KindString:
-		buf = AppendString(buf, w.S)
+		buf = wire.AppendString(buf, w.S)
 	case KindBytes:
-		buf = binary.AppendUvarint(buf, uint64(len(w.Bytes)))
-		buf = append(buf, w.Bytes...)
+		buf = wire.AppendBytes(buf, w.Bytes)
 	case KindRef:
 		buf = w.Ref.AppendWire(buf)
 	}
@@ -183,15 +70,15 @@ func (w *WireValue) AppendWire(buf []byte) []byte {
 func (w *WireValue) WireLen() int {
 	switch w.Kind {
 	case KindInt:
-		return 1 + VarintSize(w.I)
+		return 1 + wire.VarintSize(w.I)
 	case KindFloat:
 		return 1 + 8
 	case KindBool:
 		return 1 + 1
 	case KindString:
-		return 1 + StringSize(w.S)
+		return 1 + wire.StringSize(w.S)
 	case KindBytes:
-		return 1 + UvarintSize(uint64(len(w.Bytes))) + len(w.Bytes)
+		return 1 + wire.UvarintSize(uint64(len(w.Bytes))) + len(w.Bytes)
 	case KindRef:
 		return 1 + w.Ref.WireLen()
 	default:
@@ -199,79 +86,36 @@ func (w *WireValue) WireLen() int {
 	}
 }
 
-// DecodeWireValue decodes one WireValue, returning the remaining bytes.
-// Byte payloads are copied; the result does not alias data.
-func DecodeWireValue(data []byte) (WireValue, []byte, error) {
-	var w WireValue
-	rest, err := DecodeWireValueInto(&w, data)
-	return w, rest, err
-}
-
-// DecodeWireValueInto decodes one WireValue in place, returning the
-// remaining bytes. Decode loops use it to fill slice elements directly
-// instead of copying the ~90-byte struct through a return value (the RPC
-// hot path; a pipelined frame decodes dozens of values per message). On
-// error *w is the zero value, matching DecodeWireValue.
-func DecodeWireValueInto(w *WireValue, data []byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("vm: wire: truncated value")
-	}
-	*w = WireValue{Kind: ValueKind(data[0])}
-	rest := data[1:]
-	var err error
+// ReadWire decodes one WireValue in place, so decode loops fill slice
+// elements directly instead of copying the ~90-byte struct through a
+// return value (the RPC hot path; a pipelined frame decodes dozens of
+// values per message). Byte payloads are copied out of the reader.
+func (w *WireValue) ReadWire(r *wire.Reader) {
+	*w = WireValue{Kind: ValueKind(r.Byte())}
 	switch w.Kind {
-	case KindNil:
+	case KindNil, KindDeferred:
+		// No payload: KindDeferred's kind byte alone marks a withheld field.
 	case KindInt:
-		w.I, rest, err = ReadVarint(rest)
+		w.I = r.Varint()
 	case KindFloat:
-		if len(rest) < 8 {
-			*w = WireValue{}
-			return nil, fmt.Errorf("vm: wire: truncated float")
-		}
-		w.F = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		rest = rest[8:]
+		w.F = r.Float()
 	case KindBool:
-		if len(rest) < 1 {
-			*w = WireValue{}
-			return nil, fmt.Errorf("vm: wire: truncated bool")
-		}
-		w.B = rest[0] != 0
-		rest = rest[1:]
+		w.B = r.Bool()
 	case KindString:
-		w.S, rest, err = ReadString(rest)
+		w.S = r.String()
 	case KindBytes:
-		var n uint64
-		n, rest, err = ReadUvarint(rest)
-		if err == nil {
-			if n > uint64(len(rest)) {
-				*w = WireValue{}
-				return nil, fmt.Errorf("vm: wire: blob length %d exceeds %d remaining bytes", n, len(rest))
-			}
-			if n > 0 {
-				w.Bytes = append([]byte(nil), rest[:n]...)
-			}
-			rest = rest[n:]
-		}
+		w.Bytes = r.Bytes()
 	case KindRef:
-		w.Ref, rest, err = DecodeWireRef(rest)
-	case KindDeferred:
-		// No payload: the kind byte alone marks a withheld field.
+		w.Ref.ReadWire(r)
 	default:
-		kind := w.Kind
-		*w = WireValue{}
-		return nil, fmt.Errorf("vm: wire: unknown value kind %d", kind)
+		r.Fail(fmt.Errorf("vm: wire: unknown value kind %d", w.Kind))
 	}
-	if err != nil {
-		*w = WireValue{}
-		return nil, err
-	}
-	return rest, nil
 }
 
 // AppendWire appends the migrated object's binary wire form.
 func (m *MigratedObject) AppendWire(buf []byte) []byte {
 	buf = binary.AppendVarint(buf, int64(m.SenderID))
-	buf = AppendString(buf, m.Class)
+	buf = wire.AppendString(buf, m.Class)
 	buf = binary.AppendVarint(buf, m.Size)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Fields)))
 	for i := range m.Fields {
@@ -282,49 +126,24 @@ func (m *MigratedObject) AppendWire(buf []byte) []byte {
 
 // WireLen returns the exact encoded size of the migrated object.
 func (m *MigratedObject) WireLen() int {
-	n := VarintSize(int64(m.SenderID)) + StringSize(m.Class) + VarintSize(m.Size)
-	n += UvarintSize(uint64(len(m.Fields)))
+	n := wire.VarintSize(int64(m.SenderID)) + wire.StringSize(m.Class) + wire.VarintSize(m.Size)
+	n += wire.UvarintSize(uint64(len(m.Fields)))
 	for i := range m.Fields {
 		n += m.Fields[i].WireLen()
 	}
 	return n
 }
 
-// DecodeMigratedObject decodes one MigratedObject, returning the
-// remaining bytes.
-func DecodeMigratedObject(data []byte) (MigratedObject, []byte, error) {
-	var m MigratedObject
-	id, rest, err := ReadVarint(data)
-	if err != nil {
-		return MigratedObject{}, nil, err
-	}
-	m.SenderID = ObjectID(id)
-	m.Class, rest, err = ReadString(rest)
-	if err != nil {
-		return MigratedObject{}, nil, err
-	}
-	m.Size, rest, err = ReadVarint(rest)
-	if err != nil {
-		return MigratedObject{}, nil, err
-	}
-	n, rest, err := ReadUvarint(rest)
-	if err != nil {
-		return MigratedObject{}, nil, err
-	}
-	// Every encoded field occupies at least one byte, so a count beyond
-	// the remaining bytes is corrupt — reject it before allocating.
-	if n > uint64(len(rest)) {
-		return MigratedObject{}, nil, fmt.Errorf("vm: wire: field count %d exceeds %d remaining bytes", n, len(rest))
-	}
-	if n > 0 {
+// ReadWire decodes one MigratedObject in place; a fieldless object
+// decodes with nil Fields.
+func (m *MigratedObject) ReadWire(r *wire.Reader) {
+	*m = MigratedObject{SenderID: ObjectID(r.Varint()), Class: r.String(), Size: r.Varint()}
+	if n := r.Count(); n > 0 {
 		m.Fields = make([]WireValue, n)
 		for i := range m.Fields {
-			if rest, err = DecodeWireValueInto(&m.Fields[i], rest); err != nil {
-				return MigratedObject{}, nil, err
-			}
+			m.Fields[i].ReadWire(r)
 		}
 	}
-	return m, rest, nil
 }
 
 // ExportCount reports how many export pins the peers currently hold on a

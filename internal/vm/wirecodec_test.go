@@ -1,8 +1,12 @@
 package vm
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"aide/internal/wire"
 )
 
 // wireValues is one of each encodable kind, including both WireRef
@@ -26,21 +30,6 @@ func wireValues() []WireValue {
 	}
 }
 
-func wireEq(a, b WireValue) bool {
-	if a.Kind != b.Kind || a.I != b.I || a.F != b.F || a.B != b.B || a.S != b.S {
-		return false
-	}
-	if len(a.Bytes) != len(b.Bytes) {
-		return false
-	}
-	for i := range a.Bytes {
-		if a.Bytes[i] != b.Bytes[i] {
-			return false
-		}
-	}
-	return a.Ref == b.Ref
-}
-
 func TestWireValueRoundTrip(t *testing.T) {
 	for _, w := range wireValues() {
 		buf := w.AppendWire(nil)
@@ -48,15 +37,17 @@ func TestWireValueRoundTrip(t *testing.T) {
 			t.Errorf("%+v: encoded %d bytes, WireLen says %d", w, len(buf), w.WireLen())
 		}
 		// Trailing bytes must be left untouched for the next decoder.
-		got, rest, err := DecodeWireValue(append(buf, 0xAA))
-		if err != nil {
+		r := wire.NewReader(append(buf, 0xAA))
+		var got WireValue
+		got.ReadWire(&r)
+		if err := r.Err(); err != nil {
 			t.Errorf("%+v: decode: %v", w, err)
 			continue
 		}
-		if len(rest) != 1 || rest[0] != 0xAA {
-			t.Errorf("%+v: decoder consumed the wrong span, rest=%v", w, rest)
+		if r.Len() != 1 || r.Byte() != 0xAA {
+			t.Errorf("%+v: decoder consumed the wrong span", w)
 		}
-		if !wireEq(got, w) {
+		if !reflect.DeepEqual(got, w) {
 			t.Errorf("round trip changed %+v -> %+v", w, got)
 		}
 		// Re-encoding the decoded value is byte-identical (canonical form).
@@ -77,9 +68,11 @@ func TestWireRefRoundTrip(t *testing.T) {
 		if len(buf) != r.WireLen() {
 			t.Errorf("%+v: encoded %d bytes, WireLen says %d", r, len(buf), r.WireLen())
 		}
-		got, rest, err := DecodeWireRef(buf)
-		if err != nil || len(rest) != 0 {
-			t.Errorf("%+v: decode err=%v rest=%v", r, err, rest)
+		rd := wire.NewReader(buf)
+		got := WireRef{ID: 5, Class: "stale"} // ReadWire overwrites, never merges
+		got.ReadWire(&rd)
+		if rd.Err() != nil || rd.Len() != 0 {
+			t.Errorf("%+v: decode err=%v rest=%d", r, rd.Err(), rd.Len())
 			continue
 		}
 		if got != r {
@@ -99,85 +92,76 @@ func TestMigratedObjectRoundTrip(t *testing.T) {
 	if len(buf) != m.WireLen() {
 		t.Fatalf("encoded %d bytes, WireLen says %d", len(buf), m.WireLen())
 	}
-	got, rest, err := DecodeMigratedObject(buf)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode err=%v rest=%v", err, rest)
+	r := wire.NewReader(buf)
+	var got MigratedObject
+	got.ReadWire(&r)
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("decode err=%v rest=%d", r.Err(), r.Len())
 	}
 	if got.SenderID != m.SenderID || got.Class != m.Class || got.Size != m.Size || len(got.Fields) != len(m.Fields) {
 		t.Fatalf("round trip changed header: %+v", got)
 	}
 	for i := range m.Fields {
-		if !wireEq(got.Fields[i], m.Fields[i]) {
+		if !reflect.DeepEqual(got.Fields[i], m.Fields[i]) {
 			t.Fatalf("field %d changed: %+v -> %+v", i, m.Fields[i], got.Fields[i])
 		}
 	}
 
 	// Fieldless objects canonicalize to a nil slice.
 	empty := MigratedObject{SenderID: 1, Class: "Keep", Size: 8}
-	got, _, err = DecodeMigratedObject(empty.AppendWire(nil))
-	if err != nil || got.Fields != nil {
-		t.Fatalf("empty object: err=%v fields=%v", err, got.Fields)
+	r = wire.NewReader(empty.AppendWire(nil))
+	got.ReadWire(&r)
+	if r.Err() != nil || got.Fields != nil {
+		t.Fatalf("empty object: err=%v fields=%v", r.Err(), got.Fields)
 	}
+}
+
+// readErr runs one in-place decoder over data and returns the reader's
+// verdict.
+func readErr(data []byte, read func(*wire.Reader)) error {
+	r := wire.NewReader(data)
+	read(&r)
+	return r.Err()
 }
 
 // TestWireDecodeTruncation feeds every decoder every strict prefix of a
 // valid encoding: all must error, none may panic or succeed.
 func TestWireDecodeTruncation(t *testing.T) {
 	m := MigratedObject{SenderID: 300, Class: "Node", Size: 1024, Fields: wireValues()}
-	full := m.AppendWire(nil)
-	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := DecodeMigratedObject(full[:cut]); err == nil {
-			t.Fatalf("DecodeMigratedObject accepted a %d/%d-byte prefix", cut, len(full))
-		}
+	type tcase struct {
+		full []byte
+		read func(*wire.Reader)
+	}
+	cases := []tcase{
+		{m.AppendWire(nil), new(MigratedObject).ReadWire},
+		{(&WireRef{ID: 99, Class: "Doc"}).AppendWire(nil), new(WireRef).ReadWire},
 	}
 	for _, w := range wireValues() {
-		buf := w.AppendWire(nil)
-		for cut := 0; cut < len(buf); cut++ {
-			if _, _, err := DecodeWireValue(buf[:cut]); err == nil {
-				t.Fatalf("DecodeWireValue accepted a %d/%d-byte prefix of %+v", cut, len(buf), w)
-			}
-		}
+		cases = append(cases, tcase{w.AppendWire(nil), new(WireValue).ReadWire})
 	}
-	r := WireRef{ID: 99, Class: "Doc"}
-	buf := r.AppendWire(nil)
-	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeWireRef(buf[:cut]); err == nil {
-			t.Fatalf("DecodeWireRef accepted a %d/%d-byte prefix", cut, len(buf))
+	for _, tc := range cases {
+		for cut := 0; cut < len(tc.full); cut++ {
+			if readErr(tc.full[:cut], tc.read) == nil {
+				t.Fatalf("accepted a %d-byte prefix of %x", cut, tc.full)
+			}
 		}
 	}
 }
 
+// TestWireDecodeMalformed covers what is this format's own to reject;
+// the primitive matrix (over-long varints, lengths past the end) is
+// internal/wire's.
 func TestWireDecodeMalformed(t *testing.T) {
-	// Unknown value kind.
-	if _, _, err := DecodeWireValue([]byte{0x7F}); err == nil || !strings.Contains(err.Error(), "unknown value kind") {
+	if err := readErr([]byte{0x7F}, new(WireValue).ReadWire); err == nil || !strings.Contains(err.Error(), "unknown value kind") {
 		t.Fatalf("unknown kind: err = %v", err)
 	}
-	// Oversized uvarint (11 continuation bytes).
-	over := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}
-	if _, _, err := ReadUvarint(over); err == nil {
-		t.Fatal("oversized uvarint must error")
-	}
-	if _, _, err := ReadVarint(over); err == nil {
-		t.Fatal("oversized varint must error")
-	}
-	// String length past the end of the buffer.
-	if _, _, err := ReadString([]byte{0x05, 'a'}); err == nil {
-		t.Fatal("string length beyond buffer must error")
-	}
 	// Blob length past the end of the buffer.
-	if _, _, err := DecodeWireValue([]byte{byte(KindBytes), 0x05, 1}); err == nil {
-		t.Fatal("blob length beyond buffer must error")
+	if err := readErr([]byte{byte(KindBytes), 0x05, 1}, new(WireValue).ReadWire); !errors.Is(err, wire.ErrCount) {
+		t.Fatalf("blob length beyond buffer: err = %v", err)
 	}
 	// Field count past the end of the buffer: SenderID 0, empty class,
 	// size 0, then a huge count with no payload.
-	if _, _, err := DecodeMigratedObject([]byte{0x00, 0x00, 0x00, 0x40}); err == nil || !strings.Contains(err.Error(), "field count") {
+	if err := readErr([]byte{0x00, 0x00, 0x00, 0x40}, new(MigratedObject).ReadWire); !errors.Is(err, wire.ErrCount) {
 		t.Fatalf("oversized field count: err = %v", err)
-	}
-	// Varint sizes agree with the encoder for boundary values.
-	for _, x := range []int64{0, -1, 63, 64, -65, 1 << 20, -(1 << 40)} {
-		buf := (&WireValue{Kind: KindInt, I: x}).AppendWire(nil)
-		if len(buf) != 1+VarintSize(x) {
-			t.Fatalf("VarintSize(%d) = %d, encoder used %d", x, VarintSize(x), len(buf)-1)
-		}
 	}
 }
