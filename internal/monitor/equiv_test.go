@@ -1,0 +1,228 @@
+package monitor_test
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"aide/internal/apps"
+	"aide/internal/graph"
+	"aide/internal/monitor"
+	"aide/internal/trace"
+	"aide/internal/vm"
+)
+
+// recorded shares one recording of each Table-1 application between the
+// tests of this file.
+var recorded = apps.NewCache()
+
+func table1(t *testing.T) []*trace.Trace {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("records the five Table-1 applications")
+	}
+	var out []*trace.Trace
+	for _, spec := range apps.All() {
+		tr, err := recorded.Get(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tr)
+	}
+	return out
+}
+
+// traceMeta is the trace's class table as a ClassMetaFunc: what Feed
+// applies from the table, a by-name monitor is told at interning.
+func traceMeta(tr *trace.Trace) monitor.ClassMetaFunc {
+	byName := map[string]monitor.ClassMeta{}
+	for _, c := range tr.Classes {
+		byName[c.Name] = monitor.ClassMeta{Pinned: c.Pinned, Array: c.Array, Stateless: c.Stateless}
+	}
+	return func(name string) monitor.ClassMeta { return byName[name] }
+}
+
+// hook delivers one trace event through the by-name hooks, the way the VM
+// that recorded it did.
+func hook(m *monitor.Monitor, tr *trace.Trace, e *trace.Event) {
+	caller, callee := tr.Class(e.Caller).Name, tr.Class(e.Callee).Name
+	switch e.Kind {
+	case trace.KindInvoke:
+		m.OnInvoke(caller, callee, "", vm.ObjectID(e.Obj), e.Bytes, 0, e.SelfTime, e.Native, e.Stateless)
+	case trace.KindAccess:
+		m.OnAccess(caller, callee, vm.ObjectID(e.Obj), e.Bytes)
+	case trace.KindCreate:
+		m.OnCreate(callee, vm.ObjectID(e.Obj), e.Bytes)
+	case trace.KindDelete:
+		m.OnDelete(callee, vm.ObjectID(e.Obj), e.Bytes)
+	case trace.KindGC:
+		m.OnGC(e.Free, e.Capacity, e.Freed)
+	}
+}
+
+// books is everything a monitor knows, keyed by class name so that two
+// monitors that interned in different orders still compare; order holds
+// the names in NodeID order for the comparisons where that must agree too.
+type books struct {
+	order  []string
+	nodes  map[string]graph.Node
+	edges  map[[2]string]graph.Edge
+	events int64
+	counts [5]int64
+}
+
+func booksOf(m *monitor.Monitor) books {
+	b := books{nodes: map[string]graph.Node{}, edges: map[[2]string]graph.Edge{}, events: m.Events()}
+	b.counts[0], b.counts[1], b.counts[2], b.counts[3], b.counts[4] = m.Counts()
+	g := m.Live()
+	for _, n := range g.Nodes() {
+		b.order = append(b.order, n.Name)
+		c := *n
+		c.ID = 0
+		b.nodes[n.Name] = c
+	}
+	g.EdgesFunc(func(e *graph.Edge) {
+		k := [2]string{g.Node(e.A).Name, g.Node(e.B).Name}
+		if k[0] > k[1] {
+			k[0], k[1] = k[1], k[0]
+		}
+		c := *e
+		c.A, c.B = 0, 0
+		b.edges[k] = c
+	})
+	return b
+}
+
+// unordered drops what depends on how concurrent sources interleaved:
+// NodeID order, and the peak of each class's memory.
+func unordered(b books) books {
+	b.order = nil
+	for name, n := range b.nodes {
+		n.PeakMemory = 0
+		b.nodes[name] = n
+	}
+	return b
+}
+
+func requireSameBooks(t *testing.T, what string, got, want books) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	if !reflect.DeepEqual(got.order, want.order) {
+		t.Errorf("%s: node order differs:\n got %v\nwant %v", what, got.order, want.order)
+	}
+	for name, w := range want.nodes {
+		if g := got.nodes[name]; g != w {
+			t.Errorf("%s: node %s: got %+v, want %+v", what, name, g, w)
+		}
+	}
+	for k, w := range want.edges {
+		if g := got.edges[k]; g != w {
+			t.Errorf("%s: edge %v: got %+v, want %+v", what, k, g, w)
+		}
+	}
+	t.Fatalf("%s: books differ: %d/%d nodes, %d/%d edges, events %d/%d, counts %v/%v", what,
+		len(got.nodes), len(want.nodes), len(got.edges), len(want.edges), got.events, want.events, got.counts, want.counts)
+}
+
+// TestFeedEqualsHooks: a trace replayed through Feed and the same events
+// delivered through the by-name hooks are one accumulation — same nodes
+// in the same order with the same flags and weights, same edges, same
+// clock. Flushing both at the same events makes the decayed Hot scores
+// comparable bit for bit.
+func TestFeedEqualsHooks(t *testing.T) {
+	for _, tr := range table1(t) {
+		for _, opts := range [][]monitor.Option{nil, {monitor.WithDecay(5000)}} {
+			fed, hooked := monitor.New(nil, opts...), monitor.New(traceMeta(tr), opts...)
+			for i := range tr.Events {
+				fed.Feed(tr, &tr.Events[i])
+				hook(hooked, tr, &tr.Events[i])
+				if i%20000 == 0 {
+					fed.Flush()
+					hooked.Flush()
+				}
+			}
+			requireSameBooks(t, fmt.Sprintf("%s, %d options", tr.App, len(opts)), booksOf(fed), booksOf(hooked))
+		}
+	}
+}
+
+// feedAll replays each part from its own goroutine into one monitor.
+func feedAll(m *monitor.Monitor, trs []*trace.Trace, parts [][]trace.Event) {
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func(tr *trace.Trace, evs []trace.Event) {
+			defer wg.Done()
+			for j := range evs {
+				m.Feed(tr, &evs[j])
+			}
+		}(trs[i], parts[i])
+	}
+	wg.Wait()
+}
+
+// TestConcurrentFeedEqualsSerial: two goroutines feeding two different
+// traces, or the two halves of one, through the trace bindings leave the
+// books serial feeding leaves.
+func TestConcurrentFeedEqualsSerial(t *testing.T) {
+	trs := table1(t)
+	a, b := trs[1], trs[2]
+
+	serial, both := monitor.New(nil), monitor.New(nil)
+	feedAll(serial, []*trace.Trace{a}, [][]trace.Event{a.Events})
+	feedAll(serial, []*trace.Trace{b}, [][]trace.Event{b.Events})
+	feedAll(both, []*trace.Trace{a, b}, [][]trace.Event{a.Events, b.Events})
+	requireSameBooks(t, "two traces", unordered(booksOf(both)), unordered(booksOf(serial)))
+
+	serial, both = monitor.New(nil), monitor.New(nil)
+	feedAll(serial, []*trace.Trace{a}, [][]trace.Event{a.Events})
+	half := len(a.Events) / 2
+	feedAll(both, []*trace.Trace{a, a}, [][]trace.Event{a.Events[:half], a.Events[half:]})
+	requireSameBooks(t, "two halves of one trace", unordered(booksOf(both)), unordered(booksOf(serial)))
+}
+
+// TestFeedFollowsAGrowingTrace: a trace whose recorder is still appending
+// grows its class table between Feed calls; the binding must pick the new
+// classes up.
+func TestFeedFollowsAGrowingTrace(t *testing.T) {
+	meta := func(name string) monitor.ClassMeta { return monitor.ClassMeta{Pinned: name == "K2"} }
+	src, dst := monitor.New(meta), monitor.New(nil)
+	rec := monitor.NewRecorder("growing", 1<<20, meta)
+	src.SetRecorder(rec)
+	tr, fed := rec.Trace(), 0
+	for round := 0; round < 4; round++ {
+		k, l := fmt.Sprintf("K%d", round), fmt.Sprintf("L%d", round)
+		src.OnCreate(k, vm.ObjectID(round), 100)
+		src.OnInvoke(k, l, "m", vm.ObjectID(round), 10, 6, time.Microsecond, false, false)
+		src.OnAccess(l, "K0", 0, 8)
+		for ; fed < len(tr.Events); fed++ {
+			dst.Feed(tr, &tr.Events[fed])
+		}
+	}
+	if len(tr.Classes) != 8 {
+		t.Fatalf("recorded %d classes, want 8", len(tr.Classes))
+	}
+	requireSameBooks(t, "growing trace", booksOf(dst), booksOf(src))
+}
+
+// TestFeedInvokeWithoutCaller: an invoke whose Caller is outside the
+// class table has no caller — it is a self-sourced entry invocation.
+func TestFeedInvokeWithoutCaller(t *testing.T) {
+	tr := &trace.Trace{Classes: []trace.ClassInfo{{Name: "main"}, {Name: "doc"}}}
+	m := monitor.New(nil)
+	for _, caller := range []trace.ClassID{-1, 7, 1} {
+		m.Feed(tr, &trace.Event{Kind: trace.KindInvoke, Caller: caller, Callee: 0, Bytes: 24, SelfTime: time.Millisecond})
+	}
+	g := m.Live()
+	main, _ := g.Lookup("main")
+	if main == nil || main.CPUTime != 3*time.Millisecond || g.Len() != 2 || g.EdgeCount() != 1 {
+		t.Fatalf("main = %+v, %d nodes, %d edges; want 3ms of CPU, main and doc, and the one edge between them", main, g.Len(), g.EdgeCount())
+	}
+	if inv, _, _, _, _ := m.Counts(); inv != 3 || m.Events() != 3 {
+		t.Fatalf("counted %d invocations, %d events; want 3 and 3", inv, m.Events())
+	}
+}

@@ -8,17 +8,27 @@
 // consumes. The same aggregation code also replays recorded traces, which
 // is how the emulator drives the shared modules (paper §4).
 //
-// Ingestion is striped: events land in per-shard delta maps (classes by
-// ID, class pairs by pair hash) behind independent mutexes, with a
-// lock-free interner resolving class names, so concurrent event sources
-// never serialize on one global lock. Shard deltas merge into the base
-// graph only when a snapshot is taken (Graph, Delta, Live, Flush) —
-// integer merges commute, so the result is independent of shard order and
-// bit-identical to serial ingestion. The merged graph tracks a dirty set,
-// and Delta hands the partitioner only what changed since its last pull.
+// A class is resolved to its graph.NodeID once per source, not once per
+// event: the by-name hooks (vm.Hooks) through a copy-on-write intern
+// table, Feed through a per-trace binding indexed by trace.ClassID — each
+// in its own order, because NodeIDs follow first sight and that order is
+// part of every golden. Both then call one by-ID core (invoke, access,
+// lifecycle), the only code that accumulates and records.
+//
+// Ingestion is striped: the core adds into per-shard deltas (classes in a
+// dense slice by ID, class pairs in a map keyed by the packed pair)
+// behind independent mutexes, so concurrent event sources never
+// serialize on one global lock. Shard deltas merge into the base graph
+// only when a snapshot is taken (Graph, Delta, Live, Flush) and the merge
+// walks only what the window touched — integer merges commute, so the
+// result is independent of shard order and bit-identical to serial
+// ingestion. The merged graph tracks a dirty set, and Delta hands the
+// partitioner only what changed since its last pull.
 package monitor
 
 import (
+	"maps"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +51,7 @@ type ClassMeta struct {
 	Stateless bool
 }
 
-// bits packs the metadata for the lock-free flag fast path.
+// bits packs the metadata so that applying it is an OR.
 func (c ClassMeta) bits() uint32 {
 	var b uint32
 	if c.Pinned {
@@ -65,9 +75,9 @@ type GCListener func(free, capacity int64, freed bool)
 
 // stripes is the ingestion stripe count: a power of two so the shard
 // pick is a mask, and sized so 8–16 concurrent event sources rarely
-// collide. Measured on 2 cores against one stripe (EXPERIMENTS.md): even
-// with 1 source, 1.3× with 2, 1.2× with 8 — so it is a constant, not an
-// option.
+// collide. Measured on 2 cores against one stripe (EXPERIMENTS.md): 49 vs
+// 49 ns/event with 1 source, 30 vs 50-62 ns of wall per event with 2 — so
+// it is a constant, not an option.
 const stripes = 16
 
 // Option configures a Monitor at construction.
@@ -84,28 +94,34 @@ func WithDecay(halfLifeEvents float64) Option {
 	return func(m *Monitor) { m.halfLife = halfLifeEvents }
 }
 
-// nodeShard stripes per-class lifecycle deltas. The event-kind counters
-// live here too, bumped under the shard mutex the event already takes —
-// a single shared atomic counter would put every stripe back on one
-// cache line and cap throughput at its ping-pong rate.
-type nodeShard struct {
-	mu    sync.Mutex
-	nodes map[graph.NodeID]*nodeDelta
-	ctr   counts
-	_     [32]byte // keep neighboring shard mutexes off one cache line
-}
-
-// counts is the per-shard slice of the monitor's event-kind totals.
-type counts struct {
-	events, inv, acc, creates, deletes int64
-}
+// counts is one shard's slice of the monitor's event totals, indexed by
+// trace.EventKind (invoke to delete); their sum, plus the GC reports, is
+// the event-time clock. Slot 0 is never read: it takes the adds that
+// belong to an event counted elsewhere.
+type counts [trace.KindDelete + 1]int64
 
 func (c *counts) add(o counts) {
-	c.events += o.events
-	c.inv += o.inv
-	c.acc += o.acc
-	c.creates += o.creates
-	c.deletes += o.deletes
+	for k := range c {
+		c[k] += o[k]
+	}
+}
+
+func (c counts) events() int64 {
+	return c[trace.KindInvoke] + c[trace.KindAccess] + c[trace.KindCreate] + c[trace.KindDelete]
+}
+
+// nodeShard stripes per-class lifecycle deltas: class id lives in shard
+// id&mask at index id>>shift, so the slice is dense; touched lists what
+// the window wrote, so a flush walks only that. The event-kind counters
+// live here too, bumped under the shard mutex the event already takes —
+// one shared atomic counter would put every stripe back on one cache line
+// and cap throughput at its ping-pong rate.
+type nodeShard struct {
+	mu      sync.Mutex
+	nodes   []nodeDelta
+	touched []int32
+	ctr     counts
+	_       [32]byte // keep neighboring shard mutexes off one cache line
 }
 
 // nodeDelta accumulates one class's events since the last flush. mem is
@@ -115,14 +131,16 @@ type nodeDelta struct {
 	mem, live, total int64
 	peakRise         int64
 	cpu              time.Duration
+	touched          bool
 }
 
-// edgeShard stripes per-class-pair interaction deltas. Cross-class
-// events bump their kind counters here, under the one shard mutex the
-// event already takes, so the hot path costs a single lock round.
+// edgeShard stripes per-class-pair interaction deltas, keyed by the pair
+// packed into one word (A<<32 | B, A < B) — the runtime's 64-bit map fast
+// path. Cross-class events bump their kind counters here, under the one
+// shard mutex the event already takes, so they cost a single lock round.
 type edgeShard struct {
 	mu    sync.Mutex
-	edges map[graph.EdgeKey]*edgeDelta
+	edges map[uint64]*edgeDelta
 	ctr   counts
 	_     [32]byte
 }
@@ -133,11 +151,27 @@ type edgeDelta struct {
 	inv, acc, bytes int64
 }
 
-// pendingClass is a class interned since the last flush, in ID order.
-type pendingClass struct {
-	id   graph.NodeID
-	name string
-	meta ClassMeta
+// noNode is "no class": the caller of an invocation that has none.
+const noNode graph.NodeID = -1
+
+// classTable is one immutable snapshot of the intern table. Snapshots
+// share names: a reader indexes below its own length, appends write above.
+type classTable struct {
+	ids   map[string]graph.NodeID
+	names []string // by NodeID
+}
+
+// traceBinding resolves one trace's dense ClassIDs to this monitor's
+// NodeIDs. A slot holds NodeID+1, or 0 until the class is first seen;
+// slots are atomic so that several goroutines can feed one trace.
+type traceBinding struct {
+	t     *trace.Trace
+	nodes []atomic.Int32 // by trace.ClassID
+}
+
+// fieldKey identifies one instance field for the heat table.
+type fieldKey struct {
+	class, field string
 }
 
 // Monitor builds and maintains the execution graph. It implements
@@ -146,20 +180,25 @@ type pendingClass struct {
 type Monitor struct {
 	meta ClassMetaFunc
 
-	// Lock-free interner: names maps class name → graph.NodeID, flags
-	// maps NodeID → *atomic.Uint32 of applied metadata bits. createMu
-	// serializes ID assignment; metaMu guards the pending flag-upgrade
-	// set applied at the next flush.
-	names    sync.Map // string → graph.NodeID
-	flags    sync.Map // graph.NodeID → *atomic.Uint32
-	createMu sync.Mutex
-	pending  []pendingClass
-	nextID   graph.NodeID
-
-	metaMu      sync.Mutex
+	// Identity. classes, bindings and heat are copy-on-write: an event
+	// reads them with one atomic load and no lock; a first sighting (of a
+	// class, a trace, a field) republishes a copy under createMu. That
+	// makes a run's interning O(classes²) — nothing at the 100-150
+	// classes of a Table-1 application, and for a thousand classes half a
+	// million map slots copied once, what a few thousand events cost.
+	//
+	// createMu also serializes ID assignment and guards what only first
+	// sightings and flushes touch: applied (by NodeID, the metadata bits
+	// applied or pending) and pendingMeta (the ones the graph lacks).
+	classes     atomic.Pointer[classTable]
+	bindings    atomic.Pointer[[]*traceBinding]
+	heat        atomic.Pointer[map[fieldKey]*atomic.Int64]
+	createMu    sync.Mutex
+	applied     []uint32
 	pendingMeta map[graph.NodeID]uint32
 
 	shardMask  uint32
+	shardShift uint32
 	nodeShards []nodeShard
 	edgeShards []edgeShard
 
@@ -179,21 +218,10 @@ type Monitor struct {
 	rec   *Recorder
 	recOn atomic.Bool
 
-	// fieldHeat counts accesses per (class, field) — the signal the lazy
-	// state-transfer predictor reads. sync.Map of *atomic.Int64 keeps
-	// field reads/writes off every mutex (lazy-migration heat tracking
-	// rides the VM's hottest path).
-	fieldHeat sync.Map // fieldKey → *atomic.Int64
-
 	// mu guards the merged base graph and flushing.
 	mu       sync.Mutex
 	g        *graph.Graph
 	halfLife float64
-}
-
-// fieldKey identifies one instance field for the heat table.
-type fieldKey struct {
-	class, field string
 }
 
 var (
@@ -216,15 +244,18 @@ func newStriped(meta ClassMetaFunc, n int, opts ...Option) *Monitor {
 		g:           graph.New(),
 		pendingMeta: make(map[graph.NodeID]uint32),
 		shardMask:   uint32(n - 1),
+		shardShift:  uint32(bits.TrailingZeros(uint(n))),
 		nodeShards:  make([]nodeShard, n),
 		edgeShards:  make([]edgeShard, n),
 	}
+	m.classes.Store(&classTable{ids: map[string]graph.NodeID{}})
+	m.bindings.Store(new([]*traceBinding))
+	m.heat.Store(&map[fieldKey]*atomic.Int64{})
 	for _, o := range opts {
 		o(m)
 	}
-	for i := 0; i < n; i++ {
-		m.nodeShards[i].nodes = make(map[graph.NodeID]*nodeDelta)
-		m.edgeShards[i].edges = make(map[graph.EdgeKey]*edgeDelta)
+	for i := range m.edgeShards {
+		m.edgeShards[i].edges = make(map[uint64]*edgeDelta)
 	}
 	if m.halfLife > 0 {
 		m.g.SetDecay(m.halfLife)
@@ -233,48 +264,118 @@ func newStriped(meta ClassMetaFunc, n int, opts ...Option) *Monitor {
 }
 
 // classID resolves a class name to its dense node ID, interning it on
-// first sight. The hit path is one lock-free map load.
+// first sight.
 func (m *Monitor) classID(name string) graph.NodeID {
-	if v, ok := m.names.Load(name); ok {
-		return v.(graph.NodeID)
+	if id, ok := m.classes.Load().ids[name]; ok {
+		return id
 	}
 	m.createMu.Lock()
 	defer m.createMu.Unlock()
-	if v, ok := m.names.Load(name); ok {
-		return v.(graph.NodeID)
+	old := m.classes.Load()
+	if id, ok := old.ids[name]; ok {
+		return id
 	}
-	id := m.nextID
-	m.nextID++
-	var info ClassMeta
+	id := graph.NodeID(len(old.names))
+	m.applied = append(m.applied, 0)
 	if m.meta != nil {
-		info = m.meta(name)
+		m.flagLocked(id, m.meta(name).bits())
 	}
-	m.pending = append(m.pending, pendingClass{id: id, name: name, meta: info})
-	fb := new(atomic.Uint32)
-	fb.Store(info.bits())
-	m.flags.Store(id, fb)
-	m.names.Store(name, id)
+	ids := maps.Clone(old.ids)
+	ids[name] = id
+	m.classes.Store(&classTable{ids: ids, names: append(old.names, name)})
 	return id
 }
 
-func (m *Monitor) nodeShard(id graph.NodeID) *nodeShard {
-	return &m.nodeShards[uint32(id)&m.shardMask]
+// flagLocked ORs metadata bits into a class; the next flush hands the
+// graph those it lacks. Caller holds createMu.
+func (m *Monitor) flagLocked(id graph.NodeID, bits uint32) {
+	if m.applied[id]|bits != m.applied[id] {
+		m.applied[id] |= bits
+		m.pendingMeta[id] |= bits
+	}
 }
 
-func (m *Monitor) edgeShard(k graph.EdgeKey) *edgeShard {
-	// Fibonacci-style mix of the canonical pair; any fixed function
-	// works — determinism comes from commutative merges, not placement.
-	h := uint32(k.A)*0x9E3779B1 ^ uint32(k.B)*0x85EBCA77
-	return &m.edgeShards[(h^(h>>16))&m.shardMask]
+// className is classID's inverse, for the recorder.
+func (m *Monitor) className(id graph.NodeID) string {
+	if id == noNode {
+		return ""
+	}
+	return m.classes.Load().names[id]
 }
 
-func (s *nodeShard) add(id graph.NodeID, mem, live, total int64, cpu time.Duration, c counts) {
+// binding returns t's binding. A monitor is fed one trace, rarely two, so
+// the list is scanned; it keeps every trace it was ever fed alive.
+func (m *Monitor) binding(t *trace.Trace) *traceBinding {
+	for _, b := range *m.bindings.Load() {
+		if b.t == t {
+			return b
+		}
+	}
+	return m.rebind(t)
+}
+
+// rebind publishes a binding sized to t's class table as it is now: on
+// first sight of the trace, and again when the table has grown (a Recorder
+// still appending). Resolved slots carry over; a store racing into the
+// binding this replaces is lost, and that class simply resolves again.
+func (m *Monitor) rebind(t *trace.Trace) *traceBinding {
+	m.createMu.Lock()
+	defer m.createMu.Unlock()
+	nb := &traceBinding{t: t, nodes: make([]atomic.Int32, len(t.Classes))}
+	next := []*traceBinding{nb}
+	for _, b := range *m.bindings.Load() {
+		if b.t != t {
+			next = append(next, b)
+			continue
+		}
+		for i := range nb.nodes[:min(len(nb.nodes), len(b.nodes))] {
+			nb.nodes[i].Store(b.nodes[i].Load())
+		}
+	}
+	m.bindings.Store(&next)
+	return nb
+}
+
+// bound resolves a trace class through its binding: one atomic load once
+// the class has been seen.
+func (m *Monitor) bound(b *traceBinding, id trace.ClassID) graph.NodeID {
+	if int(id) < len(b.nodes) {
+		if v := b.nodes[id].Load(); v != 0 {
+			return graph.NodeID(v - 1)
+		}
+	}
+	return m.bindClass(b, id)
+}
+
+// bindClass is bound's first-sight path: it interns the class and applies
+// the pinned/array/stateless flags of the trace's class table on top of
+// whatever the node already carries. An id beyond the class table panics,
+// as indexing the table always has.
+func (m *Monitor) bindClass(b *traceBinding, id trace.ClassID) graph.NodeID {
+	if int(id) >= len(b.nodes) {
+		b = m.rebind(b.t)
+	}
+	info := b.t.Classes[id]
+	nid := m.classID(info.Name)
+	m.createMu.Lock()
+	m.flagLocked(nid, ClassMeta{Pinned: info.Pinned, Array: info.Array, Stateless: info.Stateless}.bits())
+	m.createMu.Unlock()
+	b.nodes[id].Store(int32(nid) + 1)
+	return nid
+}
+
+func (m *Monitor) addNode(id graph.NodeID, mem, live, total int64, cpu time.Duration, k trace.EventKind) {
+	s := &m.nodeShards[uint32(id)&m.shardMask]
+	i := int(uint32(id) >> m.shardShift)
 	s.mu.Lock()
 	if mem != 0 || live != 0 || total != 0 || cpu != 0 {
-		d := s.nodes[id]
-		if d == nil {
-			d = &nodeDelta{}
-			s.nodes[id] = d
+		if i >= len(s.nodes) {
+			s.nodes = append(s.nodes, make([]nodeDelta, i+1-len(s.nodes))...)
+		}
+		d := &s.nodes[i]
+		if !d.touched {
+			d.touched = true
+			s.touched = append(s.touched, int32(i))
 		}
 		d.mem += mem
 		if d.mem > d.peakRise {
@@ -284,31 +385,36 @@ func (s *nodeShard) add(id graph.NodeID, mem, live, total int64, cpu time.Durati
 		d.total += total
 		d.cpu += cpu
 	}
-	s.ctr.add(c)
+	s.ctr[k]++
 	s.mu.Unlock()
 }
 
-func (s *edgeShard) add(k graph.EdgeKey, inv, acc, bytes int64, c counts) {
+func (m *Monitor) addEdge(a, b graph.NodeID, inv, acc, bytes int64, k trace.EventKind) {
+	if a > b {
+		a, b = b, a
+	}
+	// Fibonacci-style mix of the canonical pair; any fixed function
+	// works — determinism comes from commutative merges, not placement.
+	h := uint32(a)*0x9E3779B1 ^ uint32(b)*0x85EBCA77
+	s := &m.edgeShards[(h^(h>>16))&m.shardMask]
+	key := uint64(uint32(a))<<32 | uint64(uint32(b))
 	s.mu.Lock()
-	d := s.edges[k]
+	d := s.edges[key]
 	if d == nil {
 		d = &edgeDelta{}
-		s.edges[k] = d
+		s.edges[key] = d
 	}
 	d.inv += inv
 	d.acc += acc
 	d.bytes += bytes
-	s.ctr.add(c)
+	s.ctr[k]++
 	s.mu.Unlock()
 }
 
-// record runs f against the attached recorder, if any. The recorder
-// serializes on its own mutex so striped ingestion stays contention-free
-// when recording is off (the common case).
+// record runs f against the attached recorder, serialized on its own
+// mutex. Callers check recOn first, so with recording off (the common
+// case) an event builds no closure and takes no lock.
 func (m *Monitor) record(f func(r *Recorder)) {
-	if !m.recOn.Load() {
-		return
-	}
 	m.recMu.Lock()
 	if m.rec != nil {
 		f(m.rec)
@@ -325,36 +431,28 @@ func (m *Monitor) flushLocked() {
 	// have deltas in a shard before its node exists in the graph.
 	m.createMu.Lock()
 	defer m.createMu.Unlock()
-	pend := m.pending
-	m.pending = nil
-	for i := range pend {
-		pc := &pend[i]
-		n := m.g.Intern(pc.name)
-		n.Pinned = pc.meta.Pinned
-		n.Array = pc.meta.Array
-		n.Stateless = pc.meta.Stateless
+	names := m.classes.Load().names
+	for id := m.g.Len(); id < len(names); id++ {
+		m.g.Intern(names[id])
 	}
-
-	m.metaMu.Lock()
-	pm := m.pendingMeta
-	m.pendingMeta = make(map[graph.NodeID]uint32)
-	m.metaMu.Unlock()
-	for id, bits := range pm { // OR-merges commute; order irrelevant
-		if n := m.g.Node(id); n != nil {
-			n.Pinned = n.Pinned || bits&1 != 0
-			n.Array = n.Array || bits&2 != 0
-			n.Stateless = n.Stateless || bits&4 != 0
-			m.g.MarkNodeDirty(id)
-		}
+	for id, bits := range m.pendingMeta { // OR-merges commute; order irrelevant
+		n := m.g.Node(id)
+		n.Pinned = n.Pinned || bits&1 != 0
+		n.Array = n.Array || bits&2 != 0
+		n.Stateless = n.Stateless || bits&4 != 0
+		m.g.MarkNodeDirty(id)
 	}
+	clear(m.pendingMeta)
 
 	for i := range m.nodeShards {
 		s := &m.nodeShards[i]
 		s.mu.Lock()
-		for id, d := range s.nodes {
-			m.g.AddNodeDelta(id, d.mem, d.live, d.total, d.peakRise, d.cpu)
+		for _, j := range s.touched {
+			d := &s.nodes[j]
+			m.g.AddNodeDelta(graph.NodeID(uint32(j)<<m.shardShift|uint32(i)), d.mem, d.live, d.total, d.peakRise, d.cpu)
+			*d = nodeDelta{}
 		}
-		clear(s.nodes)
+		s.touched = s.touched[:0]
 		m.base.add(s.ctr)
 		s.ctr = counts{}
 		s.mu.Unlock()
@@ -371,12 +469,12 @@ func (m *Monitor) flushLocked() {
 		s.ctr = counts{}
 		s.mu.Unlock()
 	}
-	m.g.AdvanceClock(float64(m.base.events + m.gcs.Load()))
+	m.g.AdvanceClock(float64(m.base.events() + m.gcs.Load()))
 	for i := range m.edgeShards {
 		s := &m.edgeShards[i]
 		s.mu.Lock()
 		for k, d := range s.edges {
-			m.g.AddEdgeDelta(k.A, k.B, d.inv, d.acc, d.bytes)
+			m.g.AddEdgeDelta(graph.NodeID(k>>32), graph.NodeID(uint32(k)), d.inv, d.acc, d.bytes)
 		}
 		clear(s.edges)
 		s.mu.Unlock()
@@ -447,7 +545,7 @@ func (m *Monitor) liveCounts() counts {
 func (m *Monitor) Events() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.liveCounts().events + m.gcs.Load()
+	return m.liveCounts().events() + m.gcs.Load()
 }
 
 // Counts reports how many events of each kind the monitor has consumed.
@@ -455,7 +553,7 @@ func (m *Monitor) Counts() (invocations, accesses, creates, deletes, gcs int64) 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.liveCounts()
-	return c.inv, c.acc, c.creates, c.deletes, m.gcs.Load()
+	return c[trace.KindInvoke], c[trace.KindAccess], c[trace.KindCreate], c[trace.KindDelete], m.gcs.Load()
 }
 
 // OnGCListener subscribes to garbage-collection resource reports.
@@ -483,62 +581,104 @@ func (m *Monitor) SetRecorder(r *Recorder) {
 
 // OnInvoke implements vm.Hooks.
 func (m *Monitor) OnInvoke(caller, callee, method string, obj vm.ObjectID, argBytes, retBytes int64, selfTime time.Duration, native, stateless bool) {
-	cn := m.classID(callee)
-	cross := caller != "" && caller != callee
-	if selfTime != 0 || !cross {
-		c := counts{}
-		if !cross {
-			c = counts{events: 1, inv: 1}
-		}
-		m.nodeShard(cn).add(cn, 0, 0, 0, selfTime, c)
+	cn, from := m.classID(callee), noNode
+	if caller != "" && caller != callee {
+		from = m.classID(caller)
 	}
-	if cross {
-		from := m.classID(caller)
-		k := graph.EdgeKey{A: from, B: cn}
-		if k.A > k.B {
-			k.A, k.B = k.B, k.A
-		}
-		m.edgeShard(k).add(k, 1, 0, argBytes+retBytes, counts{events: 1, inv: 1})
-	}
-	m.record(func(r *Recorder) {
-		r.invoke(caller, callee, obj, argBytes+retBytes, selfTime, native, stateless)
-	})
+	m.invoke(from, cn, obj, argBytes+retBytes, selfTime, native, stateless)
 }
 
 // OnAccess implements vm.Hooks.
 func (m *Monitor) OnAccess(from, to string, obj vm.ObjectID, bytes int64) {
-	tn := m.classID(to)
+	tn, fn := m.classID(to), noNode
 	if from != "" && from != to {
-		fn := m.classID(from)
-		k := graph.EdgeKey{A: fn, B: tn}
-		if k.A > k.B {
-			k.A, k.B = k.B, k.A
-		}
-		m.edgeShard(k).add(k, 0, 1, bytes, counts{events: 1, acc: 1})
-	} else {
-		m.nodeShard(tn).add(tn, 0, 0, 0, 0, counts{events: 1, acc: 1})
+		fn = m.classID(from)
 	}
-	m.record(func(r *Recorder) { r.access(from, to, obj, bytes) })
+	m.access(fn, tn, obj, bytes)
 }
 
 // OnCreate implements vm.Hooks.
 func (m *Monitor) OnCreate(class string, obj vm.ObjectID, size int64) {
-	id := m.classID(class)
-	m.nodeShard(id).add(id, size, 1, 1, 0, counts{events: 1, creates: 1})
-	m.record(func(r *Recorder) { r.create(class, obj, size) })
+	m.lifecycle(trace.KindCreate, m.classID(class), obj, size)
 }
 
 // OnDelete implements vm.Hooks.
 func (m *Monitor) OnDelete(class string, obj vm.ObjectID, size int64) {
-	id := m.classID(class)
-	m.nodeShard(id).add(id, -size, -1, 0, 0, counts{events: 1, deletes: 1})
-	m.record(func(r *Recorder) { r.delete(class, obj, size) })
+	m.lifecycle(trace.KindDelete, m.classID(class), obj, size)
+}
+
+// Feed consumes one trace event, keyed against the trace's class table.
+// The emulator uses this to drive the shared monitoring module from a
+// recorded trace exactly as the prototype drives it live. A class the
+// table leaves nameless is the class named "".
+func (m *Monitor) Feed(t *trace.Trace, e *trace.Event) {
+	b := m.binding(t)
+	switch e.Kind {
+	case trace.KindInvoke:
+		callee, from := m.bound(b, e.Callee), noNode
+		if e.Caller >= 0 && int(e.Caller) < len(t.Classes) {
+			from = m.bound(b, e.Caller)
+		}
+		m.invoke(from, callee, vm.ObjectID(e.Obj), e.Bytes, e.SelfTime, e.Native, e.Stateless)
+	case trace.KindAccess:
+		from, to := m.bound(b, e.Caller), m.bound(b, e.Callee)
+		m.access(from, to, vm.ObjectID(e.Obj), e.Bytes)
+	case trace.KindCreate, trace.KindDelete:
+		m.lifecycle(e.Kind, m.bound(b, e.Callee), vm.ObjectID(e.Obj), e.Bytes)
+	case trace.KindGC:
+		m.OnGC(e.Free, e.Capacity, e.Freed)
+	}
+}
+
+// invoke accounts one invocation of callee from class from (noNode: no
+// caller): self time to the callee, the interaction to the pair.
+func (m *Monitor) invoke(from, callee graph.NodeID, obj vm.ObjectID, bytes int64, selfTime time.Duration, native, stateless bool) {
+	if from == noNode || from == callee {
+		m.addNode(callee, 0, 0, 0, selfTime, trace.KindInvoke)
+	} else {
+		if selfTime != 0 {
+			m.addNode(callee, 0, 0, 0, selfTime, 0) // counted with the edge
+		}
+		m.addEdge(from, callee, 1, 0, bytes, trace.KindInvoke)
+	}
+	if m.recOn.Load() {
+		m.record(func(r *Recorder) {
+			r.invoke(m.className(from), m.className(callee), obj, bytes, selfTime, native, stateless)
+		})
+	}
+}
+
+// access accounts one data-field access to class to from class from.
+func (m *Monitor) access(from, to graph.NodeID, obj vm.ObjectID, bytes int64) {
+	if from == noNode || from == to {
+		m.addNode(to, 0, 0, 0, 0, trace.KindAccess)
+	} else {
+		m.addEdge(from, to, 0, 1, bytes, trace.KindAccess)
+	}
+	if m.recOn.Load() {
+		m.record(func(r *Recorder) { r.access(m.className(from), m.className(to), obj, bytes) })
+	}
+}
+
+// lifecycle accounts the creation (k KindCreate) or deletion (KindDelete)
+// of one object of the class.
+func (m *Monitor) lifecycle(k trace.EventKind, id graph.NodeID, obj vm.ObjectID, size int64) {
+	if k == trace.KindCreate {
+		m.addNode(id, size, 1, 1, 0, k)
+	} else {
+		m.addNode(id, -size, -1, 0, 0, k)
+	}
+	if m.recOn.Load() {
+		m.record(func(r *Recorder) { r.lifecycle(k, m.className(id), obj, size) })
+	}
 }
 
 // OnGC implements vm.Hooks.
 func (m *Monitor) OnGC(free, capacity int64, freed bool) {
 	m.gcs.Add(1)
-	m.record(func(r *Recorder) { r.gc(free, capacity, freed) })
+	if m.recOn.Load() {
+		m.record(func(r *Recorder) { r.gc(free, capacity, freed) })
+	}
 	if ls := m.listeners.Load(); ls != nil {
 		for _, f := range *ls {
 			f(free, capacity, freed)
@@ -547,23 +687,36 @@ func (m *Monitor) OnGC(free, capacity int64, freed bool) {
 }
 
 // OnFieldAccess implements vm.FieldHooks: it heats the (class, field)
-// entry every instance-field read or write touches. The counter is a
-// lock-free atomic — heat tracking stays off the contention path.
+// entry every instance-field read or write touches, on a hit with one
+// atomic load, one map access and one atomic add.
 func (m *Monitor) OnFieldAccess(class, field string, bytes int64) {
 	k := fieldKey{class: class, field: field}
-	if v, ok := m.fieldHeat.Load(k); ok {
-		v.(*atomic.Int64).Add(1)
-		return
+	c := (*m.heat.Load())[k]
+	if c == nil {
+		c = m.heatCounter(k)
 	}
-	v, _ := m.fieldHeat.LoadOrStore(k, new(atomic.Int64))
-	v.(*atomic.Int64).Add(1)
+	c.Add(1)
+}
+
+// heatCounter adds a field to the heat table on its first access.
+func (m *Monitor) heatCounter(k fieldKey) *atomic.Int64 {
+	m.createMu.Lock()
+	defer m.createMu.Unlock()
+	old := *m.heat.Load()
+	if c := old[k]; c != nil {
+		return c
+	}
+	next, c := maps.Clone(old), new(atomic.Int64)
+	next[k] = c
+	m.heat.Store(&next)
+	return c
 }
 
 // FieldHeat reports how many accesses the monitor has seen for one field
 // (diagnostics and tests).
 func (m *Monitor) FieldHeat(class, field string) int64 {
-	if v, ok := m.fieldHeat.Load(fieldKey{class: class, field: field}); ok {
-		return v.(*atomic.Int64).Load()
+	if c := (*m.heat.Load())[fieldKey{class: class, field: field}]; c != nil {
+		return c.Load()
 	}
 	return 0
 }
@@ -580,66 +733,6 @@ func (m *Monitor) FieldPredictor(minAccesses int64) vm.FieldPredictor {
 	return func(class, field string) bool {
 		return m.FieldHeat(class, field) >= minAccesses
 	}
-}
-
-// Feed consumes one trace event, keyed against the trace's class table.
-// The emulator uses this to drive the shared monitoring module from a
-// recorded trace exactly as the prototype drives it live.
-func (m *Monitor) Feed(t *trace.Trace, e *trace.Event) {
-	switch e.Kind {
-	case trace.KindInvoke:
-		caller := ""
-		if e.Caller >= 0 && int(e.Caller) < len(t.Classes) {
-			caller = t.Classes[e.Caller].Name
-		}
-		callee := t.Classes[e.Callee].Name
-		m.ensureMeta(t, e.Callee)
-		if e.Caller >= 0 {
-			m.ensureMeta(t, e.Caller)
-		}
-		m.OnInvoke(caller, callee, "", vm.ObjectID(e.Obj), e.Bytes, 0, e.SelfTime, e.Native, e.Stateless)
-	case trace.KindAccess:
-		m.ensureMeta(t, e.Caller)
-		m.ensureMeta(t, e.Callee)
-		m.OnAccess(t.Classes[e.Caller].Name, t.Classes[e.Callee].Name, vm.ObjectID(e.Obj), e.Bytes)
-	case trace.KindCreate:
-		m.ensureMeta(t, e.Callee)
-		m.OnCreate(t.Classes[e.Callee].Name, vm.ObjectID(e.Obj), e.Bytes)
-	case trace.KindDelete:
-		m.ensureMeta(t, e.Callee)
-		m.OnDelete(t.Classes[e.Callee].Name, vm.ObjectID(e.Obj), e.Bytes)
-	case trace.KindGC:
-		m.OnGC(e.Free, e.Capacity, e.Freed)
-	}
-}
-
-// ensureMeta pins/flags the node from the trace class table before the
-// generic hook interns it without metadata. The hit path — flags already
-// applied — is two lock-free loads and one atomic read.
-func (m *Monitor) ensureMeta(t *trace.Trace, id trace.ClassID) {
-	info := t.Class(id)
-	if info.Name == "" {
-		return
-	}
-	want := ClassMeta{Pinned: info.Pinned, Array: info.Array, Stateless: info.Stateless}.bits()
-	nid := m.classID(info.Name)
-	v, ok := m.flags.Load(nid)
-	if !ok {
-		return // unreachable: classID registers flags before publishing
-	}
-	fb := v.(*atomic.Uint32)
-	for {
-		cur := fb.Load()
-		if cur|want == cur {
-			return // already applied (or pending): nothing to upgrade
-		}
-		if fb.CompareAndSwap(cur, cur|want) {
-			break
-		}
-	}
-	m.metaMu.Lock()
-	m.pendingMeta[nid] |= want
-	m.metaMu.Unlock()
 }
 
 // RegistryMeta adapts a VM class registry into a ClassMetaFunc: classes

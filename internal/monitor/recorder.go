@@ -85,18 +85,10 @@ func (r *Recorder) access(from, to string, obj vm.ObjectID, bytes int64) {
 	})
 }
 
-func (r *Recorder) create(class string, obj vm.ObjectID, size int64) {
+// lifecycle records an object's creation or deletion, by k.
+func (r *Recorder) lifecycle(k trace.EventKind, class string, obj vm.ObjectID, size int64) {
 	r.t.Events = append(r.t.Events, trace.Event{
-		Kind:   trace.KindCreate,
-		Callee: r.class(class),
-		Obj:    trace.ObjectID(obj),
-		Bytes:  size,
-	})
-}
-
-func (r *Recorder) delete(class string, obj vm.ObjectID, size int64) {
-	r.t.Events = append(r.t.Events, trace.Event{
-		Kind:   trace.KindDelete,
+		Kind:   k,
 		Callee: r.class(class),
 		Obj:    trace.ObjectID(obj),
 		Bytes:  size,

@@ -152,8 +152,13 @@ func (v *VM) AdoptMigration(peerIdx int, batch []MigratedObject) ([]ObjectID, er
 			return nil, fmt.Errorf("vm: adopt %s: unknown class", m.Class)
 		}
 		var o *Object
+		// counted: the object is coming home to a stub that kept its bytes
+		// on the class's books (RemoteSize, debited when a stub dies), so
+		// a second OnCreate would credit the class twice on every recall.
+		counted := false
 		if stubID, ok := v.imports[importKey{peer: peerIdx, id: m.SenderID}]; ok {
 			o = v.objects[stubID]
+			counted = o.RemoteSize > 0
 			o.Remote = false
 			o.PeerID = 0
 			o.RemoteSize = 0
@@ -179,7 +184,7 @@ func (v *VM) AdoptMigration(peerIdx int, batch []MigratedObject) ([]ObjectID, er
 		v.bytesSinceGC += m.Size
 		assigned[i] = o.ID
 		senderToLocal[m.SenderID] = o.ID
-		if v.hooks != nil {
+		if v.hooks != nil && !counted {
 			v.hooks.OnCreate(class.Name, o.ID, m.Size)
 		}
 	}
