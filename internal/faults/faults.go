@@ -188,6 +188,10 @@ type Transport struct {
 	closed    chan struct{}
 	delays    sync.WaitGroup
 
+	// intr wakes a Recv parked in the blackhole, which never reaches the
+	// wrapped transport (capacity 1: interrupts collapse).
+	intr chan struct{}
+
 	// tm mirrors the atomic counters below onto a telemetry registry when
 	// the profile carries one; every field is a nil-safe no-op otherwise.
 	tm faultMetrics
@@ -199,7 +203,10 @@ type Transport struct {
 	swallowed  atomic.Int64
 }
 
-var _ remote.Transport = (*Transport)(nil)
+var (
+	_ remote.Transport       = (*Transport)(nil)
+	_ remote.RecvInterrupter = (*Transport)(nil)
+)
 
 // Wrap decorates inner with the profile's fault schedule.
 func Wrap(inner remote.Transport, prof Profile) *Transport {
@@ -214,6 +221,7 @@ func Wrap(inner remote.Transport, prof Profile) *Transport {
 		prof:   prof,
 		rng:    rand.New(rand.NewSource(prof.Seed)),
 		closed: make(chan struct{}),
+		intr:   make(chan struct{}, 1),
 		tm:     newFaultMetrics(prof.Telemetry),
 	}
 	if len(prof.Script) > 0 {
@@ -409,8 +417,12 @@ func cloneMessage(m *remote.Message) (*remote.Message, error) {
 func (t *Transport) Recv() (*remote.Message, error) {
 	for {
 		if t.blackholed.Load() {
-			<-t.closed
-			return nil, fmt.Errorf("%w: %w", remote.ErrClosed, ErrSevered)
+			select {
+			case <-t.closed:
+				return nil, fmt.Errorf("%w: %w", remote.ErrClosed, ErrSevered)
+			case <-t.intr:
+				return nil, remote.ErrRecvInterrupted
+			}
 		}
 		m, err := t.inner.Recv()
 		if err != nil {
@@ -423,6 +435,21 @@ func (t *Transport) Recv() (*remote.Message, error) {
 		}
 		return m, nil
 	}
+}
+
+// InterruptRecv passes the wrapped transport's capability through (see
+// remote.RecvInterrupter): the injector can interrupt exactly when what it
+// wraps can.
+func (t *Transport) InterruptRecv() bool {
+	ri, ok := t.inner.(remote.RecvInterrupter)
+	if !ok || !ri.InterruptRecv() {
+		return false
+	}
+	select {
+	case t.intr <- struct{}{}:
+	default:
+	}
+	return true
 }
 
 // Close closes the injector and the wrapped transport, and waits for any

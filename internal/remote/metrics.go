@@ -29,6 +29,10 @@ const (
 	metricLazyBytesSaved     = "aide_remote_lazy_migration_saved_bytes_total"
 	metricDuplicatesDropped  = "aide_remote_duplicates_dropped_total"
 	metricReleasesDropped    = "aide_remote_releases_dropped_total"
+	metricSelfReads          = "aide_remote_self_reads_total"
+	metricInlineServes       = "aide_remote_inline_serves_total"
+	metricReaderYields       = "aide_remote_reader_yields_total"
+	metricQueueSpills        = "aide_remote_queue_spills_total"
 	metricDegraded           = "aide_remote_state_degraded_total"
 	metricHealed             = "aide_remote_state_healed_total"
 	metricDisconnected       = "aide_remote_state_disconnected_total"
@@ -70,6 +74,10 @@ type peerMetrics struct {
 	releasesDropped    *telemetry.Counter
 	snapshotChunks     *telemetry.Counter
 	snapshotBytes      *telemetry.Counter
+	selfReads          *telemetry.Counter
+	inlineServes       *telemetry.Counter
+	readerYields       *telemetry.Counter
+	queueSpills        *telemetry.Counter
 
 	degraded     *telemetry.Counter
 	healed       *telemetry.Counter
@@ -93,7 +101,7 @@ func counterIn(reg *telemetry.Registry, name, help string) *telemetry.Counter {
 func newPeerMetrics(reg *telemetry.Registry) *peerMetrics {
 	m := &peerMetrics{
 		requestsSent:       counterIn(reg, metricRequestsSent, "requests issued to the peer"),
-		requestsServed:     counterIn(reg, metricRequestsServed, "peer requests executed by the worker pool"),
+		requestsServed:     counterIn(reg, metricRequestsServed, "peer requests executed"),
 		bytesSent:          counterIn(reg, metricBytesSent, "wire bytes sent"),
 		bytesReceived:      counterIn(reg, metricBytesReceived, "wire bytes received"),
 		objectsMigrated:    counterIn(reg, metricObjectsMigrated, "objects moved by migrations (both directions)"),
@@ -114,6 +122,10 @@ func newPeerMetrics(reg *telemetry.Registry) *peerMetrics {
 		releasesDropped:    counterIn(reg, metricReleasesDropped, "decrefs lost when a release batch exhausted its retries"),
 		snapshotChunks:     counterIn(reg, metricSnapshotChunks, "snapshot image chunks moved (both directions)"),
 		snapshotBytes:      counterIn(reg, metricSnapshotBytes, "snapshot image bytes moved (both directions)"),
+		selfReads:          counterIn(reg, metricSelfReads, "replies read off the wire by the goroutine waiting for them"),
+		inlineServes:       counterIn(reg, metricInlineServes, "requests served by the goroutine that read them"),
+		readerYields:       counterIn(reg, metricReaderYields, "times a background receiver gave the read side to a caller"),
+		queueSpills:        counterIn(reg, metricQueueSpills, "requests served on their own goroutine because every worker was busy"),
 		degraded:           counterIn(reg, metricDegraded, "healthy to degraded state transitions"),
 		healed:             counterIn(reg, metricHealed, "degraded to healthy state transitions"),
 		disconnected:       counterIn(reg, metricDisconnected, "involuntary disconnects"),

@@ -43,9 +43,12 @@ func (s State) String() string {
 
 // Peer is one VM's half of the distributed platform connection. It
 // implements vm.Peer for outgoing operations and services the other VM's
-// requests with a pool of worker threads (paper §3.2: "Either JVM that
-// receives a request uses a pool of threads to perform RPCs on behalf of
-// the other JVM").
+// requests: the data path on the goroutine that read the request — the
+// thread blocked on the far side when there is one (paper §3.2: "the
+// thread is not migrated") — and everything that can block or outlive its
+// frame with a pool of worker threads ("Either JVM that receives a request
+// uses a pool of threads to perform RPCs on behalf of the other JVM").
+// recv.go has the receive side.
 //
 // Concurrency: the call fast path is lock-free up to the pending-table
 // shard — an atomic ID allocation, one sharded map insert, atomic
@@ -69,7 +72,16 @@ type Peer struct {
 	closeMu sync.Mutex
 	closeE  error
 
+	// rd is who reads the transport; intr is the transport's capability to
+	// pass that on, nil when it has none (see readOwner).
+	rd   readOwner
+	intr RecvInterrupter
+
+	// requests feeds the worker pool; free counts workers idle and not yet
+	// spoken for, spilled the goroutines serving what found none (dispatch).
 	requests chan *Message
+	free     atomic.Int32
+	spilled  atomic.Int32
 	wg       sync.WaitGroup
 
 	// now is the wall-clock source for RTT measurement and release-batch
@@ -216,11 +228,25 @@ type Stats struct {
 	// batch exhausted its retry budget (export pins leak, never corrupt).
 	DuplicatesDropped int64
 	ReleasesDropped   int64
+
+	// The hops of a round trip, as counts. SelfReads: replies read off the
+	// wire by the goroutine that was waiting for them (of RequestsSent).
+	// InlineServes: requests served by the goroutine that read them (of
+	// RequestsServed). ReaderYields: times a background receiver gave the
+	// connection's read side to a caller. QueueSpills: requests served on a
+	// goroutine of their own because every worker was busy.
+	SelfReads    int64
+	InlineServes int64
+	ReaderYields int64
+	QueueSpills  int64
 }
 
 // Options configures a Peer.
 type Options struct {
-	// Workers sizes the RPC service pool. Zero defaults to 4.
+	// Workers sizes the RPC service pool, which serves the requests that
+	// are not served where they were read (see servesInPlace). Zero
+	// defaults to 4. It bounds neither call nesting nor concurrency: a
+	// request that finds every worker busy runs on a goroutine of its own.
 	Workers int
 
 	// Link enables simulated network costing.
@@ -304,7 +330,8 @@ type Options struct {
 	// (admission control, load shedding). A non-nil return fails the
 	// request with the error's text and typed code (CodeOf) instead of
 	// serving it; one-way kinds (release, release-batch) are dropped. The
-	// gate runs on worker goroutines and must be safe for concurrent use.
+	// gate runs on whichever goroutine serves the request and must be safe
+	// for concurrent use.
 	Gate func(kind MsgKind) error
 
 	// SessionInfo, when set, overrides the occupancy payload of info and
@@ -329,8 +356,8 @@ type Options struct {
 	Takeover *int
 }
 
-// NewPeer attaches a VM to a transport and starts the receive loop and
-// worker pool. The caller must Close the peer to stop them.
+// NewPeer attaches a VM to a transport and starts a background receiver
+// and the worker pool. The caller must Close the peer to stop them.
 func NewPeer(local *vm.VM, t Transport, opts Options) *Peer {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -361,6 +388,17 @@ func NewPeer(local *vm.VM, t Transport, opts Options) *Peer {
 		mnow:            time.Now,
 	}
 	p.serveCond = sync.NewCond(&p.serveMu)
+	p.rd.tok = make(chan struct{}, 1)
+	p.rd.retired = make(chan struct{})
+	p.rd.period.Store(int64(lazyResume))
+	p.rd.timer = time.AfterFunc(lazyResume, p.resume)
+	p.rd.timer.Stop()
+	// Asking is the only way to learn whether a wrapper's inner transport
+	// can interrupt; the interrupt it leaves pending costs the first
+	// receiver one spurious wake-up.
+	if ri, ok := t.(RecvInterrupter); ok && ri.InterruptRecv() {
+		p.intr = ri
+	}
 	if p.now == nil {
 		p.now = time.Now
 	}
@@ -403,6 +441,8 @@ func NewPeer(local *vm.VM, t Transport, opts Options) *Peer {
 		workersPlus++
 	}
 	p.wg.Add(workersPlus)
+	p.free.Store(int32(workers))
+	p.rd.bg.Store(true)
 	go p.recvLoop()
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -437,6 +477,7 @@ func (p *Peer) fail(cause error) bool {
 	for i := range p.shards {
 		p.shards[i].sweep()
 	}
+	p.interruptReader() // a caller blocked in Recv must see its waiter swept
 	if errors.Is(cause, ErrDisconnected) {
 		p.m.disconnected.Inc()
 		if p.tracer.Enabled() {
@@ -524,6 +565,15 @@ func (p *Peer) Close() error {
 	}
 	first := p.fail(cause)
 	err := p.transport.Close()
+	// Someone has to read the stream to its end, so that what the far side
+	// sent before it saw us close (its Close-time release batch) is
+	// applied: the receiver that is reading, or one started here if the
+	// last reader was a caller, now gone.
+	select {
+	case <-p.rd.tok:
+		p.startReceiver()
+	case <-p.rd.retired:
+	}
 	p.wg.Wait()
 	if !first {
 		// Already torn down (earlier Close, or a transport failure);
@@ -558,6 +608,10 @@ func (p *Peer) Stats() Stats {
 		LazyBytesSaved:     p.m.lazyBytesSaved.Value(),
 		DuplicatesDropped:  p.m.duplicatesDropped.Value(),
 		ReleasesDropped:    p.m.releasesDropped.Value(),
+		SelfReads:          p.m.selfReads.Value(),
+		InlineServes:       p.m.inlineServes.Value(),
+		ReaderYields:       p.m.readerYields.Value(),
+		QueueSpills:        p.m.queueSpills.Value(),
 	}
 }
 
@@ -666,24 +720,34 @@ func (p *Peer) doCall(ctx context.Context, m *Message) (*Message, error) {
 	p.m.requestsSent.Inc()
 	p.m.bytesSent.Add(m.wireBytes())
 
+	if p.askToYield() {
+		defer p.doneEvicting()
+	}
 	if err := p.sendRetry(ctx, m); err != nil {
 		sh.take(id)
 		return nil, err
 	}
 
-	var timeoutC <-chan time.Time
+	var expired chan struct{}
 	if p.callTimeout > 0 {
-		timer := time.NewTimer(p.callTimeout)
+		expired = make(chan struct{})
+		timer := time.AfterFunc(p.callTimeout, func() {
+			close(expired)
+			p.interruptReader()
+		})
 		defer timer.Stop()
-		timeoutC = timer.C
 	}
-	select {
-	case reply, ok := <-ch:
-		return p.finishCall(m, reply, ok)
-	case <-timeoutC:
-		if reply, ok, raced := p.raceReply(id, sh, ch); raced {
-			return p.finishCall(m, reply, ok)
+	reply, ok, end := p.await(ctx, id, ch, expired)
+	if end != waitReplied {
+		var raced bool
+		if reply, ok, raced = p.raceReply(id, sh, ch); raced {
+			end = waitReplied
 		}
+	}
+	switch end {
+	case waitCanceled:
+		return nil, fmt.Errorf("remote: %s call id=%d: %w", m.Kind, id, ctx.Err())
+	case waitExpired:
 		p.m.callTimeouts.Inc()
 		if isBatchFrame(m.Kind) {
 			p.m.batchCallTimeouts.Inc()
@@ -696,24 +760,20 @@ func (p *Peer) doCall(ctx context.Context, m *Message) (*Message, error) {
 			return nil, fmt.Errorf("remote: %s call id=%d: %w after %v: %w", m.Kind, id, ErrCallTimeout, p.callTimeout, cause)
 		}
 		return nil, fmt.Errorf("remote: %s call id=%d: %w after %v", m.Kind, id, ErrCallTimeout, p.callTimeout)
-	case <-ctx.Done():
-		if reply, ok, raced := p.raceReply(id, sh, ch); raced {
-			return p.finishCall(m, reply, ok)
-		}
-		return nil, fmt.Errorf("remote: %s call id=%d: %w", m.Kind, id, ctx.Err())
 	}
+	return p.finishCall(m, reply, ok)
 }
 
 // raceReply resolves the race between an expiring deadline and an
-// arriving reply: if the receive loop already claimed the waiter, the
-// reply is imminent (or buffered) and wins over the timeout.
+// arriving reply: if a reader already claimed the waiter, the reply is
+// imminent (or buffered) and wins over the timeout.
 func (p *Peer) raceReply(id uint64, sh *pendingShard, ch chan *Message) (*Message, bool, bool) {
 	if _, ok := sh.take(id); ok {
 		// We won: no reply will ever be delivered to ch.
 		return nil, false, false
 	}
-	// The receive loop took the waiter first; its buffered send cannot
-	// block, so the reply is either here or arrives momentarily.
+	// A reader took the waiter first; its buffered send cannot block, so
+	// the reply is either here or arrives momentarily.
 	reply, ok := <-ch
 	return reply, ok, true
 }

@@ -3,17 +3,21 @@ package remote
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"time"
 )
 
 // Transport moves Messages between the two halves of the distributed
-// platform. Implementations must allow concurrent Send calls and a single
-// Recv loop. Senders retain ownership of the message they pass to Send
-// and may reuse it once Send returns; received messages are owned by the
-// receiver.
+// platform. Implementations must allow concurrent Send calls and one Recv
+// at a time — the peer passes the right to call Recv from goroutine to
+// goroutine (recv.go's readOwner), never shares it. Senders retain
+// ownership of the message they pass to Send and may reuse it once Send
+// returns; received messages are owned by the receiver.
 type Transport interface {
 	Send(*Message) error
 	// Recv blocks for the next message; it returns an error once the
@@ -21,6 +25,25 @@ type Transport interface {
 	Recv() (*Message, error)
 	Close() error
 }
+
+// RecvInterrupter is the optional capability that lets a peer pass the
+// connection's read side between goroutines (readOwner). The built-in
+// transports and the fault injector have it; over a Transport without it
+// the peer keeps one dedicated receiver.
+type RecvInterrupter interface {
+	// InterruptRecv makes the Recv waiting for a frame to begin — or, if
+	// none is, the next Recv — return ErrRecvInterrupted. A Recv that has
+	// started on a frame finishes it: an interrupt never consumes or splits
+	// one. Interrupts collapse, and a Recv may return ErrRecvInterrupted
+	// spuriously; callers re-check why they asked. It reports false, having
+	// done nothing, if the transport cannot interrupt (a wrapper over one
+	// without the capability).
+	InterruptRecv() bool
+}
+
+// ErrRecvInterrupted is Recv cut short by InterruptRecv; the next Recv
+// resumes at the same frame boundary.
+var ErrRecvInterrupted = errors.New("remote: recv interrupted")
 
 // chanTransport is an in-process transport over paired channels, used for
 // single-process experiments and tests. Messages cross the channel as a
@@ -35,6 +58,8 @@ type chanTransport struct {
 	// the two sides of a platform routinely close at the same moment.
 	once   *sync.Once
 	closed chan struct{}
+
+	intr chan struct{} // the pending InterruptRecv; capacity 1, so they collapse
 }
 
 // NewChannelPair returns two connected in-memory transports.
@@ -43,8 +68,8 @@ func NewChannelPair() (Transport, Transport) {
 	ba := make(chan *Message, 64)
 	closed := make(chan struct{})
 	once := new(sync.Once)
-	a := &chanTransport{out: ab, in: ba, closed: closed, once: once}
-	b := &chanTransport{out: ba, in: ab, closed: closed, once: once}
+	a := &chanTransport{out: ab, in: ba, closed: closed, once: once, intr: make(chan struct{}, 1)}
+	b := &chanTransport{out: ba, in: ab, closed: closed, once: once, intr: make(chan struct{}, 1)}
 	return a, b
 }
 
@@ -100,7 +125,19 @@ func (t *chanTransport) Recv() (*Message, error) {
 		return nil, ErrClosed
 	case m := <-t.in:
 		return m, nil
+	case <-t.intr:
+		return nil, ErrRecvInterrupted
 	}
+}
+
+// InterruptRecv implements RecvInterrupter; a message is one channel
+// element, so every wake-up is at a frame boundary.
+func (t *chanTransport) InterruptRecv() bool {
+	select {
+	case t.intr <- struct{}{}:
+	default:
+	}
+	return true
 }
 
 func (t *chanTransport) Close() error {
@@ -120,10 +157,19 @@ type binTransport struct {
 
 	readBuf []byte
 
+	// recvMu guards the interruptible part of Recv: waiting is set while it
+	// waits for a frame's first byte, the only time InterruptRecv may kick
+	// it (a read deadline in the past); pending is the interrupt owed to
+	// the next wait.
+	recvMu           sync.Mutex
+	waiting, pending bool
+
 	sendMu  sync.Mutex
 	closeMu sync.Mutex
 	closed  bool
 }
+
+var _ RecvInterrupter = (*binTransport)(nil)
 
 // NewConnTransport wraps a connected net.Conn in the binary-codec
 // transport, the only framing the platform speaks over a socket.
@@ -159,7 +205,51 @@ func (t *binTransport) Send(m *Message) error {
 // can make it allocate ahead of the bytes it has actually sent.
 const recvStep = 1 << 20
 
+// longAgo is the read deadline that kicks a waiting Recv.
+var longAgo = time.Unix(1, 0)
+
+// InterruptRecv implements RecvInterrupter.
+func (t *binTransport) InterruptRecv() bool {
+	t.recvMu.Lock()
+	t.pending = true
+	if t.waiting {
+		_ = t.conn.SetReadDeadline(longAgo) // fails only on a closed conn, whose read is failing anyway
+	}
+	t.recvMu.Unlock()
+	return true
+}
+
+// awaitFrame is the interruptible part of Recv: it blocks until the next
+// frame's first byte is buffered. A deadline is only ever set while waiting
+// here and is cleared before the frame is read — kicking a read part-way
+// through a frame would leave the stream between two frames' bytes.
+func (t *binTransport) awaitFrame() error {
+	t.recvMu.Lock()
+	interrupted := t.pending
+	t.pending, t.waiting = false, !interrupted
+	t.recvMu.Unlock()
+	if interrupted {
+		return ErrRecvInterrupted
+	}
+	_, err := t.r.Peek(1)
+	t.recvMu.Lock()
+	t.waiting = false
+	if t.pending {
+		_ = t.conn.SetReadDeadline(time.Time{})
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.pending, err = false, ErrRecvInterrupted
+		} // else the byte beat the kick, and pending stays for the next wait
+	}
+	t.recvMu.Unlock()
+	return err
+}
+
 func (t *binTransport) Recv() (*Message, error) {
+	if err := t.awaitFrame(); err == ErrRecvInterrupted {
+		return nil, err
+	} else if err != nil {
+		return nil, fmt.Errorf("remote: recv: %w", err)
+	}
 	n, err := binary.ReadUvarint(t.r)
 	if err != nil {
 		return nil, fmt.Errorf("remote: recv: %w", err)

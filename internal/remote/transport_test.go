@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -50,32 +49,8 @@ func TestChannelPairClose(t *testing.T) {
 // TCP loopback socket.
 func tcpTransportPair(t *testing.T) (client, server Transport) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := ln.Accept()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		server = NewConnTransport(conn)
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	client = NewConnTransport(conn)
-	wg.Wait()
-	if server == nil {
-		t.Fatal("accept failed")
-	}
+	cc, sc := tcpConns(t)
+	client, server = NewConnTransport(cc), NewConnTransport(sc)
 	t.Cleanup(func() {
 		_ = client.Close()
 		_ = server.Close()

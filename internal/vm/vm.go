@@ -178,8 +178,11 @@ func (c Config) withDefaults() Config {
 
 // VM is one virtual machine instance. All exported methods are safe for
 // concurrent use; remote calls release the VM lock while waiting so that
-// the peer can call back in (the paper's VMs service each other's requests
-// with a pool of threads while execution passes back and forth).
+// the peer can call back in. Execution passes back and forth but the thread
+// is not migrated: a callback that arrives while a thread waits on the peer
+// runs on that thread's goroutine, on a service Thread of its own
+// (ServeInvoke), so nesting costs stack; only migrations, snapshots and
+// session control run on the peer's pool of threads (remote/recv.go).
 type VM struct {
 	cfg      Config
 	registry *Registry
