@@ -2,6 +2,9 @@ package aide
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,11 +14,24 @@ import (
 
 // TestClientSurvivesSurrogateDisconnect drives the full degradation
 // path: offload, hard-sever the link, and verify the application keeps
-// running locally — the in-flight placement fails over, offloading pins
-// local for the cooldown, and a fresh surrogate restores service.
+// running locally — the in-flight placement fails over (and says so on
+// WithLogf), offloading pins local for exactly the cooldown, default or
+// WithDisconnectCooldown, and a fresh surrogate restores service.
 func TestClientSurvivesSurrogateDisconnect(t *testing.T) {
+	t.Run("default-cooldown", func(t *testing.T) { surviveDisconnect(t, 3) })
+	t.Run("cooldown-5", func(t *testing.T) { surviveDisconnect(t, 5, WithDisconnectCooldown(5)) })
+}
+
+func surviveDisconnect(t *testing.T, cooldown int, opts ...Option) {
 	reg := demoRegistry(t)
-	client := NewClient(reg, WithHeap(1<<20))
+	var logMu sync.Mutex
+	var logged []string
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+	client := NewClient(reg, append(opts, WithHeap(1<<20), WithLogf(logf))...)
 	surrogate := NewSurrogate(reg)
 	defer func() {
 		_ = client.Close()
@@ -74,13 +90,21 @@ func TestClientSurvivesSurrogateDisconnect(t *testing.T) {
 	if len(client.OffloadedClasses()) != 0 {
 		t.Fatalf("offloaded classes = %v after disconnect, want none", client.OffloadedClasses())
 	}
+	logMu.Lock()
+	if !slices.Contains(logged, "aide: surrogate 0 disconnected; re-homed 1 stubs") {
+		t.Errorf("WithLogf saw %q, not the failover's re-homed line", logged)
+	}
+	logMu.Unlock()
 
-	// The cooldown ages out with garbage-collection cycles (default: 3).
-	for i := 0; i < 3; i++ {
+	// The cooldown ages out with garbage-collection cycles.
+	for i := 1; i <= cooldown; i++ {
+		if !client.PinnedLocal() {
+			t.Fatalf("cooldown of %d GC cycles expired after %d", cooldown, i-1)
+		}
 		client.VM().Collect()
 	}
 	if client.PinnedLocal() {
-		t.Fatal("cooldown should have expired after 3 GC cycles")
+		t.Fatalf("cooldown should have expired after %d GC cycles", cooldown)
 	}
 
 	// A fresh surrogate restores full service.

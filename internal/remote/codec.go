@@ -28,17 +28,19 @@ import (
 // Encode buffers are pooled; decode copies what it keeps, so frames can
 // be reused immediately.
 //
-// wireBytes() (message.go) is derived from sizeMessage below, so Stats
-// and netmodel.Link costing charge the exact frame size; the codec tests
-// and FuzzMessageRoundTrip pin sizeMessage == len(appendMessage) for
-// every message kind.
+// A frame's size is the length of its bytes, stamped on Message.Wire by
+// whoever encodes or decodes it; nothing computes one without them.
 
 // wireVersion is the frame format version; the first payload byte.
 const wireVersion = 1
 
-// maxFrame bounds incoming frame sizes so a corrupt length prefix cannot
-// force an arbitrary allocation.
-const maxFrame = 1 << 28
+// maxFrame bounds frame payloads, so a corrupt length prefix cannot force
+// an arbitrary allocation; prefixRoom is the widest length prefix a frame
+// can then have (maxFrame fits 32 bits).
+const (
+	maxFrame   = 1 << 28
+	prefixRoom = binary.MaxVarintLen32
+)
 
 // Field tags, one per Message field that can appear on the wire (ID and
 // Kind live in the fixed header). Presence tags (tagReply,
@@ -72,13 +74,13 @@ const (
 	tagTotal
 )
 
-// The binary codec encodes every field of the structs below; these pins
-// are checked by the wirecheck analyzer against the struct definitions, so
-// a new field cannot be added without updating the codec (and the pin)
-// in the same change.
+// The binary codec encodes every field of the structs below but
+// Message.Wire (stamped, not sent); the wirecheck analyzer checks these
+// pins against the struct definitions, so a new field cannot be added
+// without updating the codec (and the pin) in the same change.
 //
 //lint:wire Message
-const messageWireFields = 28
+const messageWireFields = 29
 
 //lint:wire aide/internal/vm.WireValue
 const wireValueWireFields = 7
@@ -107,8 +109,7 @@ func getFrameBuf() *[]byte            { return framePool.Get().(*[]byte) }
 func putFrameBuf(p *[]byte, b []byte) { *p = b[:0]; framePool.Put(p) }
 
 // appendTagVarint and appendTagString append an optional scalar field —
-// nothing when it is zero, else its tag and value; sizeTagVarint and
-// sizeTagString mirror them for sizeMessage.
+// nothing when it is zero, else its tag and value.
 func appendTagVarint(buf []byte, tag byte, v int64) []byte {
 	if v == 0 {
 		return buf
@@ -116,25 +117,11 @@ func appendTagVarint(buf []byte, tag byte, v int64) []byte {
 	return binary.AppendVarint(append(buf, tag), v)
 }
 
-func sizeTagVarint(v int64) int {
-	if v == 0 {
-		return 0
-	}
-	return 1 + wire.VarintSize(v)
-}
-
 func appendTagString(buf []byte, tag byte, s string) []byte {
 	if s == "" {
 		return buf
 	}
 	return wire.AppendString(append(buf, tag), s)
-}
-
-func sizeTagString(s string) int {
-	if s == "" {
-		return 0
-	}
-	return 1 + wire.StringSize(s)
 }
 
 // appendMessage appends m's payload (no length prefix) to buf.
@@ -248,26 +235,6 @@ func appendPipelineCall(buf []byte, c *vm.PipelineCall) []byte {
 	return buf
 }
 
-// sizePipelineCall mirrors appendPipelineCall exactly.
-func sizePipelineCall(c *vm.PipelineCall) int {
-	n := 1
-	if c.Recv >= 0 {
-		n += wire.VarintSize(int64(c.Recv))
-	} else {
-		n += wire.VarintSize(int64(c.Obj))
-	}
-	n += wire.StringSize(c.Method)
-	n += wire.UvarintSize(uint64(len(c.Args)))
-	for i := range c.Args {
-		n += c.Args[i].WireLen()
-	}
-	n += wire.UvarintSize(uint64(len(c.ArgPromises)))
-	for _, ap := range c.ArgPromises {
-		n += wire.VarintSize(int64(ap.Pos)) + wire.VarintSize(int64(ap.Call))
-	}
-	return n
-}
-
 // decodePipelineCall decodes one pipelined call in place. A concrete
 // receiver decodes with the canonical Recv of -1. Argument slices are
 // carved full-capacity out of *arena (grown in blocks), so a frame of
@@ -320,106 +287,27 @@ func promiseIndex(r *wire.Reader, x int64) int32 {
 	return int32(x)
 }
 
-// sizeMessage returns the exact payload size appendMessage would
-// produce. It must mirror appendMessage field for field; the codec tests
-// and the fuzz round-trip enforce equality.
-func sizeMessage(m *Message) int {
-	n := 2 + wire.UvarintSize(m.ID)
-	if m.Reply {
-		n++
+// encodeFrame encodes m's frame at the end of buf and stamps its length
+// on m.Wire. The payload is encoded once, behind room for the widest
+// prefix, and the prefix is then written right-aligned against it: the
+// frame is out[start:], and the few bytes before start are slack.
+func encodeFrame(buf []byte, m *Message) (out []byte, start int, err error) {
+	head := len(buf) + prefixRoom
+	out = appendMessage(append(buf, make([]byte, prefixRoom)...), m)
+	n := len(out) - head
+	if n > maxFrame {
+		return nil, 0, fmt.Errorf("remote: codec: %s frame of %d bytes exceeds limit", m.Kind, n)
 	}
-	n += sizeTagString(m.Err)
-	n += sizeTagVarint(int64(m.Obj))
-	n += sizeTagString(m.Class)
-	n += sizeTagString(m.Method)
-	n += sizeTagString(m.Field)
-	if m.SelfIsSenderLocal {
-		n++
-	}
-	if len(m.Args) > 0 {
-		n += 1 + wire.UvarintSize(uint64(len(m.Args)))
-		for i := range m.Args {
-			n += m.Args[i].WireLen()
-		}
-	}
-	if m.Ret.Kind != vm.KindNil {
-		n += 1 + m.Ret.WireLen()
-	}
-	n += sizeTagVarint(m.ElapsedNanos)
-	if len(m.Batch) > 0 {
-		n += 1 + wire.UvarintSize(uint64(len(m.Batch)))
-		for i := range m.Batch {
-			n += m.Batch[i].WireLen()
-		}
-	}
-	if len(m.IDs) > 0 {
-		n += 1 + wire.UvarintSize(uint64(len(m.IDs)))
-		for _, id := range m.IDs {
-			n += wire.VarintSize(int64(id))
-		}
-	}
-	if len(m.Classes) > 0 {
-		n += 1 + wire.UvarintSize(uint64(len(m.Classes)))
-		for _, c := range m.Classes {
-			n += wire.StringSize(c)
-		}
-	}
-	n += sizeTagVarint(m.Objects)
-	n += sizeTagVarint(m.MovedBytes)
-	n += sizeTagVarint(m.FreeBytes)
-	n += sizeTagVarint(m.CapacityBytes)
-	if m.CPUSpeed != 0 {
-		n += 1 + 8
-	}
-	if len(m.Calls) > 0 {
-		n += 1 + wire.UvarintSize(uint64(len(m.Calls)))
-		for i := range m.Calls {
-			n += sizePipelineCall(&m.Calls[i])
-		}
-	}
-	if len(m.Rets) > 0 {
-		n += 1 + wire.UvarintSize(uint64(len(m.Rets)))
-		for i := range m.Rets {
-			n += m.Rets[i].WireLen()
-		}
-	}
-	n += sizeTagVarint(int64(m.ErrIndex))
-	if m.ErrCode != 0 {
-		n += 2
-	}
-	n += sizeTagVarint(m.Sessions)
-	if len(m.Blob) > 0 {
-		n += 1 + wire.UvarintSize(uint64(len(m.Blob))) + len(m.Blob)
-	}
-	n += sizeTagVarint(m.Seq)
-	n += sizeTagVarint(m.Total)
-	return n
-}
-
-// frameSize returns the exact on-the-wire frame size (length prefix plus
-// payload) for the message.
-func frameSize(m *Message) int {
-	n := sizeMessage(m)
-	return wire.UvarintSize(uint64(n)) + n
-}
-
-// appendFrame appends the length-prefixed frame to buf. It verifies the
-// size derivation against the bytes actually produced, so a codec drift
-// bug surfaces as a transport error instead of a corrupt stream.
-func appendFrame(buf []byte, m *Message) ([]byte, error) {
-	n := sizeMessage(m)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	head := len(buf)
-	buf = appendMessage(buf, m)
-	if len(buf)-head != n {
-		return nil, fmt.Errorf("remote: codec: sized %s frame at %d bytes but encoded %d", m.Kind, n, len(buf)-head)
-	}
-	return buf, nil
+	var prefix [prefixRoom]byte
+	start = head - binary.PutUvarint(prefix[:], uint64(n))
+	copy(out[start:head], prefix[:])
+	m.Wire = int64(len(out) - start)
+	return out, start, nil
 }
 
 // decodeMessage decodes one payload (without length prefix) into a fresh
-// Message. The result does not alias data; callers may recycle the
-// buffer immediately.
+// Message, whose Wire is the caller's to stamp. The result does not alias
+// data; callers may recycle the buffer immediately.
 func decodeMessage(data []byte) (*Message, error) {
 	r := wire.NewReader(data)
 	if v := r.Byte(); v != wireVersion {
@@ -526,11 +414,17 @@ func readValues(r *wire.Reader) []vm.WireValue {
 
 // AppendFrame appends m's complete wire frame — uvarint length prefix
 // plus binary-codec payload, exactly the bytes NewConnTransport puts on
-// the socket — to buf and returns the extended slice. It is the codec's
-// public face for tools and benchmarks; the transports use it
-// internally.
+// the socket — to buf and returns the extended slice, stamping m.Wire. It
+// is the codec's public face for tools and benchmarks: appending means
+// closing the slack before the prefix, a move the transports, which write
+// the frame from where it lies, do not make.
 func AppendFrame(buf []byte, m *Message) ([]byte, error) {
-	return appendFrame(buf, m)
+	out, start, err := encodeFrame(buf, m)
+	if err != nil {
+		return nil, err
+	}
+	n := copy(out[len(buf):], out[start:])
+	return out[:len(buf)+n], nil
 }
 
 // DecodeFrame decodes one frame produced by AppendFrame.
@@ -543,6 +437,10 @@ func DecodeFrame(data []byte) (*Message, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: codec: frame of %d bytes exceeds limit", n)
 	}
-	payload := data[len(data)-r.Len():]
-	return decodeMessage(payload[:n])
+	frame := data[:len(data)-r.Len()+n]
+	m, err := decodeMessage(frame[len(frame)-n:])
+	if err == nil {
+		m.Wire = int64(len(frame))
+	}
+	return m, err
 }

@@ -8,9 +8,9 @@ import (
 // FuzzMessageRoundTrip feeds arbitrary bytes to the frame decoder. Any
 // payload the decoder accepts must re-encode canonically: encoding the
 // decoded message, decoding that, and encoding again must be
-// byte-identical (byte comparison sidesteps NaN != NaN), and the size
-// derivation must match the bytes produced. Inputs the decoder rejects
-// are fine — the invariant is that acceptance implies canonical
+// byte-identical (byte comparison sidesteps NaN != NaN), and the frame
+// codec must stamp the frame's length at both ends. Inputs the decoder
+// rejects are fine — the invariant is that acceptance implies canonical
 // round-tripping, never a silent misread.
 //
 // The seed corpus in testdata/fuzz/FuzzMessageRoundTrip holds one
@@ -27,8 +27,12 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			return
 		}
 		b1 := appendMessage(nil, m)
-		if sizeMessage(m) != len(b1) {
-			t.Fatalf("sizeMessage = %d, encoded %d bytes", sizeMessage(m), len(b1))
+		frame, err := AppendFrame(nil, m)
+		if err != nil || !bytes.HasSuffix(frame, b1) {
+			t.Fatalf("frame %x of payload %x (%v)", frame, b1, err)
+		}
+		if mf, err := DecodeFrame(frame); err != nil || mf.Wire != int64(len(frame)) || m.Wire != mf.Wire {
+			t.Fatalf("a %d-byte frame was stamped %d encoding it, %+v decoding it (%v)", len(frame), m.Wire, mf, err)
 		}
 		m2, err := decodeMessage(b1)
 		if err != nil {

@@ -12,8 +12,8 @@ import (
 
 // codecMessages is one representative message per wire kind, every field
 // the kind uses populated, plus reply and error variants. The table
-// backs both the exact-size regression test and the gob-equivalence
-// test.
+// backs the round-trip and gob-equivalence tests, the fuzz corpus and
+// the socket byte-count test (TestWireBytesExact).
 func codecMessages() []*Message {
 	return []*Message{
 		{Kind: MsgInvoke, ID: 1, Obj: 42, Method: "append", Args: []vm.WireValue{
@@ -94,33 +94,6 @@ func codecMessages() []*Message {
 			ErrCode: uint8(CodeDrained)},
 		{Kind: MsgSnapshotAck, ID: 24},
 		{Kind: MsgSnapshotAck, ID: 24, Reply: true},
-	}
-}
-
-// TestWireBytesExact pins wireBytes() to the bytes the codec actually
-// produces, for every message kind: Stats and the netmodel costing must
-// charge real frame sizes.
-func TestWireBytesExact(t *testing.T) {
-	seenKinds := map[MsgKind]bool{}
-	for _, m := range codecMessages() {
-		seenKinds[m.Kind] = true
-		frame, err := appendFrame(nil, m)
-		if err != nil {
-			t.Fatalf("%s: appendFrame: %v", m.Kind, err)
-		}
-		if got, want := m.wireBytes(), int64(len(frame)); got != want {
-			t.Errorf("%s (reply=%v): wireBytes() = %d, encoded frame is %d bytes", m.Kind, m.Reply, got, want)
-		}
-	}
-	for k := MsgInvoke; k <= MsgSnapshotAck; k++ {
-		if k == MsgPromiseRef {
-			// Never a top-level frame kind: it is the per-call receiver
-			// discriminator inside MsgInvokeBatch payloads.
-			continue
-		}
-		if !seenKinds[k] {
-			t.Errorf("codecMessages covers no %s message", k)
-		}
 	}
 }
 
@@ -316,26 +289,31 @@ func randomMessage(rng *rand.Rand) *Message {
 	return m
 }
 
-// TestMessageRoundTripRandom drives the codec with seeded random
-// messages: decode(encode(m)) must equal m, the size derivation must be
-// exact, and re-encoding the decoded message must reproduce the bytes.
+// TestMessageRoundTripRandom drives the frame codec with seeded random
+// messages: decode(encode(m)) must equal m, both stamped with the frame's
+// length, and re-encoding the decoded message — behind bytes already in
+// the buffer — must reproduce the frame.
 func TestMessageRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		m := randomMessage(rng)
-		buf := appendMessage(nil, m)
-		if got, want := sizeMessage(m), len(buf); got != want {
-			t.Fatalf("iter %d: sizeMessage = %d, encoded %d bytes (%+v)", i, got, want, m)
+		frame, err := AppendFrame(nil, m)
+		if err != nil {
+			t.Fatalf("iter %d: encode: %v (%+v)", i, err, m)
 		}
-		dec, err := decodeMessage(buf)
+		dec, err := DecodeFrame(frame)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v (%+v)", i, err, m)
+		}
+		if dec.Wire != int64(len(frame)) {
+			t.Fatalf("iter %d: a %d-byte frame decoded with Wire = %d", i, len(frame), dec.Wire)
 		}
 		if !reflect.DeepEqual(dec, m) {
 			t.Fatalf("iter %d: round trip mismatch:\n got %+v\nwant %+v", i, dec, m)
 		}
-		if again := appendMessage(nil, dec); !bytes.Equal(again, buf) {
-			t.Fatalf("iter %d: re-encode differs from original encoding", i)
+		again, err := AppendFrame([]byte("head"), dec)
+		if err != nil || !bytes.Equal(again, append([]byte("head"), frame...)) {
+			t.Fatalf("iter %d: re-encode differs from original encoding (%v)", i, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -223,5 +224,58 @@ func TestOrphanReplyLogsOncePerPeer(t *testing.T) {
 	}
 	if pc.Warn() == nil {
 		t.Fatal("Warn() must report the recorded orphan anomaly")
+	}
+}
+
+// downTransport fails every send with a transient error.
+type downTransport struct{ Transport }
+
+func (downTransport) Send(*Message) error { return errors.New("down transport: try again") }
+
+// errSignalCtx reports, on asked, each time its Err is consulted: sendRetry
+// does that once per failed send, immediately before it backs off.
+type errSignalCtx struct {
+	context.Context
+	asked chan struct{}
+}
+
+func (c errSignalCtx) Err() error {
+	select {
+	case c.asked <- struct{}{}:
+	default:
+	}
+	return c.Context.Err()
+}
+
+// TestBackoffYieldsToCancelAndClose: a caller waiting out a retry back-off
+// — an hour here — leaves it the moment its context is cancelled or the
+// peer closes.
+func TestBackoffYieldsToCancelAndClose(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(cancel context.CancelFunc, p *Peer)
+		want error
+	}{
+		{"cancel", func(cancel context.CancelFunc, _ *Peer) { cancel() }, context.Canceled},
+		{"close", func(_ context.CancelFunc, p *Peer) { _ = p.Close() }, ErrClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ta, tb := NewChannelPair()
+			defer tb.Close()
+			p := NewPeer(vm.New(testRegistry(t), vm.Config{Role: vm.RoleClient}), downTransport{ta}, Options{RetryBase: time.Hour})
+			defer p.Close()
+			parent, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx := errSignalCtx{parent, make(chan struct{}, 1)}
+			result := make(chan error, 1)
+			go func() { result <- p.Probe(ctx) }()
+			<-ctx.asked
+			tc.end(cancel, p)
+			within(t, hangAfter, "the probe to leave its back-off", func() {
+				if err := <-result; !errors.Is(err, tc.want) {
+					t.Errorf("probe returned %v, want %v", err, tc.want)
+				}
+			})
+		})
 	}
 }

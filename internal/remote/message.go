@@ -124,16 +124,17 @@ type Message struct {
 	ID    uint64 // request correlation; replies echo it
 	Reply bool
 	Kind  MsgKind
-	Err   string // non-empty on failed replies
+	// SelfIsSenderLocal marks native invocations whose receiver object is
+	// in the *sender's* namespace (diagnostic; see Peer.handleNative). It
+	// shares a word with Reply and Kind: a round trip allocates four
+	// Messages, and this keeps them in the allocator's 448-byte class.
+	SelfIsSenderLocal bool
+	Err               string // non-empty on failed replies
 
 	Obj    vm.ObjectID // target object, in the receiver's namespace
 	Class  string
 	Method string
 	Field  string
-
-	// SelfIsSenderLocal marks native invocations whose receiver object is
-	// in the *sender's* namespace (diagnostic; see Peer.handleNative).
-	SelfIsSenderLocal bool
 
 	Args []vm.WireValue
 	Ret  vm.WireValue
@@ -186,14 +187,13 @@ type Message struct {
 	Blob  []byte
 	Seq   int64
 	Total int64
-}
 
-// wireBytes returns the exact on-the-wire frame size of the message
-// under the binary codec (length prefix included), so Stats and the
-// netmodel.Link costing charge real transfer sizes. TestWireBytesExact
-// pins this against the bytes the codec actually emits for every kind.
-func (m *Message) wireBytes() int64 {
-	return int64(frameSize(m))
+	// Wire is the length in bytes of the frame that carried the message,
+	// length prefix included. It is not encoded: whoever encodes or decodes
+	// the frame stamps it (a Transport's Send on the caller's message, its
+	// Recv on the one it returns; AppendFrame and DecodeFrame likewise), and
+	// the peer's byte counters and link costing read it.
+	Wire int64
 }
 
 // ErrorCode classifies a failed reply machine-readably. It rides the

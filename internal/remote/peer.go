@@ -691,7 +691,7 @@ func (p *Peer) Call(ctx context.Context, m *Message) (*Message, error) {
 			Kind:   telemetry.SpanRPC,
 			Note:   m.Kind.String(),
 			Peer:   p.idx,
-			Bytes:  m.wireBytes(),
+			Bytes:  m.Wire,
 			Err:    err != nil,
 			Start:  start,
 			Dur:    d,
@@ -718,7 +718,6 @@ func (p *Peer) doCall(ctx context.Context, m *Message) (*Message, error) {
 		return nil, p.failErr()
 	}
 	p.m.requestsSent.Inc()
-	p.m.bytesSent.Add(m.wireBytes())
 
 	if p.askToYield() {
 		defer p.doneEvicting()
@@ -801,6 +800,17 @@ func isBatchFrame(k MsgKind) bool {
 	return k == MsgInvokeBatch || k == MsgReleaseBatch
 }
 
+// send is where bytes leave: every frame this peer writes — request,
+// reply, release batch — goes through here, and one that the transport
+// took is counted at the length the transport stamped on it.
+func (p *Peer) send(m *Message) error {
+	err := p.transport.Send(m)
+	if err == nil {
+		p.m.bytesSent.Add(m.Wire)
+	}
+	return err
+}
+
 // sendRetry sends m, retrying transient transport errors with
 // exponential backoff and deterministic jitter. A send failure means the
 // message never reached the wire, so a retry of any kind is safe —
@@ -815,7 +825,7 @@ func (p *Peer) sendRetry(ctx context.Context, m *Message) error {
 		if p.closed.Load() {
 			return p.failErr()
 		}
-		if err = p.transport.Send(m); err == nil {
+		if err = p.send(m); err == nil {
 			return nil
 		}
 		if errors.Is(err, ErrClosed) {
@@ -839,7 +849,24 @@ func (p *Peer) sendRetry(ctx context.Context, m *Message) error {
 		if isBatchFrame(m.Kind) {
 			p.m.batchSendRetries.Inc()
 		}
-		time.Sleep(p.backoff(attempt))
+		if err := p.pause(ctx, p.backoff(attempt)); err != nil {
+			return err
+		}
+	}
+}
+
+// pause waits out a retry back-off unless the caller or the peer gives up
+// first, returning ctx's error or the peer's failure error then.
+func (p *Peer) pause(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-p.stop:
+		return p.failErr()
 	}
 }
 
@@ -860,16 +887,13 @@ func (p *Peer) backoff(attempt int) time.Duration {
 	return time.Duration(half + x%(half+1))
 }
 
-// netCost returns the simulated link time for a request/reply exchange.
+// netCost returns the simulated link time for a request/reply exchange,
+// from the frame lengths the transport stamped on the two.
 func (p *Peer) netCost(req, reply *Message) time.Duration {
 	if p.link == nil {
 		return 0
 	}
-	var replyBytes int64
-	if reply != nil {
-		replyBytes = reply.wireBytes()
-	}
-	return p.link.RPC(req.wireBytes(), replyBytes)
+	return p.link.RPC(req.Wire, reply.Wire)
 }
 
 // InvokeRemote implements vm.Peer.
@@ -1125,7 +1149,6 @@ func (p *Peer) flushReleases() {
 	m := &Message{ID: p.nextID.Add(1), Kind: MsgReleaseBatch, IDs: ids}
 	p.m.releaseBatchesSent.Inc()
 	p.m.releaseBatch.ObserveInt(int64(len(ids)))
-	p.m.bytesSent.Add(m.wireBytes())
 	// Retried with the same message ID on transient failure, so the
 	// receiver's dedupe window makes an "errored but delivered" send
 	// harmless: every decref applies exactly once. A batch that exhausts
@@ -1147,17 +1170,27 @@ func (p *Peer) Offload(classNames []string) (objects int, bytes int64, err error
 // OffloadContext is Offload bounded by ctx: the migration call aborts
 // when ctx is cancelled or its deadline expires.
 func (p *Peer) OffloadContext(ctx context.Context, classNames []string) (objects int, bytes int64, err error) {
-	if !p.tracer.Enabled() {
-		return p.offload(ctx, classNames)
-	}
-	sid := p.tracer.NextID()
-	start := p.mnow()
-	objects, bytes, err = p.offload(telemetry.WithSpan(ctx, sid), classNames)
-	p.tracer.Emit(telemetry.Span{
-		ID: sid, Kind: telemetry.SpanMigration, Note: "offload", Peer: p.idx,
-		N: int64(objects), Bytes: bytes, Err: err != nil, Start: start, Dur: p.mnow().Sub(start),
+	err = p.span(ctx, telemetry.SpanMigration, "offload", func(ctx context.Context, s *telemetry.Span) (err error) {
+		objects, bytes, err = p.offload(ctx, classNames)
+		s.N, s.Bytes = int64(objects), bytes
+		return err
 	})
 	return objects, bytes, err
+}
+
+// span runs body as one traced operation: body gets a ctx carrying the new
+// span's ID, so the RPC spans beneath it name it as parent, and records
+// what it moved (N, Bytes) on s; kind, note, peer, outcome and timing are
+// filled in here. With the tracer off it only calls body.
+func (p *Peer) span(ctx context.Context, kind telemetry.SpanKind, note string, body func(context.Context, *telemetry.Span) error) error {
+	if !p.tracer.Enabled() {
+		return body(ctx, &telemetry.Span{})
+	}
+	s := telemetry.Span{ID: p.tracer.NextID(), Kind: kind, Note: note, Peer: p.idx, Start: p.mnow()}
+	err := body(telemetry.WithSpan(ctx, s.ID), &s)
+	s.Err, s.Dur = err != nil, p.mnow().Sub(s.Start)
+	p.tracer.Emit(s)
+	return err
 }
 
 func (p *Peer) offload(ctx context.Context, classNames []string) (objects int, bytes int64, err error) {
@@ -1238,7 +1271,9 @@ func (p *Peer) retryIdempotent(ctx context.Context, mk func() *Message) (*Messag
 				// context.Canceled is never retried.
 				return nil, cerr
 			}
-			time.Sleep(p.backoff(attempt - 1))
+			if err := p.pause(ctx, p.backoff(attempt-1)); err != nil {
+				return nil, err
+			}
 		}
 		reply, err = p.Call(ctx, mk())
 		if err == nil {
@@ -1303,8 +1338,14 @@ func (p *Peer) Info() (PeerInfo, error) {
 // InfoContext is Info bounded by ctx: the resource probe (including its
 // idempotent retries) aborts when ctx is cancelled or expires.
 func (p *Peer) InfoContext(ctx context.Context) (PeerInfo, error) {
+	return p.probeInfo(ctx, MsgInfo)
+}
+
+// probeInfo round-trips an occupancy request (MsgInfo or MsgAttach, both
+// idempotent) and reads the reply's payload and the probe's RTT.
+func (p *Peer) probeInfo(ctx context.Context, kind MsgKind) (PeerInfo, error) {
 	start := p.now()
-	reply, err := p.retryIdempotent(ctx, func() *Message { return &Message{Kind: MsgInfo} })
+	reply, err := p.retryIdempotent(ctx, func() *Message { return &Message{Kind: kind} })
 	if err != nil {
 		return PeerInfo{}, err
 	}
@@ -1326,22 +1367,12 @@ func (p *Peer) InfoContext(ctx context.Context) (PeerInfo, error) {
 // unknown-kind error, mapped to ErrAttachUnsupported; callers treat
 // that as an open session with no admission control.
 func (p *Peer) Attach(ctx context.Context) (PeerInfo, error) {
-	start := p.now()
-	reply, err := p.retryIdempotent(ctx, func() *Message { return &Message{Kind: MsgAttach} })
-	if err != nil {
-		var re *RemoteError
-		if errors.As(err, &re) && re.Code == CodeNone && strings.Contains(re.Msg, "unknown request kind") {
-			return PeerInfo{}, fmt.Errorf("%w: %s", ErrAttachUnsupported, re.Msg)
-		}
-		return PeerInfo{}, err
+	info, err := p.probeInfo(ctx, MsgAttach)
+	var re *RemoteError
+	if errors.As(err, &re) && re.Code == CodeNone && strings.Contains(re.Msg, "unknown request kind") {
+		return PeerInfo{}, fmt.Errorf("%w: %s", ErrAttachUnsupported, re.Msg)
 	}
-	return PeerInfo{
-		FreeBytes:     reply.FreeBytes,
-		CapacityBytes: reply.CapacityBytes,
-		CPUSpeed:      reply.CPUSpeed,
-		Sessions:      reply.Sessions,
-		RTT:           p.now().Sub(start),
-	}, nil
+	return info, err
 }
 
 // Recall asks the peer to migrate its live objects of the named classes
@@ -1356,15 +1387,10 @@ func (p *Peer) Recall(classNames []string) (objects int, bytes int64, err error)
 // RecallContext is Recall bounded by ctx: the migration call aborts
 // when ctx is cancelled or its deadline expires.
 func (p *Peer) RecallContext(ctx context.Context, classNames []string) (objects int, bytes int64, err error) {
-	if !p.tracer.Enabled() {
-		return p.recall(ctx, classNames)
-	}
-	sid := p.tracer.NextID()
-	start := p.mnow()
-	objects, bytes, err = p.recall(telemetry.WithSpan(ctx, sid), classNames)
-	p.tracer.Emit(telemetry.Span{
-		ID: sid, Kind: telemetry.SpanMigration, Note: "recall", Peer: p.idx,
-		N: int64(objects), Bytes: bytes, Err: err != nil, Start: start, Dur: p.mnow().Sub(start),
+	err = p.span(ctx, telemetry.SpanMigration, "recall", func(ctx context.Context, s *telemetry.Span) (err error) {
+		objects, bytes, err = p.recall(ctx, classNames)
+		s.N, s.Bytes = int64(objects), bytes
+		return err
 	})
 	return objects, bytes, err
 }

@@ -132,6 +132,16 @@ func TestRemoteInvocationAfterOffload(t *testing.T) {
 	if v.I != 15 {
 		t.Fatalf("remote field read = %d, want 15", v.I)
 	}
+
+	// Every crossing above was charged to the simulated clock at its
+	// frames' lengths over the WaveLAN link. The figure is what the size
+	// mirror this codec once carried charged for the same sequence.
+	if err := th.SetField(doc, "title", vm.Str("a title that costs bytes on the link")); err != nil {
+		t.Fatalf("remote set field: %v", err)
+	}
+	if got, want := client.Clock(), 11806386*time.Nanosecond; got != want {
+		t.Fatalf("simulated clock after the sequence = %v, want %v", got, want)
+	}
 }
 
 func TestNativeRoutesBackToClient(t *testing.T) {

@@ -420,7 +420,7 @@ func (p *Peer) readFor(ctx context.Context, id uint64, ch chan *Message, expired
 // returns the caller's own reply if m is that, and whether the token is
 // still held: a request served in place is served with it released.
 func (p *Peer) route(m *Message, self uint64) (own *Message, held bool) {
-	p.m.bytesReceived.Add(m.wireBytes())
+	p.m.bytesReceived.Add(m.Wire)
 	if m.Reply {
 		ch, ok := p.shardFor(m.ID).take(m.ID)
 		switch {
@@ -544,8 +544,7 @@ func (p *Peer) sendReply(reply *Message) {
 	if p.closed.Load() {
 		return
 	}
-	p.m.bytesSent.Add(reply.wireBytes())
-	if err := p.transport.Send(reply); err != nil {
+	if err := p.send(reply); err != nil {
 		// The connection is gone; whoever reads it will observe that.
 		return
 	}
@@ -577,14 +576,7 @@ func (p *Peer) serve(m *Message) {
 			}
 			reply.Err = gerr.Error()
 			reply.ErrCode = uint8(CodeOf(gerr))
-			if p.closed.Load() {
-				return
-			}
-			p.m.bytesSent.Add(reply.wireBytes())
-			if err := p.transport.Send(reply); err != nil {
-				// The connection is gone; recvLoop will observe it.
-				return
-			}
+			p.sendReply(reply)
 			return
 		}
 	}

@@ -77,17 +77,10 @@ func (p *Peer) WaitServeIdle(allow int) {
 // carries the receiving handler's verdict: a nil return means the
 // handler consumed the image.
 func (p *Peer) PushSnapshot(ctx context.Context, method, dest string, img []byte) error {
-	if !p.tracer.Enabled() {
+	return p.span(ctx, telemetry.SpanSnapshot, "push:"+method, func(ctx context.Context, s *telemetry.Span) error {
+		s.Bytes = int64(len(img))
 		return p.pushSnapshot(ctx, method, dest, img)
-	}
-	sid := p.tracer.NextID()
-	start := p.mnow()
-	err := p.pushSnapshot(telemetry.WithSpan(ctx, sid), method, dest, img)
-	p.tracer.Emit(telemetry.Span{
-		ID: sid, Kind: telemetry.SpanSnapshot, Note: "push:" + method, Peer: p.idx,
-		Bytes: int64(len(img)), Err: err != nil, Start: start, Dur: p.mnow().Sub(start),
 	})
-	return err
 }
 
 func (p *Peer) pushSnapshot(ctx context.Context, method, dest string, img []byte) error {
@@ -118,16 +111,11 @@ func (p *Peer) pushSnapshot(ctx context.Context, method, dest string, img []byte
 // SetSnapshotSource hook) chunk by chunk and acknowledges receipt so
 // the peer releases its cached copy. The speculation path uses this to
 // seed a local shadow clone from the surrogate's authoritative state.
-func (p *Peer) PullSnapshot(ctx context.Context) ([]byte, error) {
-	if !p.tracer.Enabled() {
-		return p.pullSnapshot(ctx)
-	}
-	sid := p.tracer.NextID()
-	start := p.mnow()
-	img, err := p.pullSnapshot(telemetry.WithSpan(ctx, sid))
-	p.tracer.Emit(telemetry.Span{
-		ID: sid, Kind: telemetry.SpanSnapshot, Note: "pull", Peer: p.idx,
-		Bytes: int64(len(img)), Err: err != nil, Start: start, Dur: p.mnow().Sub(start),
+func (p *Peer) PullSnapshot(ctx context.Context) (img []byte, err error) {
+	err = p.span(ctx, telemetry.SpanSnapshot, "pull", func(ctx context.Context, s *telemetry.Span) (err error) {
+		img, err = p.pullSnapshot(ctx)
+		s.Bytes = int64(len(img))
+		return err
 	})
 	return img, err
 }
@@ -174,17 +162,9 @@ func (p *Peer) ackPull(ctx context.Context) {
 // authority (the surrogate checks it against its configured drain key
 // and refuses the directive otherwise).
 func (p *Peer) DrainRemote(ctx context.Context, dest string, key []byte) error {
-	if !p.tracer.Enabled() {
-		return p.PushSnapshot(ctx, SnapDrain, dest, key)
-	}
-	sid := p.tracer.NextID()
-	start := p.mnow()
-	err := p.pushSnapshot(telemetry.WithSpan(ctx, sid), SnapDrain, dest, key)
-	p.tracer.Emit(telemetry.Span{
-		ID: sid, Kind: telemetry.SpanDrain, Note: "directive:" + dest, Peer: p.idx,
-		Err: err != nil, Start: start, Dur: p.mnow().Sub(start),
+	return p.span(ctx, telemetry.SpanDrain, "directive:"+dest, func(ctx context.Context, _ *telemetry.Span) error {
+		return p.pushSnapshot(ctx, SnapDrain, dest, key)
 	})
-	return err
 }
 
 // serveSnapshot handles one incoming MsgSnapshot frame: a pull request

@@ -94,15 +94,20 @@ func (t *chanTransport) Send(m *Message) error {
 }
 
 // copyMessage deep-copies m via the binary codec so the receiver shares
-// no memory with the sender.
+// no memory with the sender; both carry the frame's length.
 func copyMessage(m *Message) (*Message, error) {
 	bp := getFrameBuf()
-	buf := appendMessage((*bp)[:0], m)
-	cp, err := decodeMessage(buf)
+	buf, _, err := encodeFrame((*bp)[:0], m)
+	if err != nil {
+		putFrameBuf(bp, *bp)
+		return nil, fmt.Errorf("remote: chan send: %w", err)
+	}
+	cp, err := decodeMessage(buf[prefixRoom:])
 	putFrameBuf(bp, buf)
 	if err != nil {
 		return nil, fmt.Errorf("remote: chan send: %w", err)
 	}
+	cp.Wire = m.Wire
 	return cp, nil
 }
 
@@ -153,7 +158,7 @@ func (t *chanTransport) Close() error {
 type binTransport struct {
 	conn net.Conn
 	w    *bufio.Writer
-	r    *bufio.Reader
+	r    frameReader
 
 	readBuf []byte
 
@@ -177,19 +182,32 @@ func NewConnTransport(conn net.Conn) Transport {
 	return &binTransport{
 		conn: conn,
 		w:    bufio.NewWriter(conn),
-		r:    bufio.NewReader(conn),
+		r:    frameReader{Reader: bufio.NewReader(conn)},
 	}
+}
+
+// frameReader is the connection's buffered reader; prefix counts the bytes
+// taken through ReadByte, which is how binary.ReadUvarint reads a frame's
+// length prefix.
+type frameReader struct {
+	*bufio.Reader
+	prefix int
+}
+
+func (r *frameReader) ReadByte() (byte, error) {
+	r.prefix++
+	return r.Reader.ReadByte()
 }
 
 func (t *binTransport) Send(m *Message) error {
 	bp := getFrameBuf()
-	buf, err := appendFrame((*bp)[:0], m)
+	buf, start, err := encodeFrame((*bp)[:0], m)
 	if err != nil {
 		putFrameBuf(bp, *bp)
 		return fmt.Errorf("remote: send: %w", err)
 	}
 	t.sendMu.Lock()
-	_, werr := t.w.Write(buf)
+	_, werr := t.w.Write(buf[start:])
 	if werr == nil {
 		werr = t.w.Flush()
 	}
@@ -250,7 +268,8 @@ func (t *binTransport) Recv() (*Message, error) {
 	} else if err != nil {
 		return nil, fmt.Errorf("remote: recv: %w", err)
 	}
-	n, err := binary.ReadUvarint(t.r)
+	t.r.prefix = 0
+	n, err := binary.ReadUvarint(&t.r)
 	if err != nil {
 		return nil, fmt.Errorf("remote: recv: %w", err)
 	}
@@ -269,7 +288,7 @@ func (t *binTransport) Recv() (*Message, error) {
 		}
 		got := len(buf)
 		buf = buf[:min(size, cap(buf))]
-		if _, err := io.ReadFull(t.r, buf[got:]); err != nil {
+		if _, err := io.ReadFull(t.r.Reader, buf[got:]); err != nil {
 			return nil, fmt.Errorf("remote: recv: %w", err)
 		}
 	}
@@ -278,6 +297,7 @@ func (t *binTransport) Recv() (*Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: recv: %w", err)
 	}
+	m.Wire = int64(t.r.prefix + size)
 	return m, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aide/internal/vm"
 )
@@ -103,6 +104,30 @@ func TestBinaryTransportOverTCP(t *testing.T) {
 // mutate and resend it immediately, because the channel transport hands
 // the receiver a deep copy. Run under -race this fails loudly if the
 // copy ever aliases the sender's slices.
+// TestConnTransportAllocations pins what a frame costs the collector on its
+// way through a socket: the decoded Message, and nothing for the framing
+// (pooled encode buffer, retained read buffer, the length prefix read
+// through the transport's own counting reader).
+func TestConnTransportAllocations(t *testing.T) {
+	tc, ts := tcpTransportPair(t)
+	m := &Message{Kind: MsgInvoke, ID: 5, Obj: 3, Method: "echo"}
+	n := testing.AllocsPerRun(200, func() {
+		if err := tc.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ts.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 1 {
+		t.Errorf("a small frame cost %.0f allocations to send and receive, want 1", n)
+	}
+	// A round trip allocates four Messages; 448 bytes is a size class.
+	if size := unsafe.Sizeof(*m); size > 448 {
+		t.Errorf("Message is %d bytes, past the allocator's 448-byte class", size)
+	}
+}
+
 func TestChannelSenderMayReuseMessage(t *testing.T) {
 	a, b := NewChannelPair()
 	defer a.Close()

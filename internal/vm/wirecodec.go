@@ -9,7 +9,7 @@ import (
 
 // Binary wire form of the VM's wire types (WireValue, WireRef,
 // MigratedObject), embedded by the remote module's message codec. Each
-// type's AppendWire, WireLen and ReadWire sit next to each other so the
+// type's AppendWire and ReadWire sit next to each other so the
 // codec and the structs are one review unit; the wirecheck analyzer
 // additionally pins each struct's field count against the codec's
 // contract (see internal/remote/codec.go). Primitives, their failure
@@ -25,15 +25,6 @@ func (r *WireRef) AppendWire(buf []byte) []byte {
 		buf = wire.AppendString(buf, r.Class)
 	}
 	return buf
-}
-
-// WireLen returns the exact encoded size of the reference.
-func (r *WireRef) WireLen() int {
-	n := 1 + wire.VarintSize(int64(r.ID))
-	if !r.ReceiverLocal {
-		n += wire.StringSize(r.Class)
-	}
-	return n
 }
 
 // ReadWire decodes one WireRef in place.
@@ -64,26 +55,6 @@ func (w *WireValue) AppendWire(buf []byte) []byte {
 		buf = w.Ref.AppendWire(buf)
 	}
 	return buf
-}
-
-// WireLen returns the exact encoded size of the value.
-func (w *WireValue) WireLen() int {
-	switch w.Kind {
-	case KindInt:
-		return 1 + wire.VarintSize(w.I)
-	case KindFloat:
-		return 1 + 8
-	case KindBool:
-		return 1 + 1
-	case KindString:
-		return 1 + wire.StringSize(w.S)
-	case KindBytes:
-		return 1 + wire.UvarintSize(uint64(len(w.Bytes))) + len(w.Bytes)
-	case KindRef:
-		return 1 + w.Ref.WireLen()
-	default:
-		return 1
-	}
 }
 
 // ReadWire decodes one WireValue in place, so decode loops fill slice
@@ -122,16 +93,6 @@ func (m *MigratedObject) AppendWire(buf []byte) []byte {
 		buf = m.Fields[i].AppendWire(buf)
 	}
 	return buf
-}
-
-// WireLen returns the exact encoded size of the migrated object.
-func (m *MigratedObject) WireLen() int {
-	n := wire.VarintSize(int64(m.SenderID)) + wire.StringSize(m.Class) + wire.VarintSize(m.Size)
-	n += wire.UvarintSize(uint64(len(m.Fields)))
-	for i := range m.Fields {
-		n += m.Fields[i].WireLen()
-	}
-	return n
 }
 
 // ReadWire decodes one MigratedObject in place; a fieldless object

@@ -1,5 +1,5 @@
 // Package wire is the platform's one wire-primitive layer: the bounded
-// reader and the append/size helpers under all three hand-rolled binary
+// reader and the append helpers under all three hand-rolled binary
 // formats — the RPC envelope (internal/remote/codec.go), the VM's wire
 // values (internal/vm/wirecodec.go) and the snapshot image
 // (internal/snapshot/codec.go). Each format keeps its own layout, version
@@ -21,10 +21,7 @@
 // or length passes Count, the single anti-OOM guard.
 //
 // Encoding stays with each format (encoding/binary's Append functions
-// plus the helpers below), and so does the size mirror (sizeMessage,
-// WireLen): the link cost model and Stats need a frame's exact size
-// without encoding it, and the codec tests pin the mirror to the bytes
-// actually produced.
+// plus the helpers below).
 package wire
 
 import (
@@ -217,24 +214,4 @@ func AppendBool(buf []byte, b bool) []byte {
 		return append(buf, 1)
 	}
 	return append(buf, 0)
-}
-
-// UvarintSize returns the encoded size of x as a uvarint.
-func UvarintSize(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-// VarintSize returns the encoded size of x as a zigzag varint.
-func VarintSize(x int64) int {
-	return UvarintSize(uint64(x)<<1 ^ uint64(x>>63))
-}
-
-// StringSize returns the encoded size of s as a counted string.
-func StringSize(s string) int {
-	return UvarintSize(uint64(len(s))) + len(s)
 }

@@ -63,16 +63,10 @@ func TestRoundTripAndPrefixes(t *testing.T) {
 	}
 	for _, x := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1 << 35, math.MaxUint64} {
 		enc := binary.AppendUvarint(nil, x)
-		if UvarintSize(x) != len(enc) {
-			t.Errorf("UvarintSize(%d) = %d, encoder used %d", x, UvarintSize(x), len(enc))
-		}
 		cases = append(cases, tcase{"Uvarint", enc, x})
 	}
 	for _, x := range []int64{0, -1, 63, 64, -64, -65, 1 << 20, -(1 << 40), math.MaxInt64, math.MinInt64} {
 		enc := binary.AppendVarint(nil, x)
-		if VarintSize(x) != len(enc) {
-			t.Errorf("VarintSize(%d) = %d, encoder used %d", x, VarintSize(x), len(enc))
-		}
 		cases = append(cases, tcase{"Varint", enc, x})
 	}
 	for _, tc := range cases {
@@ -95,9 +89,6 @@ func TestRoundTripAndPrefixes(t *testing.T) {
 				t.Errorf("%s %x cut at %d: got %v with %d bytes left after failing", p.name, tc.enc, cut, got, r.Len())
 			}
 		}
-	}
-	if StringSize(long) != len(AppendString(nil, long)) {
-		t.Errorf("StringSize(%d bytes) = %d", len(long), StringSize(long))
 	}
 }
 
@@ -205,11 +196,11 @@ func FuzzReader(f *testing.F) {
 			need := 1
 			switch v := got.(type) {
 			case uint64:
-				need = UvarintSize(v)
+				need = len(binary.AppendUvarint(nil, v))
 			case int64:
-				need = VarintSize(v)
+				need = len(binary.AppendVarint(nil, v))
 			case string:
-				need = StringSize(v)
+				need = len(AppendString(nil, v))
 			case float64:
 				need = 8
 			}
