@@ -174,12 +174,11 @@ func (c *Client) Attach(t remote.Transport) error {
 // the surrogate's admission control either opens the session or rejects
 // it with a typed error — errors.Is(err, ErrAdmissionRejected) when the
 // surrogate is at capacity, ErrShed when it is degraded and shedding
-// load. Surrogates predating the handshake admit implicitly; the client
-// attaches to them exactly as before.
+// load.
 func (c *Client) AttachContext(ctx context.Context, t remote.Transport) error {
 	p := c.newPeer(t, nil)
 	c.slots.add(p)
-	if _, err := p.Attach(ctx); err != nil && !errors.Is(err, remote.ErrAttachUnsupported) {
+	if _, err := p.Attach(ctx); err != nil {
 		// Rejected (or the transport died mid-handshake): retire the slot,
 		// which has no stubs yet. The VM's peer table never reuses indexes,
 		// so every other peer's index stays aligned.

@@ -120,7 +120,7 @@ func (c *Client) handleHandoff(old *remote.Peer, dest string, img []byte) error 
 		}
 		return fail(err)
 	}
-	if _, err := np.Attach(ctx); err != nil && !errors.Is(err, remote.ErrAttachUnsupported) {
+	if _, err := np.Attach(ctx); err != nil {
 		return abort(fmt.Errorf("aide: handoff attach %s: %w", dest, err))
 	}
 	if err := np.PushSnapshot(ctx, remote.SnapRestore, "", img); err != nil {

@@ -295,7 +295,7 @@ func runSession(ctx context.Context, coord *Coordinator, reg *vm.Registry, cfg C
 			return derr
 		}
 		p := remote.NewPeer(cvm, tr, remote.Options{Workers: 1, CallTimeout: cfg.CallTimeout})
-		if _, aerr := p.Attach(ctx); aerr != nil && !errors.Is(aerr, remote.ErrAttachUnsupported) {
+		if _, aerr := p.Attach(ctx); aerr != nil {
 			switch {
 			case errors.Is(aerr, remote.ErrAdmissionRejected):
 				rejected.Add(1)

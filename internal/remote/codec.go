@@ -70,8 +70,8 @@ const (
 	tagErrCode
 	tagSessions
 	tagBlob
-	tagSeq
-	tagTotal
+	_ // tags 25 and 26 are retired, never reused: decode rejects them as unknown
+	_
 )
 
 // The binary codec encodes every field of the structs below but
@@ -80,7 +80,7 @@ const (
 // without updating the codec (and the pin) in the same change.
 //
 //lint:wire Message
-const messageWireFields = 29
+const messageWireFields = 27
 
 //lint:wire aide/internal/vm.WireValue
 const wireValueWireFields = 7
@@ -203,8 +203,6 @@ func appendMessage(buf []byte, m *Message) []byte {
 		buf = append(buf, tagBlob)
 		buf = wire.AppendBytes(buf, m.Blob)
 	}
-	buf = appendTagVarint(buf, tagSeq, m.Seq)
-	buf = appendTagVarint(buf, tagTotal, m.Total)
 	return buf
 }
 
@@ -385,10 +383,6 @@ func decodeMessage(data []byte) (*Message, error) {
 			m.Sessions = r.Varint()
 		case tagBlob:
 			m.Blob = r.Bytes()
-		case tagSeq:
-			m.Seq = r.Varint()
-		case tagTotal:
-			m.Total = r.Varint()
 		default:
 			r.Fail(fmt.Errorf("unknown field tag %d", tag))
 		}

@@ -79,21 +79,20 @@ func codecMessages() []*Message {
 		// Rejected: the typed code rides next to the error text.
 		{Kind: MsgAttach, ID: 19, Reply: true, Err: "session cap reached",
 			ErrCode: uint8(CodeAdmission)},
-		// Snapshot chunk 2 of 3 of a restore push.
-		{Kind: MsgSnapshot, ID: 20, Method: "restore", Seq: 2, Total: 3,
-			Blob: []byte{0xca, 0xfe, 0xba, 0xbe}},
+		// A restore push: the whole image in one frame; an empty reply is
+		// the handler's acceptance.
+		{Kind: MsgSnapshot, ID: 20, Method: "restore", Blob: []byte{0xca, 0xfe, 0xba, 0xbe}},
+		{Kind: MsgSnapshot, ID: 20, Reply: true},
 		// Handoff announcement: the destination address rides in Class.
-		{Kind: MsgSnapshot, ID: 21, Method: "handoff", Class: "127.0.0.1:9021",
-			Seq: 1, Total: 1, Blob: []byte{1, 0}},
-		// Pull request for chunk 1; the reply carries the chunk and count.
-		{Kind: MsgSnapshot, ID: 22, Method: "pull", Seq: 1},
-		{Kind: MsgSnapshot, ID: 22, Reply: true, Seq: 1, Total: 2,
-			Blob: []byte{9, 9, 9}},
+		{Kind: MsgSnapshot, ID: 21, Method: "handoff", Class: "127.0.0.1:9021", Blob: []byte{1, 0}},
+		// Pull request; the reply carries the image.
+		{Kind: MsgSnapshot, ID: 22, Method: "pull"},
+		{Kind: MsgSnapshot, ID: 22, Reply: true, Blob: []byte{9, 9, 9}},
 		// Refused mid-drain: the typed drain code rides on the reply.
 		{Kind: MsgSnapshot, ID: 23, Reply: true, Err: "surrogate draining",
 			ErrCode: uint8(CodeDrained)},
-		{Kind: MsgSnapshotAck, ID: 24},
-		{Kind: MsgSnapshotAck, ID: 24, Reply: true},
+		// Drain directive: no image crosses, Blob is the sender's drain key.
+		{Kind: MsgSnapshot, ID: 24, Method: "drain", Class: "127.0.0.1:9022", Blob: []byte("fleet-key")},
 	}
 }
 
@@ -171,7 +170,7 @@ func randomString(rng *rand.Rand, n int) string {
 
 func randomMessage(rng *rand.Rand) *Message {
 	m := &Message{
-		Kind: MsgKind(1 + rng.Intn(int(MsgSnapshotAck))),
+		Kind: MsgKind(1 + rng.Intn(int(MsgSnapshot))),
 		ID:   rng.Uint64() >> uint(rng.Intn(64)),
 	}
 	if rng.Intn(2) == 1 {
@@ -283,8 +282,6 @@ func randomMessage(rng *rand.Rand) *Message {
 	if n := rng.Intn(4); n > 0 {
 		m.Blob = make([]byte, 1+rng.Intn(64))
 		rng.Read(m.Blob)
-		m.Seq = 1 + rng.Int63n(16)
-		m.Total = m.Seq + rng.Int63n(16)
 	}
 	return m
 }
@@ -342,12 +339,16 @@ func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
 		"truncated fetch classes":  {wireVersion, byte(MsgFieldFetch), 1, tagClasses, 1, 5, 't', 'e'},
 		"negative promise arg pos": {wireVersion, byte(MsgInvokeBatch), 1, tagCalls, 1, byte(MsgInvoke), 2, 1, 'f', 0, 1, 1, 1},
 
-		// Snapshot chunk hostile matrix: truncated chunk payloads, oversize
-		// declared lengths, and truncated sequence numbers must all reject.
-		"truncated snapshot chunk": {wireVersion, byte(MsgSnapshot), 1, tagBlob, 8, 0xca, 0xfe},
+		// Snapshot hostile matrix: a truncated image, an oversize declared
+		// length, and the retired chunk-number and chunk-count tags (valid
+		// varints behind them) must all reject.
+		"truncated snapshot image": {wireVersion, byte(MsgSnapshot), 1, tagBlob, 8, 0xca, 0xfe},
 		"huge snapshot blob":       {wireVersion, byte(MsgSnapshot), 1, tagBlob, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"truncated snapshot seq":   {wireVersion, byte(MsgSnapshot), 1, tagSeq},
-		"truncated snapshot total": {wireVersion, byte(MsgSnapshot), 1, tagSeq, 2, tagTotal},
+		"retired tag 25":           {wireVersion, byte(MsgSnapshot), 1, 25, 2},
+		"retired tag 26":           {wireVersion, byte(MsgSnapshot), 1, tagBlob, 1, 0xca, 26, 2},
+	}
+	if tagBlob != 24 {
+		t.Errorf("tagBlob = %d, want 24: tags 25 and 26 are retired and a new tag starts at 27", tagBlob)
 	}
 	for name, data := range cases {
 		if _, err := decodeMessage(data); err == nil {

@@ -54,22 +54,17 @@ const (
 	// MsgAttach opens a session: the serving side runs admission control
 	// and either admits the sender (reply carries the same occupancy
 	// payload as MsgInfo plus Sessions) or rejects it with a typed error
-	// code (ErrCode). Surrogates that predate this kind answer with an
-	// "unknown request kind" error, which Peer.Attach maps to
-	// ErrAttachUnsupported so callers can fall back to implicit admission.
+	// code (ErrCode).
 	MsgAttach
-	// MsgSnapshot moves one VM snapshot image, chunked under the maxFrame
-	// guard: Blob carries the chunk bytes, Seq the 1-based chunk number,
-	// Total the chunk count. Method selects what the receiver does with
-	// the assembled image ("restore" replaces its session VM's heap,
-	// "handoff" announces a drain destination named by Class, "drain"
-	// orders a surrogate to drain toward Class, "pull" requests chunk Seq
-	// of the receiver's own snapshot — the reply carries Blob and Total).
+	// MsgSnapshot moves one whole VM snapshot image in Blob, bounded like
+	// any frame by maxFrame. Method selects what the receiver does with it
+	// ("restore" replaces its session VM's heap, "handoff" announces a
+	// drain destination named by Class, "drain" orders a surrogate to
+	// drain toward Class, "pull" asks for the receiver's own snapshot —
+	// the request carries no Blob, the reply's Blob is an image captured
+	// for that request).
 	MsgSnapshot
-	// MsgSnapshotAck finalizes a snapshot exchange: the sender confirms it
-	// acted on the assembled image (restored it, or completed a handoff),
-	// letting the receiver release any cached snapshot state.
-	MsgSnapshotAck
+	_ // kind 19 is retired, never reused: serve answers it as an unknown request kind
 )
 
 // String returns the kind's name.
@@ -111,8 +106,6 @@ func (k MsgKind) String() string {
 		return "attach"
 	case MsgSnapshot:
 		return "snapshot"
-	case MsgSnapshotAck:
-		return "snapshot-ack"
 	default:
 		return fmt.Sprintf("MsgKind(%d)", uint8(k))
 	}
@@ -180,13 +173,8 @@ type Message struct {
 	// in info and attach replies (fleet placement input).
 	Sessions int64
 
-	// Blob, Seq, and Total carry one chunk of a snapshot image
-	// (MsgSnapshot): Blob the chunk bytes, Seq the 1-based chunk number,
-	// Total the chunk count. Chunking keeps every frame under the
-	// maxFrame guard regardless of heap size.
-	Blob  []byte
-	Seq   int64
-	Total int64
+	// Blob carries a whole snapshot image (MsgSnapshot).
+	Blob []byte
 
 	// Wire is the length in bytes of the frame that carried the message,
 	// length prefix included. It is not encoded: whoever encodes or decodes
@@ -249,9 +237,6 @@ var (
 	ErrShed = errors.New("remote: load shed")
 	// ErrEvicted reports a session the surrogate evicted to reclaim capacity.
 	ErrEvicted = errors.New("remote: session evicted")
-	// ErrAttachUnsupported reports a peer that predates MsgAttach; callers
-	// treat it as a successful attach with no admission control.
-	ErrAttachUnsupported = errors.New("remote: peer does not support attach")
 	// ErrDrained reports a request refused because the surrogate is
 	// draining the session toward another surrogate. It wraps
 	// vm.ErrSessionDrained so the VM's drain-redirect retry recognizes the

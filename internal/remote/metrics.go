@@ -39,7 +39,6 @@ const (
 	metricCallLatency        = "aide_remote_call_latency_seconds"
 	metricReleaseBatchSize   = "aide_remote_release_batch_size"
 	metricPipelineDepth      = "aide_remote_pipeline_depth"
-	metricSnapshotChunks     = "aide_remote_snapshot_chunks_total"
 	metricSnapshotBytes      = "aide_remote_snapshot_bytes_total"
 )
 
@@ -72,7 +71,6 @@ type peerMetrics struct {
 	lazyBytesSaved     *telemetry.Counter
 	duplicatesDropped  *telemetry.Counter
 	releasesDropped    *telemetry.Counter
-	snapshotChunks     *telemetry.Counter
 	snapshotBytes      *telemetry.Counter
 	selfReads          *telemetry.Counter
 	inlineServes       *telemetry.Counter
@@ -120,7 +118,6 @@ func newPeerMetrics(reg *telemetry.Registry) *peerMetrics {
 		lazyBytesSaved:     counterIn(reg, metricLazyBytesSaved, "migration wire bytes withheld by lazy state transfer"),
 		duplicatesDropped:  counterIn(reg, metricDuplicatesDropped, "incoming requests suppressed by the dedupe window"),
 		releasesDropped:    counterIn(reg, metricReleasesDropped, "decrefs lost when a release batch exhausted its retries"),
-		snapshotChunks:     counterIn(reg, metricSnapshotChunks, "snapshot image chunks moved (both directions)"),
 		snapshotBytes:      counterIn(reg, metricSnapshotBytes, "snapshot image bytes moved (both directions)"),
 		selfReads:          counterIn(reg, metricSelfReads, "replies read off the wire by the goroutine waiting for them"),
 		inlineServes:       counterIn(reg, metricInlineServes, "requests served by the goroutine that read them"),

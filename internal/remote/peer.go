@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,23 +131,12 @@ type Peer struct {
 	// transfer (vm.ExtractMigrationLazy); fixed at construction.
 	lazyMigration bool
 
-	// Snapshot transfer state. snapHandler consumes a fully assembled
-	// incoming image (push modes: restore, handoff, drain); snapSource
-	// captures this side's image for pull mode, cached in snapCache until
-	// the puller acks. snapBuf/snapSeq assemble the in-order chunk stream
-	// of one incoming push — one transfer at a time per peer, which the
-	// protocol guarantees because a pusher awaits each chunk's reply
-	// before sending the next. chunkSize and maxImage are fixed at
-	// construction; maxImage caps an image assembled from chunks in either
-	// direction (a field only so the in-package tests can lower it).
+	// Snapshot hooks: snapHandler consumes an incoming image (push modes:
+	// restore, handoff, drain); snapSource captures this side's image for
+	// each pull request. No image bytes are kept between requests.
 	snapMu      sync.Mutex
 	snapHandler func(method, dest string, img []byte) error
 	snapSource  func() ([]byte, error)
-	snapBuf     []byte
-	snapSeq     int64
-	snapCache   []byte
-	chunkSize   int
-	maxImage    int
 
 	// retired flips when this side acknowledges a SnapHandoff push: the
 	// session this connection carried now lives elsewhere, so Close fails
@@ -292,11 +280,6 @@ type Options struct {
 	// escalation as ordinary calls.
 	ProbeInterval time.Duration
 
-	// DedupeWindow sizes the incoming-request dedupe ring (duplicate
-	// suppression across send retries and duplication faults). Zero
-	// defaults to 1024; negative disables deduplication.
-	DedupeWindow int
-
 	// Logf, when set, receives the peer's rare diagnostic lines (orphan
 	// replies, disconnect escalations). Nil discards them.
 	Logf func(format string, args ...any)
@@ -340,11 +323,6 @@ type Options struct {
 	// this peer's single VM heap. Runs on worker goroutines.
 	SessionInfo func() (sessions, freeBytes, capacityBytes int64)
 
-	// SnapshotChunkSize caps the Blob bytes per MsgSnapshot frame when
-	// pushing or serving a snapshot image. Zero defaults to 1 MiB; tests
-	// shrink it to exercise multi-chunk transfers with small images.
-	SnapshotChunkSize int
-
 	// Takeover, when set, builds the peer to inherit an existing peer
 	// slot instead of attaching a fresh one: the peer adopts *Takeover as
 	// its index for wire encode/decode but is NOT bound into the local
@@ -380,8 +358,7 @@ func NewPeer(local *vm.VM, t Transport, opts Options) *Peer {
 		gate:            opts.Gate,
 		sessionInfo:     opts.SessionInfo,
 		lazyMigration:   opts.LazyMigration,
-		chunkSize:       opts.SnapshotChunkSize,
-		maxImage:        maxFrame,
+		dedupe:          &dedupeWindow{seen: make(map[uint64]struct{}, dedupeSlots)},
 		stop:            make(chan struct{}),
 		m:               newPeerMetrics(opts.Telemetry),
 		tracer:          opts.Tracer,
@@ -402,9 +379,6 @@ func NewPeer(local *vm.VM, t Transport, opts Options) *Peer {
 	if p.now == nil {
 		p.now = time.Now
 	}
-	if p.chunkSize <= 0 {
-		p.chunkSize = snapshotChunk
-	}
 	if p.relBatch <= 0 {
 		p.relBatch = 32
 	}
@@ -423,13 +397,6 @@ func NewPeer(local *vm.VM, t Transport, opts Options) *Peer {
 		p.disconnectAfter = 3
 	} else if p.disconnectAfter < 0 {
 		p.disconnectAfter = 0
-	}
-	window := opts.DedupeWindow
-	if window == 0 {
-		window = 1024
-	}
-	if window > 0 {
-		p.dedupe = newDedupeWindow(window)
 	}
 	if opts.Takeover != nil {
 		p.idx = *opts.Takeover
@@ -943,10 +910,7 @@ func (p *Peer) InvokeNativeRemote(class, method string, peerSelf vm.ObjectID, se
 // dependent calls as one MsgInvokeBatch frame. The reply's Rets hold the
 // executed calls' results in order; a frame that failed part-way comes
 // back as a PipelineOutcome naming the failing call (nil error), so the
-// VM can fail exactly the dependent promises. A peer that predates the
-// frame kind answers "unknown request kind", reported as
-// vm.ErrPipelineUnsupported so the pipeline falls back to sequential
-// calls.
+// VM can fail exactly the dependent promises.
 func (p *Peer) InvokePipeline(ctx context.Context, calls []vm.PipelineCall) (vm.PipelineOutcome, error) {
 	p.m.pipelineFrames.Inc()
 	p.m.pipelineCalls.Add(int64(len(calls)))
@@ -962,9 +926,6 @@ func (p *Peer) InvokePipeline(ctx context.Context, calls []vm.PipelineCall) (vm.
 		Elapsed:  time.Duration(reply.ElapsedNanos) + p.netCost(req, reply),
 	}
 	if reply.Err != "" {
-		if strings.Contains(reply.Err, "unknown request kind") {
-			return vm.PipelineOutcome{}, fmt.Errorf("%w: %s", vm.ErrPipelineUnsupported, reply.Err)
-		}
 		if reply.ErrIndex <= 0 {
 			// Not attributable to a single call: a frame-level failure
 			// (decode error, protocol violation) surfaces as a plain
@@ -1363,16 +1324,9 @@ func (p *Peer) probeInfo(ctx context.Context, kind MsgKind) (PeerInfo, error) {
 // (PeerInfo plus Sessions). A rejection comes back as a RemoteError
 // whose code unwraps to ErrAdmissionRejected or ErrShed. Attaching is
 // idempotent — the serving side's decision is sticky — so lost replies
-// retry like pings. A peer that predates MsgAttach answers with an
-// unknown-kind error, mapped to ErrAttachUnsupported; callers treat
-// that as an open session with no admission control.
+// retry like pings.
 func (p *Peer) Attach(ctx context.Context) (PeerInfo, error) {
-	info, err := p.probeInfo(ctx, MsgAttach)
-	var re *RemoteError
-	if errors.As(err, &re) && re.Code == CodeNone && strings.Contains(re.Msg, "unknown request kind") {
-		return PeerInfo{}, fmt.Errorf("%w: %s", ErrAttachUnsupported, re.Msg)
-	}
-	return info, err
+	return p.probeInfo(ctx, MsgAttach)
 }
 
 // Recall asks the peer to migrate its live objects of the named classes

@@ -51,18 +51,16 @@ func (s *pendingShard) sweep() {
 	s.mu.Unlock()
 }
 
-// dedupeWindow remembers the last N request IDs seen from the peer so a
-// duplicated frame (retried send that did arrive, duplication fault) is
-// executed at most once. Entries evict FIFO.
+const dedupeSlots = 1024
+
+// dedupeWindow remembers the last dedupeSlots request IDs seen from the
+// peer so a duplicated frame (retried send that did arrive, duplication
+// fault) is executed at most once. Entries evict FIFO.
 type dedupeWindow struct {
 	mu   sync.Mutex
 	seen map[uint64]struct{}
-	ring []uint64
+	ring [dedupeSlots]uint64
 	next int
-}
-
-func newDedupeWindow(n int) *dedupeWindow {
-	return &dedupeWindow{seen: make(map[uint64]struct{}, n), ring: make([]uint64, n)}
 }
 
 // firstTime records id and reports whether this is its first appearance
@@ -77,7 +75,7 @@ func (d *dedupeWindow) firstTime(id uint64) bool {
 		delete(d.seen, old)
 	}
 	d.ring[d.next] = id
-	d.next = (d.next + 1) % len(d.ring)
+	d.next = (d.next + 1) % dedupeSlots
 	d.seen[id] = struct{}{}
 	return true
 }
@@ -449,7 +447,7 @@ func (p *Peer) route(m *Message, self uint64) (own *Message, held bool) {
 	// At-most-once execution: a request ID seen before (duplication
 	// fault, or a send retry whose first copy did arrive) is dropped
 	// before it is served.
-	if p.dedupe != nil && m.ID != 0 && !p.dedupe.firstTime(m.ID) {
+	if m.ID != 0 && !p.dedupe.firstTime(m.ID) {
 		p.m.duplicatesDropped.Inc()
 		return nil, true
 	}
@@ -486,7 +484,7 @@ func (p *Peer) route(m *Message, self uint64) (own *Message, held bool) {
 // thread that "is not migrated"; nesting costs stack, not workers); so are
 // the kinds that cannot block at all, lazy field pulls, pings, releases.
 // The rest wait on something else or outlive their frame (migrate adopts a
-// heap's worth of objects, recall runs a whole offload, snapshot chunks end
+// heap's worth of objects, recall runs a whole offload, snapshot pushes end
 // in a handler that dials another surrogate, attach and info run the
 // surrogate-wide occupancy hook) and go to the pool. A background receiver
 // serves one request at a time: one that arrives while another is still
@@ -729,8 +727,6 @@ func (p *Peer) serve(m *Message) {
 		}
 	case MsgSnapshot:
 		p.serveSnapshot(m, reply)
-	case MsgSnapshotAck:
-		p.serveSnapshotAck()
 	default:
 		reply.Err = fmt.Sprintf("unknown request kind %d", m.Kind)
 	}

@@ -51,8 +51,6 @@ func TestRegenerateFuzzSeeds(t *testing.T) {
 			write("seed-28-snapshot-chunk", buf)
 		case m.Kind == MsgSnapshot && m.Reply && m.Err != "":
 			write("seed-30-snapshot-drained-reply", buf)
-		case m.Kind == MsgSnapshotAck && !m.Reply:
-			write("seed-31-snapshot-ack", buf)
 		}
 	}
 	// A mid-payload truncation: the decoder must reject it, and the
@@ -60,14 +58,13 @@ func TestRegenerateFuzzSeeds(t *testing.T) {
 	write("seed-21-truncated-invoke", invoke[:len(invoke)/2])
 	// Cut inside the multi-invoke frame's call list.
 	write("seed-27-truncated-invoke-batch", batch[:len(batch)*2/3])
-	// Cut inside the snapshot chunk's blob bytes.
+	// Cut inside the snapshot image's bytes.
 	write("seed-29-truncated-snapshot-chunk", snap[:len(snap)-2])
-	// A snapshot chunk whose blob declares far more bytes than follow.
+	// A snapshot push whose blob declares far more bytes than follow.
 	write("seed-32-oversize-snapshot-blob",
 		[]byte{wireVersion, byte(MsgSnapshot), 1, tagBlob, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	// A snapshot chunk leading with a bad image version byte in the blob:
+	// A snapshot push leading with a bad image version byte in the blob:
 	// the frame decodes, the image layer must reject it.
 	write("seed-33-bad-image-version",
-		appendMessage(nil, &Message{Kind: MsgSnapshot, ID: 9, Method: "restore",
-			Seq: 1, Total: 1, Blob: []byte{0x7f, 1, 0}}))
+		appendMessage(nil, &Message{Kind: MsgSnapshot, ID: 9, Method: "restore", Blob: []byte{0x7f, 1, 0}}))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,9 +12,7 @@ import (
 	"aide/internal/vm"
 )
 
-// snapPair wires two peers over an in-process channel transport with a
-// snapshot chunk size small enough that modest images cross in many
-// chunks.
+// snapPair wires two peers over an in-process channel transport.
 func snapPair(t *testing.T, opts Options) (pc, ps *Peer) {
 	t.Helper()
 	reg := testRegistry(t)
@@ -31,8 +30,7 @@ func snapPair(t *testing.T, opts Options) (pc, ps *Peer) {
 	return pc, ps
 }
 
-// testImage builds a payload big enough to split into several chunks at
-// the given chunk size, with a recognizable byte pattern.
+// testImage builds an n-byte payload with a recognizable byte pattern.
 func testImage(n int) []byte {
 	img := make([]byte, n)
 	for i := range img {
@@ -41,31 +39,38 @@ func testImage(n int) []byte {
 	return img
 }
 
+// requestsSent runs transfer and returns how many requests p issued for
+// it: a snapshot transfer is exactly one.
+func requestsSent(p *Peer, transfer func()) int64 {
+	before := p.Stats().RequestsSent
+	transfer()
+	return p.Stats().RequestsSent - before
+}
+
+// TestPushSnapshotChunkedDelivery keeps the name it had when an image
+// this size crossed in chunks: it crosses as one request now.
 func TestPushSnapshotChunkedDelivery(t *testing.T) {
 	var gotMethod, gotDest string
 	var gotImg []byte
-	done := make(chan struct{})
-	pc, ps := snapPair(t, Options{Workers: 2, SnapshotChunkSize: 64})
+	pc, ps := snapPair(t, Options{Workers: 2})
 	ps.SetSnapshotHandler(func(method, dest string, img []byte) error {
-		gotMethod, gotDest = method, dest
-		gotImg = img
-		close(done)
+		gotMethod, gotDest, gotImg = method, dest, img
 		return nil
 	})
 
-	img := testImage(1000) // 16 chunks at 64 bytes
-	if err := pc.PushSnapshot(context.Background(), SnapRestore, "surrogate-2:9000", img); err != nil {
-		t.Fatalf("push: %v", err)
+	img := testImage(5000)
+	var err error
+	if n := requestsSent(pc, func() { err = pc.PushSnapshot(context.Background(), SnapRestore, "surrogate-2:9000", img) }); err != nil || n != 1 {
+		t.Fatalf("push: %d requests, err = %v; want 1 and nil", n, err)
 	}
-	<-done
 	if gotMethod != SnapRestore || gotDest != "surrogate-2:9000" {
 		t.Fatalf("handler saw method=%q dest=%q", gotMethod, gotDest)
 	}
 	if !bytes.Equal(gotImg, img) {
-		t.Fatalf("assembled image differs: got %d bytes, want %d", len(gotImg), len(img))
+		t.Fatalf("delivered image differs: got %d bytes, want %d", len(gotImg), len(img))
 	}
-	if st := pc.Stats(); st.BytesSent == 0 {
-		t.Fatal("no wire bytes accounted for the push")
+	if st := pc.Stats(); st.BytesSent < int64(len(img)) {
+		t.Fatalf("%d wire bytes accounted for a %d-byte push", st.BytesSent, len(img))
 	}
 }
 
@@ -104,7 +109,7 @@ func TestPushSnapshotEmptyImage(t *testing.T) {
 }
 
 func TestPushSnapshotHandlerErrorCarriesCode(t *testing.T) {
-	pc, ps := snapPair(t, Options{Workers: 1, SnapshotChunkSize: 32})
+	pc, ps := snapPair(t, Options{Workers: 1})
 	ps.SetSnapshotHandler(func(method, dest string, img []byte) error {
 		return ErrDrained
 	})
@@ -131,32 +136,78 @@ func TestPushSnapshotNoHandler(t *testing.T) {
 	}
 }
 
+// TestPullSnapshotChunkedRoundTrip keeps the name it had when a pull was
+// a chunk exchange closed by an ack: it is one request now, and the source
+// captures once for each.
 func TestPullSnapshotChunkedRoundTrip(t *testing.T) {
-	img := testImage(777) // 13 chunks at 64 bytes, last one partial
+	img := testImage(5000)
 	var captures atomic.Int64
-	pc, ps := snapPair(t, Options{Workers: 2, SnapshotChunkSize: 64})
+	pc, ps := snapPair(t, Options{Workers: 2})
 	ps.SetSnapshotSource(func() ([]byte, error) {
 		captures.Add(1)
 		return img, nil
 	})
+	for pull := int64(1); pull <= 2; pull++ {
+		var got []byte
+		var err error
+		if n := requestsSent(pc, func() { got, err = pc.PullSnapshot(context.Background()) }); err != nil || n != 1 {
+			t.Fatalf("pull %d: %d requests, err = %v; want 1 and nil", pull, n, err)
+		}
+		if !bytes.Equal(got, img) {
+			t.Fatalf("pull %d: image differs: got %d bytes, want %d", pull, len(got), len(img))
+		}
+		if captures.Load() != pull {
+			t.Fatalf("source captured %d times after %d pulls", captures.Load(), pull)
+		}
+	}
+}
 
-	got, err := pc.PullSnapshot(context.Background())
-	if err != nil {
-		t.Fatalf("pull: %v", err)
-	}
-	if !bytes.Equal(got, img) {
-		t.Fatalf("pulled image differs: got %d bytes, want %d", len(got), len(img))
-	}
-	if captures.Load() != 1 {
-		t.Fatalf("source captured %d times during one pull, want 1 (chunks must share a cache)", captures.Load())
-	}
+// dropFirstReply loses the first reply of one kind on its way in, telling
+// the test when it has.
+type dropFirstReply struct {
+	Transport
+	kind    MsgKind
+	dropped atomic.Bool
+	onDrop  func()
+}
 
-	// The ack released the cache: a second pull captures afresh.
-	if _, err := pc.PullSnapshot(context.Background()); err != nil {
-		t.Fatalf("second pull: %v", err)
+func (d *dropFirstReply) Recv() (*Message, error) {
+	for {
+		m, err := d.Transport.Recv()
+		if err != nil || !m.Reply || m.Kind != d.kind || !d.dropped.CompareAndSwap(false, true) {
+			return m, err
+		}
+		d.onDrop()
 	}
-	if captures.Load() != 2 {
-		t.Fatalf("source captured %d times after two pulls, want 2", captures.Load())
+}
+
+// TestPullAfterAbandonedPullReturnsCurrentState: a pull whose reply is
+// lost — the degraded link is when speculation pulls — leaves nothing
+// behind on the serving side, so the next pull reads the state of its own
+// moment and the source runs once per request served.
+func TestPullAfterAbandonedPullReturnsCurrentState(t *testing.T) {
+	reg := testRegistry(t)
+	client := vm.New(reg, vm.Config{Role: vm.RoleClient, HeapCapacity: 1 << 20})
+	surrogate := vm.New(reg, vm.Config{Role: vm.RoleSurrogate, HeapCapacity: 8 << 20})
+	ta, tb := NewChannelPair()
+	abandoned, abandon := context.WithCancel(context.Background())
+	pc := NewPeer(client, &dropFirstReply{Transport: ta, kind: MsgSnapshot, onDrop: abandon}, Options{Workers: 1})
+	ps := NewPeer(surrogate, tb, Options{Workers: 1})
+	t.Cleanup(func() { _ = pc.Close(); _ = ps.Close() })
+
+	var captures atomic.Int64
+	ps.SetSnapshotSource(func() ([]byte, error) {
+		return []byte(fmt.Sprintf("state-%d", captures.Add(1))), nil
+	})
+	if img, err := pc.PullSnapshot(abandoned); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pull whose reply was dropped: %q, err = %v; want context.Canceled", img, err)
+	}
+	img, err := pc.PullSnapshot(context.Background())
+	if err != nil || string(img) != "state-2" {
+		t.Fatalf("pull after an abandoned pull = %q, err = %v; want the current state-2", img, err)
+	}
+	if c, served := captures.Load(), ps.Stats().RequestsServed; c != 2 || served != 2 {
+		t.Fatalf("source ran %d times for %d requests served, want 2 and 2", c, served)
 	}
 }
 
@@ -170,10 +221,14 @@ func TestPullSnapshotNoSource(t *testing.T) {
 func TestPullSnapshotSourceError(t *testing.T) {
 	pc, ps := snapPair(t, Options{Workers: 1})
 	ps.SetSnapshotSource(func() ([]byte, error) {
-		return nil, errors.New("heap walk failed")
+		return nil, fmt.Errorf("heap walk failed: %w", ErrEvicted)
 	})
-	if _, err := pc.PullSnapshot(context.Background()); err == nil || !strings.Contains(err.Error(), "heap walk failed") {
-		t.Fatalf("pull with failing source: %v", err)
+	img, err := pc.PullSnapshot(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "heap walk failed") || img != nil {
+		t.Fatalf("pull with failing source: %q, err = %v", img, err)
+	}
+	if !errors.Is(err, ErrEvicted) {
+		t.Fatalf("source error %v lost its typed code on the wire", err)
 	}
 }
 
@@ -247,8 +302,8 @@ func TestSnapshotTransferOverTCP(t *testing.T) {
 	client := vm.New(reg, vm.Config{Role: vm.RoleClient, HeapCapacity: 1 << 20})
 	surrogate := vm.New(reg, vm.Config{Role: vm.RoleSurrogate, HeapCapacity: 8 << 20})
 	tClient, tServer := tcpTransportPair(t)
-	pc := NewPeer(client, tClient, Options{Workers: 2, SnapshotChunkSize: 128})
-	ps := NewPeer(surrogate, tServer, Options{Workers: 2, SnapshotChunkSize: 128})
+	pc := NewPeer(client, tClient, Options{Workers: 2})
+	ps := NewPeer(surrogate, tServer, Options{Workers: 2})
 	t.Cleanup(func() {
 		if err := pc.Close(); err != nil {
 			t.Errorf("close client peer: %v", err)
@@ -260,23 +315,24 @@ func TestSnapshotTransferOverTCP(t *testing.T) {
 
 	img := testImage(5000)
 	ps.SetSnapshotSource(func() ([]byte, error) { return img, nil })
-	got, err := pc.PullSnapshot(context.Background())
-	if err != nil {
-		t.Fatalf("pull over TCP: %v", err)
+	var got []byte
+	var err error
+	if n := requestsSent(pc, func() { got, err = pc.PullSnapshot(context.Background()) }); err != nil || n != 1 {
+		t.Fatalf("pull over TCP: %d requests, err = %v; want 1 and nil", n, err)
 	}
 	if !bytes.Equal(got, img) {
 		t.Fatalf("pulled image differs over TCP: got %d bytes, want %d", len(got), len(img))
 	}
 
-	assembled := make(chan []byte, 1)
+	delivered := make(chan []byte, 1)
 	ps.SetSnapshotHandler(func(method, dest string, in []byte) error {
-		assembled <- append([]byte(nil), in...)
+		delivered <- append([]byte(nil), in...)
 		return nil
 	})
-	if err := pc.PushSnapshot(context.Background(), SnapRestore, "", img); err != nil {
-		t.Fatalf("push over TCP: %v", err)
+	if n := requestsSent(pc, func() { err = pc.PushSnapshot(context.Background(), SnapRestore, "", img) }); err != nil || n != 1 {
+		t.Fatalf("push over TCP: %d requests, err = %v; want 1 and nil", n, err)
 	}
-	if got := <-assembled; !bytes.Equal(got, img) {
+	if got := <-delivered; !bytes.Equal(got, img) {
 		t.Fatalf("pushed image differs over TCP: got %d bytes, want %d", len(got), len(img))
 	}
 }
@@ -317,80 +373,17 @@ func TestHandedOffPeerClosesWithDrainedRedirect(t *testing.T) {
 	}
 }
 
-// TestSnapshotAssemblyIsCapped pins the reassembly bound in both
-// directions: chunks are appended as they come and Total is only the
-// sender's claim, so it is the assembled size that must stop a peer that
-// keeps sending. The refusal names the limit, drops the partial image and
-// leaves the connection usable.
-func TestSnapshotAssemblyIsCapped(t *testing.T) {
-	const limit = 256
-	var got []byte
-	pc, ps := snapPair(t, Options{Workers: 1, SnapshotChunkSize: 64})
-	ps.maxImage = limit
-	ps.SetSnapshotHandler(func(method, dest string, img []byte) error {
-		got = img
-		return nil
-	})
-	err := pc.PushSnapshot(context.Background(), SnapRestore, "", testImage(1000))
-	if err == nil || !strings.Contains(err.Error(), "256-byte limit") || !strings.Contains(err.Error(), "chunk 5/16") {
-		t.Fatalf("over-long push: err = %v, want a refusal of chunk 5/16 naming the limit", err)
+// TestRetiredAckKindIsUnknownRequest: kind 19 closed a chunked transfer
+// once. The codec carries any kind byte; it is serve that refuses one it
+// has no case for, and the connection stays usable.
+func TestRetiredAckKindIsUnknownRequest(t *testing.T) {
+	pc, _ := snapPair(t, Options{Workers: 1})
+	_, err := pc.Call(context.Background(), &Message{Kind: MsgSnapshot + 1})
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "unknown request kind 19") {
+		t.Fatalf("kind 19 request: err = %v, want the peer's unknown-kind refusal", err)
 	}
-	ps.snapMu.Lock()
-	held := len(ps.snapBuf) + cap(ps.snapBuf)
-	ps.snapMu.Unlock()
-	if held != 0 || got != nil {
-		t.Fatalf("refused push left %d buffered bytes, handler saw %d", held, len(got))
+	if err := pc.Ping(); err != nil {
+		t.Fatalf("ping after the refusal: %v", err)
 	}
-	if err := pc.PushSnapshot(context.Background(), SnapRestore, "", testImage(limit)); err != nil {
-		t.Fatalf("push of exactly the limit after a refusal: %v", err)
-	}
-	if !bytes.Equal(got, testImage(limit)) {
-		t.Fatalf("push after a refusal assembled %d bytes, want %d", len(got), limit)
-	}
-
-	// Pull: a hand-driven serving end answers every chunk request with
-	// "one more to come" until it is acked, then serves two chunks.
-	ta, tb := NewChannelPair()
-	puller := NewPeer(vm.New(testRegistry(t), vm.Config{Role: vm.RoleClient, HeapCapacity: 1 << 20}), ta, Options{Workers: 1})
-	puller.maxImage = limit
-	chunk := testImage(100)
-	var served, acks atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			m, err := tb.Recv()
-			if err != nil {
-				return
-			}
-			reply := &Message{Kind: m.Kind, ID: m.ID, Reply: true}
-			switch {
-			case m.Kind == MsgSnapshotAck:
-				acks.Add(1)
-			case m.Kind == MsgSnapshot && acks.Load() == 0:
-				served.Add(1)
-				reply.Seq, reply.Total, reply.Blob = m.Seq, m.Seq+1, chunk
-			case m.Kind == MsgSnapshot:
-				reply.Seq, reply.Total, reply.Blob = m.Seq, 2, chunk
-			}
-			if err := tb.Send(reply); err != nil {
-				return
-			}
-		}
-	}()
-	img, err := puller.PullSnapshot(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "256-byte limit") || img != nil {
-		t.Fatalf("endless pull: %d bytes, err = %v, want a refusal naming the limit", len(img), err)
-	}
-	if served.Load() != 3 || acks.Load() != 1 {
-		t.Fatalf("endless pull took %d chunks and sent %d acks before refusing, want 3 and 1", served.Load(), acks.Load())
-	}
-	img, err = puller.PullSnapshot(context.Background())
-	if err != nil || !bytes.Equal(img, append(append([]byte(nil), chunk...), chunk...)) {
-		t.Fatalf("pull after a refusal: %d bytes, err = %v", len(img), err)
-	}
-	if err := puller.Close(); err != nil {
-		t.Errorf("close puller: %v", err)
-	}
-	<-done
 }

@@ -26,7 +26,7 @@ func (c *countConn) Write(b []byte) (int, error) {
 // TestWireBytesExact pins the peer's byte counters to the socket: in each
 // direction, what one side's Stats call sent is what it wrote to the
 // connection and what the other side's Stats call received — for every
-// message kind, a multi-chunk snapshot push, a release batch and a send
+// message kind, a snapshot push, a release batch and a send
 // that fails once before it succeeds. Stats and the netmodel costing
 // charge the frame lengths the transports stamp, so these are the bytes
 // they charge.
@@ -37,7 +37,7 @@ func TestWireBytesExact(t *testing.T) {
 	cc, sc := tcpConns(t)
 	cw, sw := &countConn{Conn: cc}, &countConn{Conn: sc}
 	flaky := &flakyTransport{Transport: NewConnTransport(cw), failKind: MsgPing, failOn: 2}
-	pc := NewPeer(client, flaky, Options{SnapshotChunkSize: 16, RetryBase: time.Microsecond})
+	pc := NewPeer(client, flaky, Options{RetryBase: time.Microsecond})
 	ps := NewPeer(surrogate, NewConnTransport(sw), Options{})
 	t.Cleanup(func() { _ = pc.Close(); _ = ps.Close() })
 	ps.SetSnapshotHandler(func(method, dest string, img []byte) error { return nil })
@@ -64,14 +64,14 @@ func TestWireBytesExact(t *testing.T) {
 			}
 		}
 	}
-	for k := MsgInvoke; k <= MsgSnapshotAck; k++ {
+	for k := MsgInvoke; k <= MsgSnapshot; k++ {
 		// MsgPromiseRef is never a frame's kind: it marks a promise
 		// receiver inside a MsgInvokeBatch payload.
 		if k != MsgPromiseRef && !seen[k] {
 			t.Errorf("codecMessages covers no %s message", k)
 		}
 	}
-	if err := pc.PushSnapshot(ctx, SnapRestore, "", testImage(100)); err != nil { // 7 chunks
+	if err := pc.PushSnapshot(ctx, SnapRestore, "", testImage(100)); err != nil {
 		t.Fatal(err)
 	}
 	for id := vm.ObjectID(1); id <= 3; id++ {

@@ -268,56 +268,16 @@ func (v *VM) ConvertToStubs(peerIdx int, ids, peerIDs []ObjectID) error {
 // fresh local object: the fallback half of the migrate path, run when a
 // surrogate vanishes (paper §2: the client must keep running without the
 // surrogate). The remote copies are unrecoverable, so each object
-// restarts from zeroed fields with its remembered size; existing local
-// references stay valid because the stub upgrades in place, exactly like
-// AdoptMigration's stub upgrade. Pins the vanished peer held on local
-// objects are dropped when it was the only attached peer (they could
-// never be released now); with other peers still attached the pins are
-// left in place — a leak, never a corruption. Returns the number of
-// objects reclaimed.
+// restarts from zeroed fields with its remembered size — except fields a
+// lazy migration withheld, which survived here in the residual store and
+// are put back; existing local references stay valid because the stub
+// upgrades in place, exactly like AdoptMigration's stub upgrade. Pins the
+// vanished peer held on local objects are dropped when it was the only
+// attached peer (they could never be released now); with other peers
+// still attached the pins are left in place — a leak, never a
+// corruption. Returns the number of objects reclaimed.
 func (v *VM) ReclaimStubs(peerIdx int) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := 0
-	for _, o := range v.objects {
-		if !o.Remote || o.PeerIdx != peerIdx {
-			continue
-		}
-		delete(v.imports, importKey{peer: peerIdx, id: o.PeerID})
-		o.Remote = false
-		o.Size = o.RemoteSize
-		o.PeerID = 0
-		o.PeerIdx = 0
-		o.RemoteSize = 0
-		o.Fields = make([]Value, len(o.Class.Fields))
-		if res, ok := v.residuals[o.ID]; ok {
-			// The object lazily migrated to the vanished peer earlier and we
-			// are its origin: the withheld values survived locally, so the
-			// re-materialized object keeps them instead of restarting zeroed.
-			for name, val := range res.fields {
-				if ix, ok := o.Class.FieldIndex(name); ok {
-					o.Fields[ix] = val
-				}
-			}
-			v.liveBytes -= res.bytes
-			delete(v.residuals, o.ID)
-		}
-		v.liveBytes += o.Size
-		n++
-	}
-	sole := true
-	for i, p := range v.peers {
-		if i != peerIdx && p != nil {
-			sole = false
-			break
-		}
-	}
-	if sole {
-		for _, o := range v.objects {
-			o.exported = 0
-		}
-	}
-	v.tm.reclaimedStubs.Add(int64(n))
+	n := v.reclaimStubs(peerIdx, nil)
 	if v.tracer.Enabled() {
 		v.tracer.Emit(telemetry.Span{Kind: telemetry.SpanFailover, Note: "reclaim_stubs", Peer: peerIdx, N: int64(n)})
 	}

@@ -63,15 +63,11 @@ type PipelineOutcome struct {
 }
 
 // PipelinePeer is the optional Peer extension for pipelined invocation.
-// A peer that does not implement it (or whose remote end predates the
-// frame kind) makes the pipeline fall back to sequential calls.
+// A peer that does not implement it makes the pipeline fall back to
+// sequential calls.
 type PipelinePeer interface {
 	InvokePipeline(ctx context.Context, calls []PipelineCall) (PipelineOutcome, error)
 }
-
-// ErrPipelineUnsupported reports that the remote end does not understand
-// MsgInvokeBatch frames; the pipeline falls back to sequential calls.
-var ErrPipelineUnsupported = errors.New("vm: peer does not support pipelined invocation")
 
 // PipelineError is the error every promise at or after the failing call
 // observes when a pipelined frame fails part-way: the first error
@@ -134,8 +130,8 @@ type pipeStep struct {
 //	res, err := p.Run(ctx)
 //
 // When the chain cannot be batched — mixed placement, a local receiver,
-// an old peer without MsgInvokeBatch support, or a peer lost mid-frame
-// with failover re-homing its objects — Run degrades to plain sequential
+// a peer that is not a PipelinePeer, or a peer lost mid-frame with
+// failover re-homing its objects — Run degrades to plain sequential
 // Thread.Invoke calls, preserving the exact pre-pipeline semantics.
 // A Pipeline is single-use and not safe for concurrent use.
 type Pipeline struct {
@@ -270,7 +266,7 @@ func (p *Pipeline) Run(ctx context.Context) ([]Value, error) {
 		if done {
 			return res, err
 		}
-		// Old peer or failed-over peer: degrade to sequential calls.
+		// Failed-over peer: degrade to sequential calls.
 	}
 	return p.runSequential(ctx)
 }
@@ -312,8 +308,8 @@ func (p *Pipeline) batchTarget() (int, PipelinePeer, []string, bool) {
 }
 
 // runBatched ships the pipeline as one MsgInvokeBatch frame. done=false
-// means the frame could not be used (old peer, or the peer vanished and
-// failover re-homed its objects) and the caller should run sequentially.
+// means the frame could not be used (the peer vanished and failover
+// re-homed its objects) and the caller should run sequentially.
 func (p *Pipeline) runBatched(ctx context.Context, peerIdx int, pp PipelinePeer, callees []string) (done bool, res []Value, err error) {
 	v := p.vm
 	calls := make([]PipelineCall, len(p.steps))
@@ -370,12 +366,6 @@ func (p *Pipeline) runBatched(ctx context.Context, peerIdx int, pp PipelinePeer,
 
 	out, callErr := pp.InvokePipeline(ctx, calls)
 	if callErr != nil {
-		if errors.Is(callErr, ErrPipelineUnsupported) {
-			// The frame never executed; drop the argument pins and run the
-			// same calls sequentially over the wire.
-			p.releaseExports(exports, 0)
-			return false, nil, nil
-		}
 		used, _ := pp.(Peer) // pp came out of the peer table, so it is one
 		if v.failoverIfGone(peerIdx, used, callErr) {
 			// The peer vanished mid-frame and its objects were re-homed
@@ -456,10 +446,10 @@ func (p *Pipeline) releaseExports(exports [][]ObjectID, from int) {
 }
 
 // runSequential executes the pipeline as plain in-order invocations —
-// the fallback for unbatchable chains, old peers, and disconnect
-// failover. Each call is an ordinary Thread.Invoke: observably
-// sequential, one wire message per remote call, monitored like any other
-// invocation.
+// the fallback for unbatchable chains, peers that are not PipelinePeers,
+// and disconnect failover. Each call is an ordinary Thread.Invoke:
+// observably sequential, one wire message per remote call, monitored like
+// any other invocation.
 func (p *Pipeline) runSequential(ctx context.Context) ([]Value, error) {
 	t := p.vm.NewThread()
 	for i := range p.steps {

@@ -357,12 +357,23 @@ func (v *VM) drainIfRedirected(peerIdx int, used Peer, err error) bool {
 // ID namespace is the peer's. Donor references are followed: a donor
 // object with no stub here is copied in as a fresh local object, and a
 // donor stub pointing back at this VM resolves to the local object it
-// names. Stubs the donor does not know re-materialize zeroed, exactly
-// like ReclaimStubs. Returns the number of objects re-homed.
+// names. A stub the donor does not know, and a slot the donor still holds
+// deferred (it never faulted the withheld value in), re-materialize
+// exactly like ReclaimStubs: from this VM's residual, else zeroed.
+// Returns the number of objects re-homed.
 func (v *VM) ReclaimStubsFrom(peerIdx int, donor *SnapshotState) int {
-	byID := make(map[ObjectID]*SnapshotObject, len(donor.Objects))
-	for i := range donor.Objects {
-		byID[donor.Objects[i].ID] = &donor.Objects[i]
+	return v.reclaimStubs(peerIdx, donor)
+}
+
+// reclaimStubs is the one walk behind ReclaimStubs (nil donor) and
+// ReclaimStubsFrom.
+func (v *VM) reclaimStubs(peerIdx int, donor *SnapshotState) int {
+	var byID map[ObjectID]*SnapshotObject
+	if donor != nil {
+		byID = make(map[ObjectID]*SnapshotObject, len(donor.Objects))
+		for i := range donor.Objects {
+			byID[donor.Objects[i].ID] = &donor.Objects[i]
+		}
 	}
 
 	v.mu.Lock()
@@ -385,19 +396,27 @@ func (v *VM) ReclaimStubsFrom(peerIdx int, donor *SnapshotState) int {
 		delete(v.imports, importKey{peer: peerIdx, id: o.PeerID})
 		toLocal[o.PeerID] = o.ID
 		work = append(work, o.PeerID)
-		so, known := byID[o.PeerID]
 		o.Remote = false
-		if known && !so.Remote {
+		o.Size = o.RemoteSize
+		if so, known := byID[o.PeerID]; known && !so.Remote {
 			o.Size = so.Size
 			fill[o.ID] = o.PeerID
-		} else {
-			o.Size = o.RemoteSize
 		}
 		o.PeerID = 0
 		o.PeerIdx = 0
 		o.RemoteSize = 0
 		o.Fields = make([]Value, len(o.Class.Fields))
-		v.dropResidualLocked(o.ID)
+		if res, ok := v.residuals[o.ID]; ok {
+			// The object lazily migrated to the vanished peer earlier and we
+			// are its origin: the withheld values survived locally, so the
+			// re-materialized object keeps them instead of restarting zeroed.
+			for name, val := range res.fields {
+				if ix, ok := o.Class.FieldIndex(name); ok {
+					o.Fields[ix] = val
+				}
+			}
+			v.dropResidualLocked(o.ID)
+		}
 		v.liveBytes += o.Size
 		n++
 	}
@@ -444,7 +463,8 @@ func (v *VM) ReclaimStubsFrom(peerIdx int, donor *SnapshotState) int {
 	}
 
 	// Pass 2: fill fields from the donor, rewriting references through
-	// the map; unresolvable references zero out.
+	// the map; unresolvable references zero out. A slot the donor still
+	// holds deferred keeps what pass 1 left there: the residual's value.
 	for localID, donorID := range fill {
 		o := v.objects[localID]
 		so := byID[donorID]
@@ -453,6 +473,9 @@ func (v *VM) ReclaimStubsFrom(peerIdx int, donor *SnapshotState) int {
 				break
 			}
 			val := copyValue(so.Fields[fi])
+			if val.Kind == KindDeferred {
+				continue
+			}
 			if val.Kind == KindRef && val.Ref != InvalidObject {
 				if mapped, ok := toLocal[val.Ref]; ok {
 					val.Ref = mapped
@@ -460,17 +483,12 @@ func (v *VM) ReclaimStubsFrom(peerIdx int, donor *SnapshotState) int {
 					val = Nil()
 				}
 			}
-			if val.Kind == KindDeferred {
-				// The donor never faulted the withheld value in; it is
-				// unrecoverable now.
-				val = Nil()
-			}
 			o.Fields[fi] = val
 		}
 	}
 
 	// Pins the vanished peer held can never be released now; drop them
-	// when it was the only attached peer, exactly like ReclaimStubs.
+	// when it was the only attached peer.
 	sole := true
 	for i, p := range v.peers {
 		if i != peerIdx && p != nil {

@@ -378,7 +378,7 @@ func (s *Surrogate) gate(sess *session, kind remote.MsgKind) error {
 	}
 	switch kind {
 	case remote.MsgPing, remote.MsgPong, remote.MsgInfo, remote.MsgRelease, remote.MsgReleaseBatch,
-		remote.MsgSnapshot, remote.MsgSnapshotAck:
+		remote.MsgSnapshot:
 		return nil
 	}
 	if sess.draining.Load() {
