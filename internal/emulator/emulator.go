@@ -300,6 +300,8 @@ type emulation struct {
 	mon *monitor.Monitor
 	res *Result
 
+	feed *monitor.Batch // into mon; flushed only by partition, its one reader
+
 	// side[class] is the current class placement.
 	side []Side
 
@@ -342,10 +344,12 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
+	mon := monitor.New(nil)
 	e := &emulation{
 		cfg:           cfg,
 		tr:            tr,
-		mon:           monitor.New(nil),
+		mon:           mon,
+		feed:          mon.Batch(),
 		res:           &Result{App: tr.App},
 		side:          make([]Side, len(tr.Classes)),
 		objects:       make(map[trace.ObjectID]*objInfo),
@@ -376,7 +380,7 @@ func (e *emulation) run() {
 			// heap simulation.
 			continue
 		}
-		e.mon.Feed(e.tr, ev)
+		e.feed.Feed(e.tr, ev)
 		e.res.Events++
 		if e.cfg.MonitorCostPerEvent > 0 {
 			e.res.MonitorTime += e.cfg.MonitorCostPerEvent
@@ -573,8 +577,8 @@ func (e *emulation) partition(idx int, forced bool) {
 	if e.partitions >= e.cfg.MaxPartitions && !forced {
 		return
 	}
+	e.feed.Flush()
 	g := e.mon.Graph()
-	e.syncPins(g)
 	in := e.mc.FromGraph(g, graph.BytesWeight)
 	var cands []mincut.Candidate
 	var err error
@@ -644,23 +648,6 @@ func (e *emulation) partition(idx int, forced bool) {
 	e.apply(g, dec, idx)
 }
 
-// syncPins marks pinned and array classes on the snapshot from the trace
-// class table (stateless natives lose their pin under the enhancement only
-// for execution, not placement: the class itself still cannot migrate if
-// it has any non-stateless native; the trace's Pinned flag already encodes
-// that).
-func (e *emulation) syncPins(g *graph.Graph) {
-	for _, n := range g.Nodes() {
-		// Nodes are interned by name from Feed; the trace table is the
-		// source of truth.
-		if ci, ok := e.classByName[n.Name]; ok {
-			n.Pinned = e.tr.Classes[ci].Pinned
-			n.Array = e.tr.Classes[ci].Array
-			n.Stateless = e.tr.Classes[ci].Stateless
-		}
-	}
-}
-
 // apply installs a decision: class placements move, live objects of
 // offloaded classes transfer, array objects re-place by affinity.
 func (e *emulation) apply(g *graph.Graph, dec policy.Decision, idx int) {
@@ -668,8 +655,8 @@ func (e *emulation) apply(g *graph.Graph, dec policy.Decision, idx int) {
 
 	newSide := make([]Side, len(e.side))
 	for _, n := range g.Nodes() {
-		cid := e.classID(n.Name)
-		if cid < 0 {
+		cid, ok := e.classByName[n.Name]
+		if !ok {
 			continue
 		}
 		if dec.InClient[n.ID] {
@@ -742,13 +729,6 @@ func (e *emulation) affinitySide(obj trace.ObjectID, oi *objInfo) Side {
 		return OnSurrogate
 	}
 	return OnClient
-}
-
-func (e *emulation) classID(name string) int {
-	if i, ok := e.classByName[name]; ok {
-		return i
-	}
-	return -1
 }
 
 // RunOriginal replays with offloading disabled, returning the client-only

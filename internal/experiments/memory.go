@@ -179,16 +179,19 @@ func (s *Suite) Figure5() (*Figure5Result, error) {
 	return r, nil
 }
 
-// graphAt replays the trace's first n events into a fresh monitor and
-// returns the execution graph, with class metadata applied.
+// graphAt replays the trace's first n events into a fresh monitor,
+// through a batch as the emulator does, and returns the execution graph,
+// with class metadata applied.
 func graphAt(t *trace.Trace, n int) (*graph.Graph, error) {
 	if n > len(t.Events) {
 		n = len(t.Events)
 	}
 	m := monitor.New(nil)
+	b := m.Batch()
 	for i := 0; i < n; i++ {
-		m.Feed(t, &t.Events[i])
+		b.Feed(t, &t.Events[i])
 	}
+	b.Flush()
 	return m.Graph(), nil
 }
 

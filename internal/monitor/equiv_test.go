@@ -2,6 +2,7 @@ package monitor_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -147,6 +148,100 @@ func TestFeedEqualsHooks(t *testing.T) {
 			}
 			requireSameBooks(t, fmt.Sprintf("%s, %d options", tr.App, len(opts)), booksOf(fed), booksOf(hooked))
 		}
+	}
+}
+
+// TestBatchEqualsFeed: a trace fed per event through Feed and the same
+// trace buffered through a Batch, both flushed at every GC event and at a
+// seeded random set of others, agree at every flush on everything a
+// snapshot shows: the graph (peaks, CPU time and decayed Hot included),
+// the counters and clock, and the delta since the previous pull.
+func TestBatchEqualsFeed(t *testing.T) {
+	for _, tr := range table1(t) {
+		for _, opts := range [][]monitor.Option{nil, {monitor.WithDecay(5000)}} {
+			what := fmt.Sprintf("%s, %d options", tr.App, len(opts))
+			fed, batched := monitor.New(nil, opts...), monitor.New(nil, opts...)
+			b := batched.Batch()
+			rng := rand.New(rand.NewSource(int64(len(tr.Events))))
+			var fedEpoch, batchedEpoch int64
+			flushes := 0
+			for i := range tr.Events {
+				e := &tr.Events[i]
+				fed.Feed(tr, e)
+				b.Feed(tr, e)
+				if e.Kind != trace.KindGC && rng.Intn(4000) != 0 {
+					continue
+				}
+				flushes++
+				b.Flush()
+				if g, w := batched.Graph(), fed.Graph(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s: graphs differ after event %d", what, i)
+				}
+				var gc, wc [5]int64
+				gc[0], gc[1], gc[2], gc[3], gc[4] = batched.Counts()
+				wc[0], wc[1], wc[2], wc[3], wc[4] = fed.Counts()
+				if gc != wc || batched.Events() != fed.Events() {
+					t.Fatalf("%s: after event %d counts %v/%v, events %d/%d", what, i, gc, wc, batched.Events(), fed.Events())
+				}
+				gd, wd := batched.Delta(batchedEpoch), fed.Delta(fedEpoch)
+				if !reflect.DeepEqual(gd, wd) {
+					t.Fatalf("%s: deltas differ after event %d: %d/%d nodes, %d/%d edges", what, i, len(gd.Nodes), len(wd.Nodes), len(gd.Edges), len(wd.Edges))
+				}
+				batchedEpoch, fedEpoch = gd.Epoch, wd.Epoch
+			}
+			if flushes < 10 {
+				t.Fatalf("%s: only %d flushes", what, flushes)
+			}
+		}
+	}
+}
+
+// TestBatchFlushDuringConcurrentHooks: a batch flushing while another
+// goroutine drives the by-name hooks on the same monitor loses and
+// doubles nothing — every invocation, access and creation either source
+// made is on the books once.
+func TestBatchFlushDuringConcurrentHooks(t *testing.T) {
+	tr := &trace.Trace{Classes: []trace.ClassInfo{{Name: "ui"}, {Name: "doc"}, {Name: "buf"}}}
+	evs := []trace.Event{
+		{Kind: trace.KindInvoke, Caller: 0, Callee: 1, Bytes: 24, SelfTime: time.Microsecond},
+		{Kind: trace.KindAccess, Caller: 1, Callee: 2, Bytes: 8},
+		{Kind: trace.KindCreate, Callee: 2, Obj: 1, Bytes: 64},
+	}
+	const rounds = 20000
+	m := monitor.New(nil, monitor.WithDecay(1000))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			m.OnInvoke("ui", "buf", "m", 0, 16, 0, time.Microsecond, false, false)
+			m.OnCreate("doc", vm.ObjectID(i), 32)
+		}
+	}()
+	b := m.Batch()
+	for i := 0; i < rounds; i++ {
+		for j := range evs {
+			b.Feed(tr, &evs[j])
+		}
+		if i%64 == 0 {
+			b.Flush()
+		}
+	}
+	<-done
+	b.Flush()
+
+	inv, acc, creates, _, _ := m.Counts()
+	if inv != 2*rounds || acc != rounds || creates != 2*rounds || m.Events() != 5*rounds {
+		t.Fatalf("counted %d invocations, %d accesses, %d creates, %d events; want %d, %d, %d, %d",
+			inv, acc, creates, m.Events(), 2*rounds, rounds, 2*rounds, 5*rounds)
+	}
+	g := m.Live()
+	var einv, eacc, bytes, objs int64
+	g.EdgesFunc(func(e *graph.Edge) { einv, eacc, bytes = einv+e.Invocations, eacc+e.Accesses, bytes+e.Bytes })
+	for _, n := range g.Nodes() {
+		objs += n.TotalObjects
+	}
+	if einv != 2*rounds || eacc != rounds || bytes != (24+16+8)*rounds || objs != 2*rounds {
+		t.Fatalf("graph holds %d invocations, %d accesses, %d bytes, %d objects", einv, eacc, bytes, objs)
 	}
 }
 

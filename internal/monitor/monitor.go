@@ -24,6 +24,10 @@
 // result is independent of shard order and bit-identical to serial
 // ingestion. The merged graph tracks a dirty set, and Delta hands the
 // partitioner only what changed since its last pull.
+//
+// A replay, one goroutine feeding a monitor nothing else touches, feeds
+// a Batch instead: a stripe's delta without the mutex, merged under one
+// lock acquisition per Flush by the same code, so the books match Feed's.
 package monitor
 
 import (
@@ -110,18 +114,33 @@ func (c counts) events() int64 {
 	return c[trace.KindInvoke] + c[trace.KindAccess] + c[trace.KindCreate] + c[trace.KindDelete]
 }
 
-// nodeShard stripes per-class lifecycle deltas: class id lives in shard
-// id&mask at index id>>shift, so the slice is dense; touched lists what
-// the window wrote, so a flush walks only that. The event-kind counters
-// live here too, bumped under the shard mutex the event already takes —
-// one shared atomic counter would put every stripe back on one cache line
-// and cap throughput at its ping-pong rate.
-type nodeShard struct {
-	mu      sync.Mutex
+// delta is one window's accumulation, the unit both a stripe and a Batch
+// hold: per-class lifecycle deltas in a dense slice (touched lists what
+// the window wrote, so a merge walks only that), per-pair interaction
+// deltas keyed by the pair packed into one word (A<<32 | B, A < B — the
+// runtime's 64-bit map fast path), and the event-kind counters.
+type delta struct {
 	nodes   []nodeDelta
 	touched []int32
+	edges   map[uint64]*edgeDelta
 	ctr     counts
-	_       [32]byte // keep neighboring shard mutexes off one cache line
+
+	// lastKey/last cache the pair the previous interaction went to: calls
+	// and accesses hit one pair in runs. 0 is no pair (A < B).
+	lastKey uint64
+	last    *edgeDelta
+}
+
+// shard is one ingestion stripe: a delta behind its own mutex. Node
+// stripes hold class id at index id>>shift of stripe id&mask, so their
+// slices stay dense; edge stripes hold the pairs that hash to them. The
+// kind counters are bumped under the mutex the event already takes — one
+// shared atomic counter would put every stripe back on one cache line and
+// cap throughput at its ping-pong rate.
+type shard struct {
+	mu sync.Mutex
+	delta
+	_ [32]byte // keep neighboring shard mutexes off one cache line
 }
 
 // nodeDelta accumulates one class's events since the last flush. mem is
@@ -132,17 +151,6 @@ type nodeDelta struct {
 	peakRise         int64
 	cpu              time.Duration
 	touched          bool
-}
-
-// edgeShard stripes per-class-pair interaction deltas, keyed by the pair
-// packed into one word (A<<32 | B, A < B) — the runtime's 64-bit map fast
-// path. Cross-class events bump their kind counters here, under the one
-// shard mutex the event already takes, so they cost a single lock round.
-type edgeShard struct {
-	mu    sync.Mutex
-	edges map[uint64]*edgeDelta
-	ctr   counts
-	_     [32]byte
 }
 
 // edgeDelta accumulates one class pair's interactions since the last
@@ -176,7 +184,7 @@ type fieldKey struct {
 
 // Monitor builds and maintains the execution graph. It implements
 // vm.Hooks; install it with VM.SetHooks. All methods are safe for
-// concurrent use.
+// concurrent use; the Batch it hands out is the one type that is not.
 type Monitor struct {
 	meta ClassMetaFunc
 
@@ -199,8 +207,8 @@ type Monitor struct {
 
 	shardMask  uint32
 	shardShift uint32
-	nodeShards []nodeShard
-	edgeShards []edgeShard
+	nodeShards []shard
+	edgeShards []shard
 
 	// base accumulates shard counters drained at flush (guarded by mu);
 	// GC events bypass the shards (no class to stripe by) and stay
@@ -245,8 +253,8 @@ func newStriped(meta ClassMetaFunc, n int, opts ...Option) *Monitor {
 		pendingMeta: make(map[graph.NodeID]uint32),
 		shardMask:   uint32(n - 1),
 		shardShift:  uint32(bits.TrailingZeros(uint(n))),
-		nodeShards:  make([]nodeShard, n),
-		edgeShards:  make([]edgeShard, n),
+		nodeShards:  make([]shard, n),
+		edgeShards:  make([]shard, n),
 	}
 	m.classes.Store(&classTable{ids: map[string]graph.NodeID{}})
 	m.bindings.Store(new([]*traceBinding))
@@ -364,51 +372,76 @@ func (m *Monitor) bindClass(b *traceBinding, id trace.ClassID) graph.NodeID {
 	return nid
 }
 
-func (m *Monitor) addNode(id graph.NodeID, mem, live, total int64, cpu time.Duration, k trace.EventKind) {
-	s := &m.nodeShards[uint32(id)&m.shardMask]
-	i := int(uint32(id) >> m.shardShift)
-	s.mu.Lock()
-	if mem != 0 || live != 0 || total != 0 || cpu != 0 {
-		if i >= len(s.nodes) {
-			s.nodes = append(s.nodes, make([]nodeDelta, i+1-len(s.nodes))...)
-		}
-		d := &s.nodes[i]
-		if !d.touched {
-			d.touched = true
-			s.touched = append(s.touched, int32(i))
-		}
-		d.mem += mem
-		if d.mem > d.peakRise {
-			d.peakRise = d.mem
-		}
-		d.live += live
-		d.total += total
-		d.cpu += cpu
+// addNode accumulates one class's lifecycle and self-time deltas and
+// bumps counter k: into d when a Batch feeds, else into the class's
+// stripe under its mutex.
+func (m *Monitor) addNode(d *delta, id graph.NodeID, mem, live, total int64, cpu time.Duration, k trace.EventKind) {
+	if d != nil {
+		d.addNode(int(id), mem, live, total, cpu, k)
+		return
 	}
-	s.ctr[k]++
+	s := &m.nodeShards[uint32(id)&m.shardMask]
+	s.mu.Lock()
+	s.addNode(int(uint32(id)>>m.shardShift), mem, live, total, cpu, k)
 	s.mu.Unlock()
 }
 
-func (m *Monitor) addEdge(a, b graph.NodeID, inv, acc, bytes int64, k trace.EventKind) {
+// addEdge accumulates one class pair's interaction deltas and bumps
+// counter k, into d or the pair's stripe as addNode does.
+func (m *Monitor) addEdge(d *delta, a, b graph.NodeID, inv, acc, bytes int64, k trace.EventKind) {
 	if a > b {
 		a, b = b, a
+	}
+	key := uint64(uint32(a))<<32 | uint64(uint32(b))
+	if d != nil {
+		d.addEdge(key, inv, acc, bytes, k)
+		return
 	}
 	// Fibonacci-style mix of the canonical pair; any fixed function
 	// works — determinism comes from commutative merges, not placement.
 	h := uint32(a)*0x9E3779B1 ^ uint32(b)*0x85EBCA77
 	s := &m.edgeShards[(h^(h>>16))&m.shardMask]
-	key := uint64(uint32(a))<<32 | uint64(uint32(b))
 	s.mu.Lock()
-	d := s.edges[key]
-	if d == nil {
-		d = &edgeDelta{}
-		s.edges[key] = d
-	}
-	d.inv += inv
-	d.acc += acc
-	d.bytes += bytes
-	s.ctr[k]++
+	s.addEdge(key, inv, acc, bytes, k)
 	s.mu.Unlock()
+}
+
+// addNode adds into the class at index i.
+func (d *delta) addNode(i int, mem, live, total int64, cpu time.Duration, k trace.EventKind) {
+	if mem != 0 || live != 0 || total != 0 || cpu != 0 {
+		if i >= len(d.nodes) {
+			d.nodes = append(d.nodes, make([]nodeDelta, i+1-len(d.nodes))...)
+		}
+		n := &d.nodes[i]
+		if !n.touched {
+			n.touched = true
+			d.touched = append(d.touched, int32(i))
+		}
+		n.mem += mem
+		if n.mem > n.peakRise {
+			n.peakRise = n.mem
+		}
+		n.live += live
+		n.total += total
+		n.cpu += cpu
+	}
+	d.ctr[k]++
+}
+
+// addEdge adds into the pair packed as key.
+func (d *delta) addEdge(key uint64, inv, acc, bytes int64, k trace.EventKind) {
+	e := d.last
+	if key != d.lastKey {
+		if e = d.edges[key]; e == nil {
+			e = &edgeDelta{}
+			d.edges[key] = e
+		}
+		d.lastKey, d.last = key, e
+	}
+	e.inv += inv
+	e.acc += acc
+	e.bytes += bytes
+	d.ctr[k]++
 }
 
 // record runs f against the attached recorder, serialized on its own
@@ -422,11 +455,12 @@ func (m *Monitor) record(f func(r *Recorder)) {
 	m.recMu.Unlock()
 }
 
-// flushLocked merges every shard's deltas, pending classes, and pending
-// metadata upgrades into the base graph. Caller holds m.mu. Integer
-// merges commute and each class/pair lives in exactly one shard, so the
-// merged graph is independent of shard iteration order.
-func (m *Monitor) flushLocked() {
+// flushLocked merges every shard's delta, plus b's when a Batch flushes
+// (nil otherwise), pending classes, and pending metadata upgrades into
+// the base graph. Caller holds m.mu. Integer merges commute and each
+// class/pair lives in exactly one shard, so the merged graph is
+// independent of shard iteration order.
+func (m *Monitor) flushLocked(b *delta) {
 	// createMu stays held to the end: a class first seen mid-flush would
 	// have deltas in a shard before its node exists in the graph.
 	m.createMu.Lock()
@@ -444,50 +478,63 @@ func (m *Monitor) flushLocked() {
 	}
 	clear(m.pendingMeta)
 
-	for i := range m.nodeShards {
-		s := &m.nodeShards[i]
-		s.mu.Lock()
-		for _, j := range s.touched {
-			d := &s.nodes[j]
-			m.g.AddNodeDelta(graph.NodeID(uint32(j)<<m.shardShift|uint32(i)), d.mem, d.live, d.total, d.peakRise, d.cpu)
-			*d = nodeDelta{}
-		}
-		s.touched = s.touched[:0]
-		m.base.add(s.ctr)
-		s.ctr = counts{}
-		s.mu.Unlock()
-	}
-
-	// Drain edge-shard counters first so the clock covers every event in
-	// this window, then advance event-time, then merge interactions:
-	// every edge touched in the window decays from the window-end
-	// timestamp.
-	for i := range m.edgeShards {
-		s := &m.edgeShards[i]
-		s.mu.Lock()
-		m.base.add(s.ctr)
-		s.ctr = counts{}
-		s.mu.Unlock()
-	}
+	// Classes and counters first, so the clock covers every event in this
+	// window, then advance event-time, then merge interactions: every edge
+	// touched in the window decays from the window-end timestamp.
+	m.eachDelta(b, m.mergeNodesLocked)
 	m.g.AdvanceClock(float64(m.base.events() + m.gcs.Load()))
-	for i := range m.edgeShards {
-		s := &m.edgeShards[i]
-		s.mu.Lock()
-		for k, d := range s.edges {
-			m.g.AddEdgeDelta(graph.NodeID(k>>32), graph.NodeID(uint32(k)), d.inv, d.acc, d.bytes)
+	m.eachDelta(b, func(d *delta, _, _ uint32) { m.mergeEdgesLocked(d) })
+}
+
+// eachDelta runs f on every stripe's delta under the stripe's mutex, node
+// stripes first, then on b if non-nil. Class j of a delta is NodeID
+// j<<shift | lane.
+func (m *Monitor) eachDelta(b *delta, f func(d *delta, shift, lane uint32)) {
+	for _, ss := range [2][]shard{m.nodeShards, m.edgeShards} {
+		for i := range ss {
+			ss[i].mu.Lock()
+			f(&ss[i].delta, m.shardShift, uint32(i))
+			ss[i].mu.Unlock()
 		}
-		clear(s.edges)
-		s.mu.Unlock()
 	}
+	if b != nil {
+		f(b, 0, 0)
+	}
+}
+
+// mergeNodesLocked drains one delta's classes and counters into the base
+// graph. Caller holds m.mu, and the delta's mutex if it has one.
+func (m *Monitor) mergeNodesLocked(d *delta, shift, lane uint32) {
+	for _, j := range d.touched {
+		n := &d.nodes[j]
+		m.g.AddNodeDelta(graph.NodeID(uint32(j)<<shift|lane), n.mem, n.live, n.total, n.peakRise, n.cpu)
+		*n = nodeDelta{}
+	}
+	d.touched = d.touched[:0]
+	m.base.add(d.ctr)
+	d.ctr = counts{}
+}
+
+// mergeEdgesLocked drains one delta's interactions into the base graph,
+// after the clock has advanced past them. Locking as mergeNodesLocked.
+func (m *Monitor) mergeEdgesLocked(d *delta) {
+	for k, e := range d.edges {
+		m.g.AddEdgeDelta(graph.NodeID(k>>32), graph.NodeID(uint32(k)), e.inv, e.acc, e.bytes)
+	}
+	clear(d.edges)
+	d.lastKey, d.last = 0, nil
 }
 
 // Flush merges buffered shard deltas into the base graph. Snapshot
 // accessors flush implicitly; explicit flushes are for tests and callers
 // that want Live to be current without taking a snapshot.
-func (m *Monitor) Flush() {
+func (m *Monitor) Flush() { m.flush(nil) }
+
+// flush is Flush plus b, a flushing Batch's delta (nil: none).
+func (m *Monitor) flush(b *delta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushLocked()
+	m.flushLocked(b)
 }
 
 // Graph returns a snapshot (deep copy) of the execution graph, suitable
@@ -495,7 +542,7 @@ func (m *Monitor) Flush() {
 func (m *Monitor) Graph() *graph.Graph {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushLocked()
+	m.flushLocked(nil)
 	return m.g.Clone()
 }
 
@@ -507,7 +554,7 @@ func (m *Monitor) Graph() *graph.Graph {
 func (m *Monitor) Delta(since int64) graph.Delta {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushLocked()
+	m.flushLocked(nil)
 	return m.g.Delta(since)
 }
 
@@ -517,7 +564,7 @@ func (m *Monitor) Delta(since int64) graph.Delta {
 func (m *Monitor) Live() *graph.Graph {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushLocked()
+	m.flushLocked(nil)
 	return m.g
 }
 
@@ -525,18 +572,7 @@ func (m *Monitor) Live() *graph.Graph {
 // counters. Caller holds m.mu.
 func (m *Monitor) liveCounts() counts {
 	c := m.base
-	for i := range m.nodeShards {
-		s := &m.nodeShards[i]
-		s.mu.Lock()
-		c.add(s.ctr)
-		s.mu.Unlock()
-	}
-	for i := range m.edgeShards {
-		s := &m.edgeShards[i]
-		s.mu.Lock()
-		c.add(s.ctr)
-		s.mu.Unlock()
-	}
+	m.eachDelta(nil, func(d *delta, _, _ uint32) { c.add(d.ctr) })
 	return c
 }
 
@@ -585,7 +621,7 @@ func (m *Monitor) OnInvoke(caller, callee, method string, obj vm.ObjectID, argBy
 	if caller != "" && caller != callee {
 		from = m.classID(caller)
 	}
-	m.invoke(from, cn, obj, argBytes+retBytes, selfTime, native, stateless)
+	m.invoke(nil, from, cn, obj, argBytes+retBytes, selfTime, native, stateless)
 }
 
 // OnAccess implements vm.Hooks.
@@ -594,52 +630,57 @@ func (m *Monitor) OnAccess(from, to string, obj vm.ObjectID, bytes int64) {
 	if from != "" && from != to {
 		fn = m.classID(from)
 	}
-	m.access(fn, tn, obj, bytes)
+	m.access(nil, fn, tn, obj, bytes)
 }
 
 // OnCreate implements vm.Hooks.
 func (m *Monitor) OnCreate(class string, obj vm.ObjectID, size int64) {
-	m.lifecycle(trace.KindCreate, m.classID(class), obj, size)
+	m.lifecycle(nil, trace.KindCreate, m.classID(class), obj, size)
 }
 
 // OnDelete implements vm.Hooks.
 func (m *Monitor) OnDelete(class string, obj vm.ObjectID, size int64) {
-	m.lifecycle(trace.KindDelete, m.classID(class), obj, size)
+	m.lifecycle(nil, trace.KindDelete, m.classID(class), obj, size)
 }
 
 // Feed consumes one trace event, keyed against the trace's class table.
 // The emulator uses this to drive the shared monitoring module from a
 // recorded trace exactly as the prototype drives it live. A class the
 // table leaves nameless is the class named "".
-func (m *Monitor) Feed(t *trace.Trace, e *trace.Event) {
-	b := m.binding(t)
+func (m *Monitor) Feed(t *trace.Trace, e *trace.Event) { m.feed(nil, t, e) }
+
+// feed decodes one trace event into the by-ID core, accumulating into d
+// when a Batch feeds (nil: the stripes).
+func (m *Monitor) feed(d *delta, t *trace.Trace, e *trace.Event) {
+	bt := m.binding(t)
 	switch e.Kind {
 	case trace.KindInvoke:
-		callee, from := m.bound(b, e.Callee), noNode
+		callee, from := m.bound(bt, e.Callee), noNode
 		if e.Caller >= 0 && int(e.Caller) < len(t.Classes) {
-			from = m.bound(b, e.Caller)
+			from = m.bound(bt, e.Caller)
 		}
-		m.invoke(from, callee, vm.ObjectID(e.Obj), e.Bytes, e.SelfTime, e.Native, e.Stateless)
+		m.invoke(d, from, callee, vm.ObjectID(e.Obj), e.Bytes, e.SelfTime, e.Native, e.Stateless)
 	case trace.KindAccess:
-		from, to := m.bound(b, e.Caller), m.bound(b, e.Callee)
-		m.access(from, to, vm.ObjectID(e.Obj), e.Bytes)
+		from, to := m.bound(bt, e.Caller), m.bound(bt, e.Callee)
+		m.access(d, from, to, vm.ObjectID(e.Obj), e.Bytes)
 	case trace.KindCreate, trace.KindDelete:
-		m.lifecycle(e.Kind, m.bound(b, e.Callee), vm.ObjectID(e.Obj), e.Bytes)
+		m.lifecycle(d, e.Kind, m.bound(bt, e.Callee), vm.ObjectID(e.Obj), e.Bytes)
 	case trace.KindGC:
-		m.OnGC(e.Free, e.Capacity, e.Freed)
+		m.gc(d, e.Free, e.Capacity, e.Freed)
 	}
 }
 
 // invoke accounts one invocation of callee from class from (noNode: no
-// caller): self time to the callee, the interaction to the pair.
-func (m *Monitor) invoke(from, callee graph.NodeID, obj vm.ObjectID, bytes int64, selfTime time.Duration, native, stateless bool) {
+// caller): self time to the callee, the interaction to the pair. d is
+// where it accumulates: a Batch's delta, or nil for the stripes.
+func (m *Monitor) invoke(d *delta, from, callee graph.NodeID, obj vm.ObjectID, bytes int64, selfTime time.Duration, native, stateless bool) {
 	if from == noNode || from == callee {
-		m.addNode(callee, 0, 0, 0, selfTime, trace.KindInvoke)
+		m.addNode(d, callee, 0, 0, 0, selfTime, trace.KindInvoke)
 	} else {
 		if selfTime != 0 {
-			m.addNode(callee, 0, 0, 0, selfTime, 0) // counted with the edge
+			m.addNode(d, callee, 0, 0, 0, selfTime, 0) // counted with the edge
 		}
-		m.addEdge(from, callee, 1, 0, bytes, trace.KindInvoke)
+		m.addEdge(d, from, callee, 1, 0, bytes, trace.KindInvoke)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) {
@@ -649,11 +690,11 @@ func (m *Monitor) invoke(from, callee graph.NodeID, obj vm.ObjectID, bytes int64
 }
 
 // access accounts one data-field access to class to from class from.
-func (m *Monitor) access(from, to graph.NodeID, obj vm.ObjectID, bytes int64) {
+func (m *Monitor) access(d *delta, from, to graph.NodeID, obj vm.ObjectID, bytes int64) {
 	if from == noNode || from == to {
-		m.addNode(to, 0, 0, 0, 0, trace.KindAccess)
+		m.addNode(d, to, 0, 0, 0, 0, trace.KindAccess)
 	} else {
-		m.addEdge(from, to, 0, 1, bytes, trace.KindAccess)
+		m.addEdge(d, from, to, 0, 1, bytes, trace.KindAccess)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) { r.access(m.className(from), m.className(to), obj, bytes) })
@@ -662,22 +703,55 @@ func (m *Monitor) access(from, to graph.NodeID, obj vm.ObjectID, bytes int64) {
 
 // lifecycle accounts the creation (k KindCreate) or deletion (KindDelete)
 // of one object of the class.
-func (m *Monitor) lifecycle(k trace.EventKind, id graph.NodeID, obj vm.ObjectID, size int64) {
+func (m *Monitor) lifecycle(d *delta, k trace.EventKind, id graph.NodeID, obj vm.ObjectID, size int64) {
 	if k == trace.KindCreate {
-		m.addNode(id, size, 1, 1, 0, k)
+		m.addNode(d, id, size, 1, 1, 0, k)
 	} else {
-		m.addNode(id, -size, -1, 0, 0, k)
+		m.addNode(d, id, -size, -1, 0, 0, k)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) { r.lifecycle(k, m.className(id), obj, size) })
 	}
 }
 
+// Batch is a single-owner event buffer, the one type of this package that
+// is not safe for concurrent use. Feed decodes events exactly as
+// Monitor.Feed does (same class binding, so NodeIDs follow first sight;
+// same recorder mirror) into one local delta with no lock; Flush merges
+// it, with the stripes, under one acquisition of the monitor's lock.
+// Buffered events are invisible to Graph, Delta, Live, Events and Counts
+// until Flush; a GC event flushes, counting itself in the clock, before
+// the listeners run. Feed and hooks on the same monitor stay safe.
+type Batch struct {
+	m *Monitor
+	d delta
+}
+
+// Batch returns an empty batch feeding m.
+func (m *Monitor) Batch() *Batch {
+	return &Batch{m: m, d: delta{edges: make(map[uint64]*edgeDelta)}}
+}
+
+// Feed buffers one trace event; see Monitor.Feed.
+func (b *Batch) Feed(t *trace.Trace, e *trace.Event) { b.m.feed(&b.d, t, e) }
+
+// Flush merges the buffered events, and the stripes' pending deltas, into
+// the monitor's base graph.
+func (b *Batch) Flush() { b.m.flush(&b.d) }
+
 // OnGC implements vm.Hooks.
-func (m *Monitor) OnGC(free, capacity int64, freed bool) {
+func (m *Monitor) OnGC(free, capacity int64, freed bool) { m.gc(nil, free, capacity, freed) }
+
+// gc counts one collection report and hands it to the listeners. A Batch
+// feeding it (d non-nil) flushes in between, so the clock covers the
+// report and the listeners see every event before it.
+func (m *Monitor) gc(d *delta, free, capacity int64, freed bool) {
 	m.gcs.Add(1)
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) { r.gc(free, capacity, freed) })
+	}
+	if d != nil {
+		m.flush(d)
 	}
 	if ls := m.listeners.Load(); ls != nil {
 		for _, f := range *ls {
