@@ -49,9 +49,6 @@ func run(record, out, info string) error {
 		if err != nil {
 			return err
 		}
-		if err := tr.Validate(); err != nil {
-			return fmt.Errorf("trace is corrupt: %w", err)
-		}
 		s := trace.ComputeStats(tr)
 		fmt.Printf("application    %s\n", tr.App)
 		fmt.Printf("record heap    %.1f MiB\n", float64(tr.HeapCapacity)/(1<<20))

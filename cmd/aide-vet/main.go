@@ -1,6 +1,6 @@
 // Command aide-vet runs AIDE's custom static-analysis suite: lockcheck,
-// detcheck, rpcerr, wirecheck, telemetrycheck, goroutinecheck, ctxcheck,
-// and atomiccheck (see internal/lint).
+// detcheck, rpcerr, goroutinecheck, ctxcheck and atomiccheck (see
+// internal/lint).
 //
 // Standalone:
 //
@@ -10,15 +10,12 @@
 //
 //	go vet -vettool=$(which aide-vet) ./...
 //
-// Output modes: human-readable text (default), -json (a machine-stable
-// diagnostic array), and -sarif (SARIF 2.1.0, for code-scanning upload).
-// -timings appends a per-analyzer wall-clock breakdown to stderr.
-//
 // In standalone mode the driver also audits suppression debt: every
 // //lint:allow must carry a reason (enforced by the lint framework) and
 // the per-analyzer suppression counts must fit the checked-in
-// lint.budget file (see -budget). Exit status is non-zero when any
-// finding survives suppression or the budget is exceeded.
+// lint.budget file (see -budget). Findings go to stderr as text, one per
+// line; the exit status is 2 when any finding survives suppression or
+// the budget is exceeded, 1 when packages fail to load.
 package main
 
 import (
@@ -33,7 +30,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"aide/internal/lint"
@@ -42,9 +38,6 @@ import (
 func main() {
 	versionFlag := flag.String("V", "", "print version and exit (go vet protocol)")
 	flagsFlag := flag.Bool("flags", false, "print analyzer flags as JSON and exit (go vet protocol)")
-	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON")
-	sarifFlag := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
-	timingsFlag := flag.Bool("timings", false, "report per-analyzer wall-clock timings on stderr")
 	budgetFlag := flag.String("budget", "", "suppression budget file (standalone mode; default: lint.budget in the working directory if present)")
 	flag.Int("c", -1, "display context lines (accepted for go vet protocol, unused)")
 	flag.Parse()
@@ -61,39 +54,19 @@ func main() {
 		return
 	}
 
-	mode := modeText
-	if *jsonFlag && *sarifFlag {
-		fmt.Fprintln(os.Stderr, "aide-vet: -json and -sarif are mutually exclusive")
-		os.Exit(1)
-	}
-	if *jsonFlag {
-		mode = modeJSON
-	}
-	if *sarifFlag {
-		mode = modeSARIF
-	}
-
 	args := flag.Args()
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0], mode))
+		os.Exit(vetUnit(args[0]))
 	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(standalone(args, mode, *timingsFlag, *budgetFlag))
+	os.Exit(standalone(args, *budgetFlag))
 }
-
-type outputMode int
-
-const (
-	modeText outputMode = iota
-	modeJSON
-	modeSARIF
-)
 
 // standalone loads the patterns itself and analyzes every matched
 // package, then audits suppression debt against the budget file.
-func standalone(patterns []string, mode outputMode, timings bool, budgetPath string) int {
+func standalone(patterns []string, budgetPath string) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -105,16 +78,14 @@ func standalone(patterns []string, mode outputMode, timings bool, budgetPath str
 		return 1
 	}
 	var all []lint.Diagnostic
-	var allTimings []lint.Timing
 	var sites []lint.Suppression
 	for _, pkg := range pkgs {
-		diags, t, err := lint.RunTimed(pkg, lint.For(pkg.Path))
+		diags, err := lint.Run(pkg, lint.For(pkg.Path))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		all = append(all, diags...)
-		allTimings = append(allTimings, t...)
 		sites = append(sites, lint.Suppressions(pkg)...)
 	}
 	if diags, err := auditBudget(cwd, budgetPath, sites); err != nil {
@@ -123,10 +94,7 @@ func standalone(patterns []string, mode outputMode, timings bool, budgetPath str
 	} else {
 		all = append(all, diags...)
 	}
-	if timings {
-		reportTimings(allTimings)
-	}
-	return emit(all, mode)
+	return emit(all)
 }
 
 // auditBudget runs the suppression-debt check. An explicit -budget path
@@ -152,43 +120,11 @@ func auditBudget(cwd, budgetPath string, sites []lint.Suppression) ([]lint.Diagn
 	return lint.CheckBudget(entries, sites), nil
 }
 
-// reportTimings prints wall-clock totals per analyzer, slowest first.
-func reportTimings(timings []lint.Timing) {
-	totals := map[string]int64{}
-	for _, t := range timings {
-		totals[t.Analyzer] += int64(t.Elapsed)
-	}
-	names := make([]string, 0, len(totals))
-	for name := range totals {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return totals[names[i]] > totals[names[j]] })
-	fmt.Fprintln(os.Stderr, "aide-vet timings:")
-	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "  %-16s %8.3fms\n", name, float64(totals[name])/1e6)
-	}
-}
-
-func emit(diags []lint.Diagnostic, mode outputMode) int {
-	switch mode {
-	case modeJSON:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	case modeSARIF:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(toSARIF(diags)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
+// emit prints the findings to stderr and returns the exit status: 2
+// when there are any, 0 otherwise.
+func emit(diags []lint.Diagnostic) int {
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
 	if len(diags) > 0 {
 		return 2
@@ -211,7 +147,7 @@ type vetConfig struct {
 }
 
 // vetUnit analyzes one package unit on behalf of `go vet -vettool`.
-func vetUnit(cfgPath string, mode outputMode) int {
+func vetUnit(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -302,5 +238,5 @@ func vetUnit(cfgPath string, mode outputMode) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	return emit(diags, mode)
+	return emit(diags)
 }

@@ -14,7 +14,7 @@ import (
 // suppressions tolerated and why those sites are legitimate:
 //
 //	# analyzer  max  rationale
-//	telemetrycheck 1 remote metrics adaptor forwards caller-provided constant names
+//	goroutinecheck 1 the spawn's join path is a callee in another package
 //
 // The driver fails the run when the live suppression inventory exceeds
 // an analyzer's budget, or when a suppression names an analyzer with no

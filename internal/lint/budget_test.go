@@ -9,7 +9,7 @@ import (
 func TestParseBudget(t *testing.T) {
 	entries, err := ParseBudget([]byte(`
 # comment
-telemetrycheck 1 forwards constant names
+lockcheck 1 forwards constant names
 goroutinecheck 2 bench scaffolding
 `))
 	if err != nil {
@@ -18,7 +18,7 @@ goroutinecheck 2 bench scaffolding
 	if len(entries) != 2 {
 		t.Fatalf("parsed %d entries, want 2", len(entries))
 	}
-	if entries[0].Analyzer != "telemetrycheck" || entries[0].Max != 1 || entries[0].Rationale != "forwards constant names" {
+	if entries[0].Analyzer != "lockcheck" || entries[0].Max != 1 || entries[0].Rationale != "forwards constant names" {
 		t.Errorf("entry 0 = %+v", entries[0])
 	}
 	if entries[1].Max != 2 {
@@ -28,9 +28,9 @@ goroutinecheck 2 bench scaffolding
 
 func TestParseBudgetRejectsMalformed(t *testing.T) {
 	for _, src := range []string{
-		"telemetrycheck 1",          // no rationale
-		"telemetrycheck one reason", // non-numeric max
-		"telemetrycheck -1 reason",  // negative max
+		"lockcheck 1",          // no rationale
+		"lockcheck one reason", // non-numeric max
+		"lockcheck -1 reason",  // negative max
 	} {
 		if _, err := ParseBudget([]byte(src)); err == nil {
 			t.Errorf("ParseBudget(%q) accepted a malformed line", src)

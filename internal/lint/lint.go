@@ -30,7 +30,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // An Analyzer describes one invariant checker.
@@ -165,25 +164,10 @@ func Suppressions(pkg *Package) []Suppression {
 	return out
 }
 
-// A Timing records one analyzer's wall-clock cost over one package.
-type Timing struct {
-	Analyzer string
-	Package  string
-	Elapsed  time.Duration
-}
-
 // Run applies the analyzers to one loaded package and returns the
 // surviving (non-suppressed) findings sorted by position.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(pkg, analyzers)
-	return diags, err
-}
-
-// RunTimed is Run plus a per-analyzer wall-clock timing breakdown for
-// the driver's -timings report.
-func RunTimed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
 	sup, diags := collectSuppressions(pkg.Fset, pkg.Files)
-	timings := make([]Timing, 0, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -197,11 +181,8 @@ func RunTimed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, erro
 				diags = append(diags, d)
 			}
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		timings = append(timings, Timing{Analyzer: a.Name, Package: pkg.Path, Elapsed: time.Since(start)})
-		if err != nil {
-			return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -214,15 +195,12 @@ func RunTimed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, erro
 		}
 		return diags[i].Message < diags[j].Message
 	})
-	return diags, timings, nil
+	return diags, nil
 }
 
 // All returns every analyzer in the suite.
 func All() []*Analyzer {
-	return []*Analyzer{
-		LockCheck, DetCheck, RPCErr, WireCheck, TelemetryCheck,
-		GoroutineCheck, CtxCheck, AtomicCheck,
-	}
+	return []*Analyzer{LockCheck, DetCheck, RPCErr, GoroutineCheck, CtxCheck, AtomicCheck}
 }
 
 // scopes lists, per analyzer, the package-path suffixes it is scoped to
@@ -238,7 +216,8 @@ var scopes = map[string][]string{
 	},
 	// The deterministic replay paths: Figures 6-9 must reproduce
 	// bit-for-bit from a recorded trace. The telemetry package rides
-	// along because snapshots and exposition must be stable run to run.
+	// along because snapshots and exposition must be stable run to run:
+	// its instruments and tracer read only their injected clock.
 	DetCheck.Name: {
 		"internal/emulator", "internal/mincut", "internal/policy",
 		"internal/trace", "internal/experiments", "internal/remote",

@@ -1,42 +1,20 @@
-// Package telemetry is a test stand-in for the real metrics package:
-// its import path ends in internal/telemetry, so telemetrycheck applies
-// both rules to it — the no-wall-clock rule to this file's own bodies,
-// and the metric-name rule to calls on its Registry from other testdata
-// packages.
+// Package telemetry is a test stand-in for the real metrics package: its
+// import path ends in internal/telemetry, which puts it in detcheck's
+// scope, so its instruments may read only an injected clock.
 package telemetry
 
 import "time"
 
-type Registry struct{}
-type Counter struct{}
-type Gauge struct{}
-type Histogram struct{}
-
-func (r *Registry) Counter(name, help string) *Counter           { return nil }
-func (r *Registry) Gauge(name, help string) *Gauge               { return nil }
-func (r *Registry) GaugeFunc(name, help string, fn func() int64) {}
-func (r *Registry) Histogram(name, help string, bounds []time.Duration) *Histogram {
-	return nil
-}
-func (r *Registry) SizeHistogram(name, help string, bounds []int64) *Histogram {
-	return nil
-}
-
-// Helper with the same name as a registration method but no receiver:
-// package-level functions never register named metrics, so the name rule
-// must not fire on calls to it.
-func GaugeFunc(name string) {}
-
 func stampNow() time.Time {
-	return time.Now() // want `call to time\.Now in the telemetry hot path`
+	return time.Now() // want `call to time\.Now in a deterministic path`
 }
 
 func age(t time.Time) time.Duration {
-	return time.Since(t) // want `call to time\.Since in the telemetry hot path`
+	return time.Since(t) // want `call to time\.Since in a deterministic path`
 }
 
 func remaining(t time.Time) time.Duration {
-	return time.Until(t) // want `call to time\.Until in the telemetry hot path`
+	return time.Until(t) // want `call to time\.Until in a deterministic path`
 }
 
 // injected clocks are the sanctioned pattern: taking time.Now as a value

@@ -74,28 +74,10 @@ const (
 	_
 )
 
-// The binary codec encodes every field of the structs below but
-// Message.Wire (stamped, not sent); the wirecheck analyzer checks these
-// pins against the struct definitions, so a new field cannot be added
-// without updating the codec (and the pin) in the same change.
-//
-//lint:wire Message
-const messageWireFields = 27
-
-//lint:wire aide/internal/vm.WireValue
-const wireValueWireFields = 7
-
-//lint:wire aide/internal/vm.WireRef
-const wireRefWireFields = 3
-
-//lint:wire aide/internal/vm.MigratedObject
-const migratedObjectWireFields = 4
-
-//lint:wire aide/internal/vm.PipelineCall
-const pipelineCallWireFields = 5
-
-//lint:wire aide/internal/vm.PromiseArg
-const promiseArgWireFields = 2
+// The codec encodes every field of Message and of the vm wire structs
+// it embeds, but Message.Wire (stamped, not sent). The field-coverage
+// test in codec_test.go holds it to that: a field no sample carries
+// through a round trip, or an unexported one, fails it by name.
 
 // framePool recycles encode/receive buffers across messages.
 var framePool = sync.Pool{

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"aide/internal/vm"
@@ -109,6 +110,101 @@ func TestMessageRoundTrip(t *testing.T) {
 			t.Errorf("%s (reply=%v): round trip mismatch:\n got %+v\nwant %+v", m.Kind, m.Reply, got, m)
 		}
 	}
+}
+
+// TestCodecCoversEveryField walks every struct reachable from Message and
+// fails, by name, on any unexported field (no codec sends it) and on any
+// exported field that no sample carries through appendMessage and
+// decodeMessage non-zero and intact: the field the codec forgot. The
+// samples are codecMessages() plus the values it leaves zero. Message.Wire
+// is exempt: it is stamped, not sent.
+func TestCodecCoversEveryField(t *testing.T) {
+	samples := append(codecMessages(),
+		// A promise argument at a non-zero position from a non-zero call.
+		&Message{Kind: MsgInvokeBatch, ID: 30, Calls: []vm.PipelineCall{
+			{Recv: -1, Obj: 1, Method: "a"},
+			{Recv: -1, Obj: 2, Method: "b"},
+			{Recv: 0, Method: "c", Args: []vm.WireValue{{Kind: vm.KindInt, I: 1}, {Kind: vm.KindNil}},
+				ArgPromises: []vm.PromiseArg{{Pos: 1, Call: 1}}},
+		}},
+	)
+	carried := map[string]bool{}
+	for i, m := range samples {
+		got, err := decodeMessage(appendMessage(nil, m))
+		if err != nil {
+			t.Errorf("sample %d (%s): %v", i, m.Kind, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("sample %d (%s): round trip mismatch:\n got %+v\nwant %+v", i, m.Kind, got, m)
+		}
+		markCarried(reflect.ValueOf(m), reflect.ValueOf(got), carried)
+	}
+	fields := map[string]bool{}
+	wireFields(reflect.TypeOf(Message{}), fields)
+	for _, f := range sortedKeys(fields) {
+		switch {
+		case f == "remote.Message.Wire":
+		case !fields[f]:
+			t.Errorf("%s is unexported: no codec sends it", f)
+		case !carried[f]:
+			t.Errorf("%s: no sample carries it through the codec non-zero", f)
+		}
+	}
+}
+
+// wireFields records, as "pkg.Type.Field" → exported, every field of
+// every struct type reachable from t.
+func wireFields(t reflect.Type, out map[string]bool) {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		wireFields(t.Elem(), out)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			name := t.String() + "." + f.Name
+			if _, seen := out[name]; !seen {
+				out[name] = f.IsExported()
+				wireFields(f.Type, out)
+			}
+		}
+	}
+}
+
+// markCarried records every exported field that sent holds non-zero and
+// got holds equal, walking the two values in step.
+func markCarried(sent, got reflect.Value, carried map[string]bool) {
+	switch sent.Kind() {
+	case reflect.Pointer:
+		if !sent.IsNil() && !got.IsNil() {
+			markCarried(sent.Elem(), got.Elem(), carried)
+		}
+	case reflect.Slice:
+		for i := 0; i < min(sent.Len(), got.Len()); i++ {
+			markCarried(sent.Index(i), got.Index(i), carried)
+		}
+	case reflect.Struct:
+		t := sent.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if !t.Field(i).IsExported() {
+				continue
+			}
+			s, g := sent.Field(i), got.Field(i)
+			if !s.IsZero() && reflect.DeepEqual(s.Interface(), g.Interface()) {
+				carried[t.String()+"."+t.Field(i).Name] = true
+			}
+			markCarried(s, g, carried)
+		}
+	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestBinaryMatchesGobSemantics round-trips the same messages through

@@ -16,27 +16,10 @@ import (
 // parts are flag bits, never zero-valued payloads, so every image has
 // exactly one encoding.
 //
-// The wirecheck analyzer pins every encoded struct's field count against
-// this codec: growing a struct without teaching the codec its new field
-// is a build-time lint failure, not a silent wire corruption.
-
-//lint:wire aide/internal/vm.SnapshotState
-const snapshotStateWireFields = 5
-
-//lint:wire aide/internal/vm.SnapshotObject
-const snapshotObjectWireFields = 11
-
-//lint:wire aide/internal/vm.SnapshotRoot
-const snapshotRootWireFields = 2
-
-//lint:wire aide/internal/vm.SnapshotStatic
-const snapshotStaticWireFields = 2
-
-//lint:wire aide/internal/vm.SnapshotResidual
-const snapshotResidualWireFields = 4
-
-//lint:wire Image
-const imageWireFields = 2
+// The field-coverage test in codec_test.go walks every struct reachable
+// from Image and fails, by name, on a field no sample carries through a
+// round trip: growing a struct without teaching the codec its new field
+// is a test failure, not a silent wire corruption.
 
 // imageVersion is the encoding version byte leading every image.
 const imageVersion = 1

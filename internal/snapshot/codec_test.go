@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -99,6 +100,97 @@ func TestImageCodecRoundTrip(t *testing.T) {
 		t.Fatalf("re-encode not byte-identical:\n got %s\nwant %s",
 			hex.EncodeToString(again), hex.EncodeToString(buf))
 	}
+}
+
+// TestCodecCoversEveryField walks every struct reachable from Image and
+// fails, by name, on any unexported field (no codec sends it) and on any
+// exported field that no sample carries through Encode and Decode
+// non-zero and intact: the field the codec forgot. The samples are
+// goldenImage() plus the values it leaves zero.
+func TestCodecCoversEveryField(t *testing.T) {
+	samples := []*Image{
+		goldenImage(),
+		// Lazy provenance naming a non-zero origin peer slot.
+		{State: &vm.SnapshotState{NextID: 3, Objects: []vm.SnapshotObject{
+			{ID: 2, Class: "Leaf", Size: 8, LazyFrom: 1, LazySrc: 6, Fields: []vm.Value{{Kind: vm.KindDeferred}}},
+		}}},
+	}
+	carried := map[string]bool{}
+	for i, img := range samples {
+		got, err := Decode(img.Encode())
+		if err != nil {
+			t.Errorf("sample %d: %v", i, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, img) {
+			t.Errorf("sample %d: round trip mismatch:\n got %+v\nwant %+v", i, got.State, img.State)
+		}
+		markCarried(reflect.ValueOf(img), reflect.ValueOf(got), carried)
+	}
+	fields := map[string]bool{}
+	wireFields(reflect.TypeOf(Image{}), fields)
+	for _, f := range sortedKeys(fields) {
+		switch {
+		case !fields[f]:
+			t.Errorf("%s is unexported: no codec sends it", f)
+		case !carried[f]:
+			t.Errorf("%s: no sample carries it through the codec non-zero", f)
+		}
+	}
+}
+
+// wireFields records, as "pkg.Type.Field" → exported, every field of
+// every struct type reachable from t.
+func wireFields(t reflect.Type, out map[string]bool) {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		wireFields(t.Elem(), out)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			name := t.String() + "." + f.Name
+			if _, seen := out[name]; !seen {
+				out[name] = f.IsExported()
+				wireFields(f.Type, out)
+			}
+		}
+	}
+}
+
+// markCarried records every exported field that sent holds non-zero and
+// got holds equal, walking the two values in step.
+func markCarried(sent, got reflect.Value, carried map[string]bool) {
+	switch sent.Kind() {
+	case reflect.Pointer:
+		if !sent.IsNil() && !got.IsNil() {
+			markCarried(sent.Elem(), got.Elem(), carried)
+		}
+	case reflect.Slice:
+		for i := 0; i < min(sent.Len(), got.Len()); i++ {
+			markCarried(sent.Index(i), got.Index(i), carried)
+		}
+	case reflect.Struct:
+		t := sent.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if !t.Field(i).IsExported() {
+				continue
+			}
+			s, g := sent.Field(i), got.Field(i)
+			if !s.IsZero() && reflect.DeepEqual(s.Interface(), g.Interface()) {
+				carried[t.String()+"."+t.Field(i).Name] = true
+			}
+			markCarried(s, g, carried)
+		}
+	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestEmptyImage pins the degenerate encodings: a nil state encodes and

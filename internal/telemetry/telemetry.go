@@ -16,9 +16,10 @@
 //
 // Determinism contract: the registry and tracer never read the wall
 // clock directly — they call an injectable clock (defaulting to
-// time.Now) so the simulated-time test rigs stay bit-identical. The
-// telemetrycheck analyzer (internal/lint) enforces this, along with
-// lowercase_snake constant metric names at every registration site.
+// time.Now) so the simulated-time test rigs stay bit-identical; aide-vet's
+// detcheck, scoped to this package, flags any direct wall-clock read.
+// Metric names are lowercase_snake: a registration under any other name
+// is refused and recorded as a problem that Registry.Check reports.
 package telemetry
 
 import (
@@ -97,8 +98,9 @@ func NewWithClock(now func() time.Time) *Registry {
 }
 
 // validMetricName reports whether name is lowercase_snake: it must
-// match ^[a-z][a-z0-9_]*$ (the same shape telemetrycheck enforces on
-// registration-site constants).
+// match ^[a-z][a-z0-9_]*$, the Prometheus exposition convention. Every
+// registration passes through it (lookupLocked), so a bad name is a
+// problem Registry.Check reports, not a malformed /metrics line.
 func validMetricName(name string) bool {
 	if name == "" {
 		return false

@@ -74,7 +74,8 @@ type ClassInfo struct {
 }
 
 // Event is one execution or resource event. A single struct with a Kind
-// discriminator keeps traces gob-friendly and allocation-light.
+// discriminator keeps traces flat and allocation-light: one fixed-shape
+// record per event on disk (io.go) and in memory.
 type Event struct {
 	Kind EventKind
 

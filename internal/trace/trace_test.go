@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -38,18 +41,20 @@ func TestValidateAcceptsSample(t *testing.T) {
 	}
 }
 
+// corruptions each break one Validate rule on a sampleTrace.
+var corruptions = []func(*Trace){
+	func(tr *Trace) { tr.Events[1].Callee = 99 },                   // class out of range
+	func(tr *Trace) { tr.Events[1].Bytes = -1 },                    // negative bytes
+	func(tr *Trace) { tr.Events[0].Obj = 2; tr.Events[2].Obj = 2 }, // double create
+	func(tr *Trace) { tr.Events[5].Obj = 77 },                      // delete unknown
+	func(tr *Trace) { tr.Events[5].Callee = 1 },                    // delete wrong class
+	func(tr *Trace) { tr.Events[6].Free = -1 },                     // negative GC
+	func(tr *Trace) { tr.Events[3].Kind = EventKind(42) },          // unknown kind
+	func(tr *Trace) { tr.Events[0].Bytes = -5 },                    // negative size
+}
+
 func TestValidateCatchesCorruption(t *testing.T) {
-	cases := []func(*Trace){
-		func(tr *Trace) { tr.Events[1].Callee = 99 },                   // class out of range
-		func(tr *Trace) { tr.Events[1].Bytes = -1 },                    // negative bytes
-		func(tr *Trace) { tr.Events[0].Obj = 2; tr.Events[2].Obj = 2 }, // double create
-		func(tr *Trace) { tr.Events[5].Obj = 77 },                      // delete unknown
-		func(tr *Trace) { tr.Events[5].Callee = 1 },                    // delete wrong class
-		func(tr *Trace) { tr.Events[6].Free = -1 },                     // negative GC
-		func(tr *Trace) { tr.Events[3].Kind = EventKind(42) },          // unknown kind
-		func(tr *Trace) { tr.Events[0].Bytes = -5 },                    // negative size
-	}
-	for i, corrupt := range cases {
+	for i, corrupt := range corruptions {
 		tr := sampleTrace()
 		corrupt(tr)
 		if err := tr.Validate(); err == nil {
@@ -58,7 +63,23 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestRoundTripGob(t *testing.T) {
+// TestReadRefusesInvalidTraces pins that Read only returns valid traces:
+// every corruption Validate catches is written out and read back.
+func TestReadRefusesInvalidTraces(t *testing.T) {
+	for i, corrupt := range corruptions {
+		tr := sampleTrace()
+		corrupt(tr)
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil {
+			t.Errorf("case %d: Read returned an invalid trace", i)
+		}
+	}
+}
+
+func TestRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err != nil {
@@ -69,7 +90,68 @@ func TestRoundTripGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tr, got) {
-		t.Fatal("gob round trip altered the trace")
+		t.Fatal("round trip altered the trace")
+	}
+}
+
+func encodeSample(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleTrace()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRejectsMalformed covers the format-level refusals: truncation
+// anywhere, trailing bytes, an unknown version and a class ID that does
+// not fit int32.
+func TestReadRejectsMalformed(t *testing.T) {
+	data := encodeSample(t)
+	for n := 0; n < len(data); n++ {
+		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
+			t.Fatalf("prefix of %d/%d bytes accepted", n, len(data))
+		}
+	}
+	if _, err := Read(bytes.NewReader(append(data[:len(data):len(data)], 0))); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	v2 := append([]byte{2}, data[1:]...)
+	if _, err := Read(bytes.NewReader(v2)); err == nil {
+		t.Error("version 2 accepted")
+	}
+	// One class, one invoke whose caller is 2^32+1.
+	wide := []byte{traceVersion, 0, 0, 1, 1, 'c', 0, 1, byte(KindInvoke), 0}
+	wide = binary.AppendVarint(wide, 1<<32+1)
+	wide = append(wide, 0, 0, 0, 0, 0, 0)
+	if _, err := Read(bytes.NewReader(wide)); !errors.Is(err, errClassRange) {
+		t.Errorf("class ID 2^32+1: err = %v, want %v", err, errClassRange)
+	}
+}
+
+// TestReadFileRejectsCorruptTrailer pins that ReadFile reads the gzip
+// stream to its end, where the CRC-32 and length trailer are checked: a
+// file with a flipped CRC or with the trailer cut off is refused.
+func TestReadFileRejectsCorruptTrailer(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.trace.gz")
+	if err := WriteFile(good, sampleTrace()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)-8] ^= 0xff // first byte of the CRC-32
+	for name, b := range map[string][]byte{"crc flipped": flipped, "trailer cut": data[:len(data)-8]} {
+		path := filepath.Join(dir, "bad.trace.gz")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil {
+			t.Errorf("%s: ReadFile accepted the file", name)
+		}
 	}
 }
 

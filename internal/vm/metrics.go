@@ -4,9 +4,10 @@ import (
 	"aide/internal/telemetry"
 )
 
-// Metric names (lowercase_snake constants; telemetrycheck enforces the
-// shape at registration sites). Client and surrogate VMs in the same
-// process register children under the same names; exposition sums them.
+// Metric names, lowercase_snake constants: the registry records a
+// problem for any other shape, which Registry.Check reports. Client and
+// surrogate VMs in the same process register children under the same
+// names; exposition sums them.
 const (
 	metricInvokeLocal    = "aide_vm_invocations_local_total"
 	metricInvokeRemote   = "aide_vm_invocations_remote_total"

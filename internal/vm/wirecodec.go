@@ -10,10 +10,10 @@ import (
 // Binary wire form of the VM's wire types (WireValue, WireRef,
 // MigratedObject), embedded by the remote module's message codec. Each
 // type's AppendWire and ReadWire sit next to each other so the
-// codec and the structs are one review unit; the wirecheck analyzer
-// additionally pins each struct's field count against the codec's
-// contract (see internal/remote/codec.go). Primitives, their failure
-// modes and the encoding rules are internal/wire's.
+// codec and the structs are one review unit; the remote codec's
+// field-coverage test (internal/remote/codec_test.go) fails when a field
+// of these structs does not survive a round trip. Primitives, their
+// failure modes and the encoding rules are internal/wire's.
 
 // AppendWire appends the reference's binary wire form: a locality byte,
 // the zigzag-varint ID, and — for sender-namespace references only — the

@@ -1,8 +1,9 @@
 // Package wire is the platform's one wire-primitive layer: the bounded
-// reader and the append helpers under all three hand-rolled binary
+// reader and the append helpers under all four hand-rolled binary
 // formats — the RPC envelope (internal/remote/codec.go), the VM's wire
-// values (internal/vm/wirecodec.go) and the snapshot image
-// (internal/snapshot/codec.go). Each format keeps its own layout, version
+// values (internal/vm/wirecodec.go), the snapshot image
+// (internal/snapshot/codec.go) and recorded trace files
+// (internal/trace/io.go). Each format keeps its own layout, version
 // byte and format-level checks; what a primitive looks like and how a
 // read of one fails is decided here and nowhere else.
 //

@@ -98,6 +98,14 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if _, err := client.Offload(); err != nil {
 		t.Fatal(err)
 	}
+	// Every metric the wired layers registered has a lowercase_snake name
+	// and one consistent kind: the registry refuses anything else and
+	// records why.
+	for side, r := range map[string]*telemetry.Registry{"client": cReg, "surrogate": sReg} {
+		if err := r.Check(); err != nil {
+			t.Errorf("%s registry: %v", side, err)
+		}
+	}
 
 	// Surrogate side: health and served-request accounting.
 	sBase := "http://" + sSrv.Addr()
