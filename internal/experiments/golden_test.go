@@ -161,7 +161,7 @@ func TestGoldenFigure10(t *testing.T) {
 // TestGoldenDecayDeterminism pins the streaming-decay contract alongside
 // the engine's order-preservation gate above: the same event multiset fed
 // serially and from 8 round-robin concurrent sources, flushed once, must
-// produce bit-identical decayed edge weights — shard merges commute and
+// produce bit-identical decayed edge weights — integer deltas commute and
 // every event in a flush window decays from the same event-time stamp, so
 // ingestion interleaving can never leak into the partitioner's input.
 func TestGoldenDecayDeterminism(t *testing.T) {

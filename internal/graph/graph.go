@@ -261,7 +261,7 @@ func (g *Graph) AddAccess(a, b NodeID, bytes int64) {
 
 // AddEdgeDelta merges a batch of interactions between classes a and b in
 // one step: inv invocations and acc accesses transferring bytes in total.
-// The sharded monitor drains its per-shard counters through this entry
+// The monitor drains its ingest and batch deltas through this entry
 // point, paying the edge lookup, dirty marking, and decay arithmetic once
 // per touched edge per flush instead of once per event.
 func (g *Graph) AddEdgeDelta(a, b NodeID, inv, acc, bytes int64) {

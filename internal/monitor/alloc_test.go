@@ -9,14 +9,15 @@ import (
 
 	"aide/internal/monitor"
 	"aide/internal/trace"
+	"aide/internal/vm"
 )
 
 // TestWarmEventPathAllocatesNothing: once its classes (and fields) have
-// been seen, an event costs no allocation through Feed, Batch.Feed or the
-// by-name hooks, with no recorder attached; and a batch's flush of a
-// window the monitor has seen before allocates no more than the
-// monitor's own. The race detector's instrumentation allocates, so the
-// file is built without it.
+// been seen, an event costs no allocation through Feed, Batch.Feed, the
+// by-name methods, a VM's OnEvents batch or a monitored VM's invocation,
+// with no recorder attached; and a batch's flush of a window the monitor
+// has seen before allocates no more than the monitor's own. The race
+// detector's instrumentation allocates, so the file is built without it.
 func TestWarmEventPathAllocatesNothing(t *testing.T) {
 	tr := &trace.Trace{
 		Classes: []trace.ClassInfo{{Name: "ui", Pinned: true}, {Name: "doc"}},
@@ -43,12 +44,15 @@ func TestWarmEventPathAllocatesNothing(t *testing.T) {
 		paths[fmt.Sprintf("Feed %s #%d", e.Kind, i)] = func() { m.Feed(tr, e) }
 		paths[fmt.Sprintf("Batch.Feed %s #%d", e.Kind, i)] = func() { b.Feed(tr, e) }
 	}
+	vmEvents := tr.Events[:len(tr.Events)-1] // a VM reports collections through OnGC
+	paths["OnEvents"] = func() { m.OnEvents(tr, vmEvents) }
+	paths["monitored VM invoke"] = monitoredTap(t, m)
 	for name, f := range paths {
 		f() // first sight interns
 		m.Flush()
 		b.Flush()
 		f() // first event of a window claims its delta
-		if n := testing.AllocsPerRun(100, f); n != 0 {
+		if n := testing.AllocsPerRun(1000, f); n != 0 {
 			t.Errorf("%s: %v allocations per warm event, want 0", name, n)
 		}
 	}
@@ -67,4 +71,44 @@ func TestWarmEventPathAllocatesNothing(t *testing.T) {
 	if n, ref := testing.AllocsPerRun(100, batched), testing.AllocsPerRun(100, perEvent); n > ref {
 		t.Errorf("a batched window and its flush allocate %v, the same window fed per event and flushed %v", n, ref)
 	}
+}
+
+// monitoredTap returns a warm local invocation on a VM m monitors: the
+// caller's frame, the cross-class call it makes, both events appended and
+// delivered a batch at a time.
+func monitoredTap(t *testing.T, m *monitor.Monitor) func() {
+	reg := vm.NewRegistry()
+	for _, spec := range []vm.ClassSpec{
+		{Name: "Doc", Methods: []vm.MethodSpec{{Name: "inc", Body: func(th *vm.Thread, self vm.ObjectID, args []vm.Value) (vm.Value, error) {
+			return vm.Nil(), nil
+		}}}},
+		{Name: "UI", Fields: []string{"doc"}, Methods: []vm.MethodSpec{{Name: "tap", Body: func(th *vm.Thread, self vm.ObjectID, args []vm.Value) (vm.Value, error) {
+			d, err := th.GetField(self, "doc")
+			if err != nil {
+				return vm.Nil(), err
+			}
+			return th.Invoke(d.Ref, "inc")
+		}}}},
+	} {
+		if _, err := reg.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := vm.New(reg, vm.Config{Role: vm.RoleClient})
+	v.SetHooks(m)
+	th := v.NewThread()
+	ui, _ := th.New("UI", 64)
+	doc, _ := th.New("Doc", 64)
+	if err := th.SetField(ui, "doc", vm.RefOf(doc)); err != nil {
+		t.Fatal(err)
+	}
+	tap := func() {
+		if _, err := th.Invoke(ui, "tap"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ { // several deliveries: the event buffer is grown
+		tap()
+	}
+	return tap
 }

@@ -9,30 +9,29 @@
 // is how the emulator drives the shared modules (paper §4).
 //
 // A class is resolved to its graph.NodeID once per source, not once per
-// event: the by-name hooks (vm.Hooks) through a copy-on-write intern
-// table, Feed through a per-trace binding indexed by trace.ClassID — each
-// in its own order, because NodeIDs follow first sight and that order is
-// part of every golden. Both then call one by-ID core (invoke, access,
-// lifecycle), the only code that accumulates and records.
+// event: the by-name methods through a copy-on-write intern table, trace
+// events through a per-trace binding indexed by trace.ClassID — each in its
+// own order, because NodeIDs follow first sight and that order is part of
+// every golden. A VM is such a source: it hands over its registry's class
+// table with its events (vm.Hooks), so it is bound exactly like a
+// recording. Both then call one by-ID core (invoke, access, lifecycle),
+// the only code that accumulates and records.
 //
-// Ingestion is striped: the core adds into per-shard deltas (classes in a
-// dense slice by ID, class pairs in a map keyed by the packed pair)
-// behind independent mutexes, so concurrent event sources never
-// serialize on one global lock. Shard deltas merge into the base graph
-// only when a snapshot is taken (Graph, Delta, Live, Flush) and the merge
-// walks only what the window touched — integer merges commute, so the
-// result is independent of shard order and bit-identical to serial
-// ingestion. The merged graph tracks a dirty set, and Delta hands the
-// partitioner only what changed since its last pull.
+// Ingestion adds into one delta (classes in a dense slice by ID, class
+// pairs in a map keyed by the packed pair) behind one mutex, taken once
+// per event fed and once per VM batch. The delta merges into the base
+// graph only when a snapshot is taken (Graph, Delta, Live, Flush), and the
+// merge walks only what the window touched. The merged graph tracks a
+// dirty set, and Delta hands the partitioner only what changed since its
+// last pull.
 //
 // A replay, one goroutine feeding a monitor nothing else touches, feeds
-// a Batch instead: a stripe's delta without the mutex, merged under one
+// a Batch instead: a delta of its own without the mutex, merged under one
 // lock acquisition per Flush by the same code, so the books match Feed's.
 package monitor
 
 import (
 	"maps"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,13 +76,6 @@ type ClassMetaFunc func(name string) ClassMeta
 // policies subscribe here).
 type GCListener func(free, capacity int64, freed bool)
 
-// stripes is the ingestion stripe count: a power of two so the shard
-// pick is a mask, and sized so 8–16 concurrent event sources rarely
-// collide. Measured on 2 cores against one stripe (EXPERIMENTS.md): 49 vs
-// 49 ns/event with 1 source, 30 vs 50-62 ns of wall per event with 2 — so
-// it is a constant, not an option.
-const stripes = 16
-
 // Option configures a Monitor at construction.
 type Option func(*Monitor)
 
@@ -98,7 +90,7 @@ func WithDecay(halfLifeEvents float64) Option {
 	return func(m *Monitor) { m.halfLife = halfLifeEvents }
 }
 
-// counts is one shard's slice of the monitor's event totals, indexed by
+// counts is one delta's slice of the monitor's event totals, indexed by
 // trace.EventKind (invoke to delete); their sum, plus the GC reports, is
 // the event-time clock. Slot 0 is never read: it takes the adds that
 // belong to an event counted elsewhere.
@@ -114,11 +106,12 @@ func (c counts) events() int64 {
 	return c[trace.KindInvoke] + c[trace.KindAccess] + c[trace.KindCreate] + c[trace.KindDelete]
 }
 
-// delta is one window's accumulation, the unit both a stripe and a Batch
-// hold: per-class lifecycle deltas in a dense slice (touched lists what
-// the window wrote, so a merge walks only that), per-pair interaction
-// deltas keyed by the pair packed into one word (A<<32 | B, A < B — the
-// runtime's 64-bit map fast path), and the event-kind counters.
+// delta is one window's accumulation, what the monitor's ingest and a
+// Batch each hold: per-class lifecycle deltas in a dense slice by NodeID
+// (touched lists what the window wrote, so a merge walks only that),
+// per-pair interaction deltas keyed by the pair packed into one word
+// (A<<32 | B, A < B — the runtime's 64-bit map fast path), and the
+// event-kind counters.
 type delta struct {
 	nodes   []nodeDelta
 	touched []int32
@@ -129,18 +122,6 @@ type delta struct {
 	// and accesses hit one pair in runs. 0 is no pair (A < B).
 	lastKey uint64
 	last    *edgeDelta
-}
-
-// shard is one ingestion stripe: a delta behind its own mutex. Node
-// stripes hold class id at index id>>shift of stripe id&mask, so their
-// slices stay dense; edge stripes hold the pairs that hash to them. The
-// kind counters are bumped under the mutex the event already takes — one
-// shared atomic counter would put every stripe back on one cache line and
-// cap throughput at its ping-pong rate.
-type shard struct {
-	mu sync.Mutex
-	delta
-	_ [32]byte // keep neighboring shard mutexes off one cache line
 }
 
 // nodeDelta accumulates one class's events since the last flush. mem is
@@ -185,6 +166,12 @@ type fieldKey struct {
 // Monitor builds and maintains the execution graph. It implements
 // vm.Hooks; install it with VM.SetHooks. All methods are safe for
 // concurrent use; the Batch it hands out is the one type that is not.
+//
+// Never read a monitor (Graph, Delta, Live, Flush, Events, Counts) while
+// holding a VM's lock: a read first delivers what every hooked VM has
+// buffered, which takes that VM's lock. The lock order is VM lock, then
+// createMu, then the ingest lock; m.mu, when a read holds it, comes before
+// createMu.
 type Monitor struct {
 	meta ClassMetaFunc
 
@@ -205,20 +192,21 @@ type Monitor struct {
 	applied     []uint32
 	pendingMeta map[graph.NodeID]uint32
 
-	shardMask  uint32
-	shardShift uint32
-	nodeShards []shard
-	edgeShards []shard
+	// in is the ingest delta: what events added since the last merge,
+	// behind inMu. Feed and the by-name methods take inMu once per event,
+	// a VM batch once per batch.
+	inMu sync.Mutex
+	in   delta
 
-	// base accumulates shard counters drained at flush (guarded by mu);
-	// GC events bypass the shards (no class to stripe by) and stay
-	// atomic — they are orders of magnitude rarer than the rest.
+	// base accumulates the counters drained at flush (written under mu and
+	// inMu); GC events bypass the delta (no class to add to), atomically.
 	base counts
 	gcs  atomic.Int64
 
-	// GC listeners: copy-on-write. OnGC loads the slice pointer with one
-	// atomic read — no per-event copy, no lock on the event path.
+	// GC listeners and the flushes of the hooked VMs: copy-on-write under
+	// lmu. OnGC and a read load the slice pointer with one atomic read.
 	listeners atomic.Pointer[[]GCListener]
+	vmFlushes atomic.Pointer[[]func()]
 	lmu       sync.Mutex
 
 	// Recorder mirror: recOn gates the slow path with one atomic load.
@@ -241,29 +229,17 @@ var (
 // considered pinned (the emulator supplies metadata from the trace's class
 // table instead).
 func New(meta ClassMetaFunc, opts ...Option) *Monitor {
-	return newStriped(meta, stripes, opts...)
-}
-
-// newStriped is New with n stripes, n a power of two; the stripe tests
-// use it to check that ingestion is independent of the stripe count.
-func newStriped(meta ClassMetaFunc, n int, opts ...Option) *Monitor {
 	m := &Monitor{
 		meta:        meta,
 		g:           graph.New(),
 		pendingMeta: make(map[graph.NodeID]uint32),
-		shardMask:   uint32(n - 1),
-		shardShift:  uint32(bits.TrailingZeros(uint(n))),
-		nodeShards:  make([]shard, n),
-		edgeShards:  make([]shard, n),
+		in:          delta{edges: make(map[uint64]*edgeDelta)},
 	}
 	m.classes.Store(&classTable{ids: map[string]graph.NodeID{}})
 	m.bindings.Store(new([]*traceBinding))
 	m.heat.Store(&map[fieldKey]*atomic.Int64{})
 	for _, o := range opts {
 		o(m)
-	}
-	for i := range m.edgeShards {
-		m.edgeShards[i].edges = make(map[uint64]*edgeDelta)
 	}
 	if m.halfLife > 0 {
 		m.g.SetDecay(m.halfLife)
@@ -311,11 +287,12 @@ func (m *Monitor) className(id graph.NodeID) string {
 	return m.classes.Load().names[id]
 }
 
-// binding returns t's binding. A monitor is fed one trace, rarely two, so
-// the list is scanned; it keeps every trace it was ever fed alive.
+// binding returns t's binding, sized to cover t's class table as it is
+// now. A monitor is fed one trace, rarely two, so the list is scanned; it
+// keeps every trace it was ever fed alive.
 func (m *Monitor) binding(t *trace.Trace) *traceBinding {
 	for _, b := range *m.bindings.Load() {
-		if b.t == t {
+		if b.t == t && len(b.nodes) >= len(t.Classes) {
 			return b
 		}
 	}
@@ -324,8 +301,9 @@ func (m *Monitor) binding(t *trace.Trace) *traceBinding {
 
 // rebind publishes a binding sized to t's class table as it is now: on
 // first sight of the trace, and again when the table has grown (a Recorder
-// still appending). Resolved slots carry over; a store racing into the
-// binding this replaces is lost, and that class simply resolves again.
+// still appending, a class registered after a VM's first event). Resolved
+// slots carry over; a store racing into the binding this replaces is lost,
+// and that class simply resolves again.
 func (m *Monitor) rebind(t *trace.Trace) *traceBinding {
 	m.createMu.Lock()
 	defer m.createMu.Unlock()
@@ -344,13 +322,17 @@ func (m *Monitor) rebind(t *trace.Trace) *traceBinding {
 	return nb
 }
 
+// unbound reports whether id is in the table and not resolved yet: an
+// event naming such a class may be a first sighting.
+func (b *traceBinding) unbound(id trace.ClassID) bool {
+	return uint32(id) < uint32(len(b.nodes)) && b.nodes[id].Load() == 0
+}
+
 // bound resolves a trace class through its binding: one atomic load once
 // the class has been seen.
 func (m *Monitor) bound(b *traceBinding, id trace.ClassID) graph.NodeID {
-	if int(id) < len(b.nodes) {
-		if v := b.nodes[id].Load(); v != 0 {
-			return graph.NodeID(v - 1)
-		}
+	if v := b.nodes[id].Load(); v != 0 {
+		return graph.NodeID(v - 1)
 	}
 	return m.bindClass(b, id)
 }
@@ -360,9 +342,6 @@ func (m *Monitor) bound(b *traceBinding, id trace.ClassID) graph.NodeID {
 // whatever the node already carries. An id beyond the class table panics,
 // as indexing the table always has.
 func (m *Monitor) bindClass(b *traceBinding, id trace.ClassID) graph.NodeID {
-	if int(id) >= len(b.nodes) {
-		b = m.rebind(b.t)
-	}
 	info := b.t.Classes[id]
 	nid := m.classID(info.Name)
 	m.createMu.Lock()
@@ -372,45 +351,11 @@ func (m *Monitor) bindClass(b *traceBinding, id trace.ClassID) graph.NodeID {
 	return nid
 }
 
-// addNode accumulates one class's lifecycle and self-time deltas and
-// bumps counter k: into d when a Batch feeds, else into the class's
-// stripe under its mutex.
-func (m *Monitor) addNode(d *delta, id graph.NodeID, mem, live, total int64, cpu time.Duration, k trace.EventKind) {
-	if d != nil {
-		d.addNode(int(id), mem, live, total, cpu, k)
-		return
-	}
-	s := &m.nodeShards[uint32(id)&m.shardMask]
-	s.mu.Lock()
-	s.addNode(int(uint32(id)>>m.shardShift), mem, live, total, cpu, k)
-	s.mu.Unlock()
-}
-
-// addEdge accumulates one class pair's interaction deltas and bumps
-// counter k, into d or the pair's stripe as addNode does.
-func (m *Monitor) addEdge(d *delta, a, b graph.NodeID, inv, acc, bytes int64, k trace.EventKind) {
-	if a > b {
-		a, b = b, a
-	}
-	key := uint64(uint32(a))<<32 | uint64(uint32(b))
-	if d != nil {
-		d.addEdge(key, inv, acc, bytes, k)
-		return
-	}
-	// Fibonacci-style mix of the canonical pair; any fixed function
-	// works — determinism comes from commutative merges, not placement.
-	h := uint32(a)*0x9E3779B1 ^ uint32(b)*0x85EBCA77
-	s := &m.edgeShards[(h^(h>>16))&m.shardMask]
-	s.mu.Lock()
-	s.addEdge(key, inv, acc, bytes, k)
-	s.mu.Unlock()
-}
-
-// addNode adds into the class at index i.
-func (d *delta) addNode(i int, mem, live, total int64, cpu time.Duration, k trace.EventKind) {
+// addNode adds into the class at index i, and bumps counter k.
+func (d *delta) addNode(i graph.NodeID, mem, live, total int64, cpu time.Duration, k trace.EventKind) {
 	if mem != 0 || live != 0 || total != 0 || cpu != 0 {
-		if i >= len(d.nodes) {
-			d.nodes = append(d.nodes, make([]nodeDelta, i+1-len(d.nodes))...)
+		if int(i) >= len(d.nodes) {
+			d.nodes = append(d.nodes, make([]nodeDelta, int(i)+1-len(d.nodes))...)
 		}
 		n := &d.nodes[i]
 		if !n.touched {
@@ -428,8 +373,12 @@ func (d *delta) addNode(i int, mem, live, total int64, cpu time.Duration, k trac
 	d.ctr[k]++
 }
 
-// addEdge adds into the pair packed as key.
-func (d *delta) addEdge(key uint64, inv, acc, bytes int64, k trace.EventKind) {
+// addEdge adds into the pair of classes a and b, and bumps counter k.
+func (d *delta) addEdge(a, b graph.NodeID, inv, acc, bytes int64, k trace.EventKind) {
+	if a > b {
+		a, b = b, a
+	}
+	key := uint64(uint32(a))<<32 | uint64(uint32(b))
 	e := d.last
 	if key != d.lastKey {
 		if e = d.edges[key]; e == nil {
@@ -455,14 +404,12 @@ func (m *Monitor) record(f func(r *Recorder)) {
 	m.recMu.Unlock()
 }
 
-// flushLocked merges every shard's delta, plus b's when a Batch flushes
-// (nil otherwise), pending classes, and pending metadata upgrades into
-// the base graph. Caller holds m.mu. Integer merges commute and each
-// class/pair lives in exactly one shard, so the merged graph is
-// independent of shard iteration order.
+// flushLocked merges the ingest delta, plus b's when a Batch flushes (nil
+// otherwise), pending classes, and pending metadata upgrades into the base
+// graph. Caller holds m.mu.
 func (m *Monitor) flushLocked(b *delta) {
 	// createMu stays held to the end: a class first seen mid-flush would
-	// have deltas in a shard before its node exists in the graph.
+	// have deltas before its node exists in the graph.
 	m.createMu.Lock()
 	defer m.createMu.Unlock()
 	names := m.classes.Load().names
@@ -481,33 +428,28 @@ func (m *Monitor) flushLocked(b *delta) {
 	// Classes and counters first, so the clock covers every event in this
 	// window, then advance event-time, then merge interactions: every edge
 	// touched in the window decays from the window-end timestamp.
-	m.eachDelta(b, m.mergeNodesLocked)
-	m.g.AdvanceClock(float64(m.base.events() + m.gcs.Load()))
-	m.eachDelta(b, func(d *delta, _, _ uint32) { m.mergeEdgesLocked(d) })
-}
-
-// eachDelta runs f on every stripe's delta under the stripe's mutex, node
-// stripes first, then on b if non-nil. Class j of a delta is NodeID
-// j<<shift | lane.
-func (m *Monitor) eachDelta(b *delta, f func(d *delta, shift, lane uint32)) {
-	for _, ss := range [2][]shard{m.nodeShards, m.edgeShards} {
-		for i := range ss {
-			ss[i].mu.Lock()
-			f(&ss[i].delta, m.shardShift, uint32(i))
-			ss[i].mu.Unlock()
+	m.inMu.Lock()
+	defer m.inMu.Unlock()
+	ds := [2]*delta{&m.in, b}
+	for _, d := range ds {
+		if d != nil {
+			m.mergeNodesLocked(d)
 		}
 	}
-	if b != nil {
-		f(b, 0, 0)
+	m.g.AdvanceClock(float64(m.base.events() + m.gcs.Load()))
+	for _, d := range ds {
+		if d != nil {
+			m.mergeEdgesLocked(d)
+		}
 	}
 }
 
 // mergeNodesLocked drains one delta's classes and counters into the base
-// graph. Caller holds m.mu, and the delta's mutex if it has one.
-func (m *Monitor) mergeNodesLocked(d *delta, shift, lane uint32) {
+// graph. Caller holds m.mu and inMu.
+func (m *Monitor) mergeNodesLocked(d *delta) {
 	for _, j := range d.touched {
 		n := &d.nodes[j]
-		m.g.AddNodeDelta(graph.NodeID(uint32(j)<<shift|lane), n.mem, n.live, n.total, n.peakRise, n.cpu)
+		m.g.AddNodeDelta(graph.NodeID(j), n.mem, n.live, n.total, n.peakRise, n.cpu)
 		*n = nodeDelta{}
 	}
 	d.touched = d.touched[:0]
@@ -525,12 +467,38 @@ func (m *Monitor) mergeEdgesLocked(d *delta) {
 	d.lastKey, d.last = 0, nil
 }
 
-// Flush merges buffered shard deltas into the base graph. Snapshot
-// accessors flush implicitly; explicit flushes are for tests and callers
-// that want Live to be current without taking a snapshot.
-func (m *Monitor) Flush() { m.flush(nil) }
+// Attach implements vm.Hooks: every read runs the flush of each VM the
+// monitor is installed on before it looks.
+func (m *Monitor) Attach(flush func()) {
+	m.lmu.Lock()
+	defer m.lmu.Unlock()
+	next := []func(){flush}
+	if old := m.vmFlushes.Load(); old != nil {
+		next = append(next, *old...)
+	}
+	m.vmFlushes.Store(&next)
+}
 
-// flush is Flush plus b, a flushing Batch's delta (nil: none).
+// syncVMs delivers what every hooked VM has buffered. Reads run it before
+// they lock anything: a VM's flush takes the VM's lock.
+func (m *Monitor) syncVMs() {
+	if fs := m.vmFlushes.Load(); fs != nil {
+		for _, f := range *fs {
+			f()
+		}
+	}
+}
+
+// Flush merges the ingest delta into the base graph. Snapshot accessors
+// flush implicitly; explicit flushes are for tests and callers that want
+// Live to be current without taking a snapshot.
+func (m *Monitor) Flush() {
+	m.syncVMs()
+	m.flush(nil)
+}
+
+// flush is Flush plus b, a flushing Batch's delta (nil: none), without
+// the VMs.
 func (m *Monitor) flush(b *delta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -540,6 +508,7 @@ func (m *Monitor) flush(b *delta) {
 // Graph returns a snapshot (deep copy) of the execution graph, suitable
 // for handing to the partitioning module while monitoring continues.
 func (m *Monitor) Graph() *graph.Graph {
+	m.syncVMs()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.flushLocked(nil)
@@ -552,6 +521,7 @@ func (m *Monitor) Graph() *graph.Graph {
 // resync. The delta holds value copies, safe to use while monitoring
 // continues.
 func (m *Monitor) Delta(since int64) graph.Delta {
+	m.syncVMs()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.flushLocked(nil)
@@ -562,32 +532,32 @@ func (m *Monitor) Delta(since int64) graph.Delta {
 // Callers must not mutate it and should hold no reference across further
 // execution.
 func (m *Monitor) Live() *graph.Graph {
+	m.syncVMs()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.flushLocked(nil)
 	return m.g
 }
 
-// liveCounts sums the drained totals with every shard's undrained
-// counters. Caller holds m.mu.
+// liveCounts sums the drained totals with the ingest delta's undrained
+// counters, after delivering what the VMs buffered.
 func (m *Monitor) liveCounts() counts {
+	m.syncVMs()
+	m.inMu.Lock()
+	defer m.inMu.Unlock()
 	c := m.base
-	m.eachDelta(nil, func(d *delta, _, _ uint32) { c.add(d.ctr) })
+	c.add(m.in.ctr)
 	return c
 }
 
 // Events reports the monitor's event-time clock: the total number of
 // events consumed (the decay half-life is measured in these units).
 func (m *Monitor) Events() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.liveCounts().events() + m.gcs.Load()
 }
 
 // Counts reports how many events of each kind the monitor has consumed.
 func (m *Monitor) Counts() (invocations, accesses, creates, deletes, gcs int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c := m.liveCounts()
 	return c[trace.KindInvoke], c[trace.KindAccess], c[trace.KindCreate], c[trace.KindDelete], m.gcs.Load()
 }
@@ -615,72 +585,125 @@ func (m *Monitor) SetRecorder(r *Recorder) {
 	m.recOn.Store(r != nil)
 }
 
-// OnInvoke implements vm.Hooks.
+// OnInvoke accounts one invocation by class name: the entry for sources
+// that name classes instead of indexing a class table (the repository
+// benchmark, tests).
 func (m *Monitor) OnInvoke(caller, callee, method string, obj vm.ObjectID, argBytes, retBytes int64, selfTime time.Duration, native, stateless bool) {
 	cn, from := m.classID(callee), noNode
 	if caller != "" && caller != callee {
 		from = m.classID(caller)
 	}
-	m.invoke(nil, from, cn, obj, argBytes+retBytes, selfTime, native, stateless)
+	m.inMu.Lock()
+	m.invoke(&m.in, from, cn, obj, argBytes+retBytes, selfTime, native, stateless)
+	m.inMu.Unlock()
 }
 
-// OnAccess implements vm.Hooks.
+// OnAccess accounts one data-field access by class name.
 func (m *Monitor) OnAccess(from, to string, obj vm.ObjectID, bytes int64) {
 	tn, fn := m.classID(to), noNode
 	if from != "" && from != to {
 		fn = m.classID(from)
 	}
-	m.access(nil, fn, tn, obj, bytes)
+	m.inMu.Lock()
+	m.access(&m.in, fn, tn, obj, bytes)
+	m.inMu.Unlock()
 }
 
-// OnCreate implements vm.Hooks.
+// OnCreate accounts one object creation by class name.
 func (m *Monitor) OnCreate(class string, obj vm.ObjectID, size int64) {
-	m.lifecycle(nil, trace.KindCreate, m.classID(class), obj, size)
+	id := m.classID(class)
+	m.inMu.Lock()
+	m.lifecycle(&m.in, trace.KindCreate, id, obj, size)
+	m.inMu.Unlock()
 }
 
-// OnDelete implements vm.Hooks.
+// OnDelete accounts one object deletion by class name.
 func (m *Monitor) OnDelete(class string, obj vm.ObjectID, size int64) {
-	m.lifecycle(nil, trace.KindDelete, m.classID(class), obj, size)
+	id := m.classID(class)
+	m.inMu.Lock()
+	m.lifecycle(&m.in, trace.KindDelete, id, obj, size)
+	m.inMu.Unlock()
 }
 
 // Feed consumes one trace event, keyed against the trace's class table.
 // The emulator uses this to drive the shared monitoring module from a
 // recorded trace exactly as the prototype drives it live. A class the
 // table leaves nameless is the class named "".
-func (m *Monitor) Feed(t *trace.Trace, e *trace.Event) { m.feed(nil, t, e) }
+func (m *Monitor) Feed(t *trace.Trace, e *trace.Event) {
+	if e.Kind == trace.KindGC {
+		m.gc(nil, e.Free, e.Capacity, e.Freed)
+		return
+	}
+	from, to := m.ends(m.binding(t), e)
+	m.inMu.Lock()
+	m.feed(&m.in, e, from, to)
+	m.inMu.Unlock()
+}
 
-// feed decodes one trace event into the by-ID core, accumulating into d
-// when a Batch feeds (nil: the stripes).
-func (m *Monitor) feed(d *delta, t *trace.Trace, e *trace.Event) {
-	bt := m.binding(t)
+// OnEvents implements vm.Hooks: a VM's batch, keyed against its registry's
+// class table, decoded as Feed decodes a recording. The binding is looked
+// up once, first sightings are resolved before the ingest lock is taken
+// (they take createMu, which a flush holds around that lock), and the
+// whole batch then goes in under one acquisition.
+func (m *Monitor) OnEvents(t *trace.Trace, evs []trace.Event) {
+	b := m.binding(t)
+	for i := range evs {
+		if e := &evs[i]; b.unbound(e.Callee) || b.unbound(e.Caller) {
+			m.ends(b, e)
+		}
+	}
+	m.inMu.Lock()
+	for i := range evs {
+		from, to := m.ends(b, &evs[i])
+		m.feed(&m.in, &evs[i], from, to)
+	}
+	m.inMu.Unlock()
+}
+
+// ends resolves an event's classes through its trace's binding, interning
+// first sightings in the order NodeIDs follow: an invocation's callee
+// before its caller, an access's source before its target. from is noNode
+// for an invocation whose Caller is outside the class table (no caller)
+// and for a creation or deletion.
+func (m *Monitor) ends(b *traceBinding, e *trace.Event) (from, to graph.NodeID) {
 	switch e.Kind {
 	case trace.KindInvoke:
-		callee, from := m.bound(bt, e.Callee), noNode
-		if e.Caller >= 0 && int(e.Caller) < len(t.Classes) {
-			from = m.bound(bt, e.Caller)
+		to, from = m.bound(b, e.Callee), noNode
+		if e.Caller >= 0 && int(e.Caller) < len(b.t.Classes) {
+			from = m.bound(b, e.Caller)
 		}
-		m.invoke(d, from, callee, vm.ObjectID(e.Obj), e.Bytes, e.SelfTime, e.Native, e.Stateless)
 	case trace.KindAccess:
-		from, to := m.bound(bt, e.Caller), m.bound(bt, e.Callee)
+		from = m.bound(b, e.Caller)
+		to = m.bound(b, e.Callee)
+	default:
+		from, to = noNode, m.bound(b, e.Callee)
+	}
+	return from, to
+}
+
+// feed accumulates one non-GC trace event, its classes resolved by ends,
+// into d: a Batch's delta, or the ingest delta under inMu.
+func (m *Monitor) feed(d *delta, e *trace.Event, from, to graph.NodeID) {
+	switch e.Kind {
+	case trace.KindInvoke:
+		m.invoke(d, from, to, vm.ObjectID(e.Obj), e.Bytes, e.SelfTime, e.Native, e.Stateless)
+	case trace.KindAccess:
 		m.access(d, from, to, vm.ObjectID(e.Obj), e.Bytes)
 	case trace.KindCreate, trace.KindDelete:
-		m.lifecycle(d, e.Kind, m.bound(bt, e.Callee), vm.ObjectID(e.Obj), e.Bytes)
-	case trace.KindGC:
-		m.gc(d, e.Free, e.Capacity, e.Freed)
+		m.lifecycle(d, e.Kind, to, vm.ObjectID(e.Obj), e.Bytes)
 	}
 }
 
 // invoke accounts one invocation of callee from class from (noNode: no
-// caller): self time to the callee, the interaction to the pair. d is
-// where it accumulates: a Batch's delta, or nil for the stripes.
+// caller) into d: self time to the callee, the interaction to the pair.
 func (m *Monitor) invoke(d *delta, from, callee graph.NodeID, obj vm.ObjectID, bytes int64, selfTime time.Duration, native, stateless bool) {
 	if from == noNode || from == callee {
-		m.addNode(d, callee, 0, 0, 0, selfTime, trace.KindInvoke)
+		d.addNode(callee, 0, 0, 0, selfTime, trace.KindInvoke)
 	} else {
 		if selfTime != 0 {
-			m.addNode(d, callee, 0, 0, 0, selfTime, 0) // counted with the edge
+			d.addNode(callee, 0, 0, 0, selfTime, 0) // counted with the edge
 		}
-		m.addEdge(d, from, callee, 1, 0, bytes, trace.KindInvoke)
+		d.addEdge(from, callee, 1, 0, bytes, trace.KindInvoke)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) {
@@ -692,9 +715,9 @@ func (m *Monitor) invoke(d *delta, from, callee graph.NodeID, obj vm.ObjectID, b
 // access accounts one data-field access to class to from class from.
 func (m *Monitor) access(d *delta, from, to graph.NodeID, obj vm.ObjectID, bytes int64) {
 	if from == noNode || from == to {
-		m.addNode(d, to, 0, 0, 0, 0, trace.KindAccess)
+		d.addNode(to, 0, 0, 0, 0, trace.KindAccess)
 	} else {
-		m.addEdge(d, from, to, 0, 1, bytes, trace.KindAccess)
+		d.addEdge(from, to, 0, 1, bytes, trace.KindAccess)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) { r.access(m.className(from), m.className(to), obj, bytes) })
@@ -705,9 +728,9 @@ func (m *Monitor) access(d *delta, from, to graph.NodeID, obj vm.ObjectID, bytes
 // of one object of the class.
 func (m *Monitor) lifecycle(d *delta, k trace.EventKind, id graph.NodeID, obj vm.ObjectID, size int64) {
 	if k == trace.KindCreate {
-		m.addNode(d, id, size, 1, 1, 0, k)
+		d.addNode(id, size, 1, 1, 0, k)
 	} else {
-		m.addNode(d, id, -size, -1, 0, 0, k)
+		d.addNode(id, -size, -1, 0, 0, k)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) { r.lifecycle(k, m.className(id), obj, size) })
@@ -718,10 +741,11 @@ func (m *Monitor) lifecycle(d *delta, k trace.EventKind, id graph.NodeID, obj vm
 // is not safe for concurrent use. Feed decodes events exactly as
 // Monitor.Feed does (same class binding, so NodeIDs follow first sight;
 // same recorder mirror) into one local delta with no lock; Flush merges
-// it, with the stripes, under one acquisition of the monitor's lock.
+// it, with the ingest delta, under one acquisition of the monitor's lock.
 // Buffered events are invisible to Graph, Delta, Live, Events and Counts
 // until Flush; a GC event flushes, counting itself in the clock, before
-// the listeners run. Feed and hooks on the same monitor stay safe.
+// the listeners run. Feed and the other event paths on the same monitor
+// stay safe.
 type Batch struct {
 	m *Monitor
 	d delta
@@ -733,10 +757,17 @@ func (m *Monitor) Batch() *Batch {
 }
 
 // Feed buffers one trace event; see Monitor.Feed.
-func (b *Batch) Feed(t *trace.Trace, e *trace.Event) { b.m.feed(&b.d, t, e) }
+func (b *Batch) Feed(t *trace.Trace, e *trace.Event) {
+	if e.Kind == trace.KindGC {
+		b.m.gc(&b.d, e.Free, e.Capacity, e.Freed)
+		return
+	}
+	from, to := b.m.ends(b.m.binding(t), e)
+	b.m.feed(&b.d, e, from, to)
+}
 
-// Flush merges the buffered events, and the stripes' pending deltas, into
-// the monitor's base graph.
+// Flush merges the buffered events, and the ingest delta, into the
+// monitor's base graph.
 func (b *Batch) Flush() { b.m.flush(&b.d) }
 
 // OnGC implements vm.Hooks.

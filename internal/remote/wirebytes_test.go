@@ -80,7 +80,10 @@ func TestWireBytesExact(t *testing.T) {
 	if err := pc.Ping(); err != nil { // flushes the batch first; the ping itself is sent twice
 		t.Fatal(err)
 	}
-	ps.WaitServeIdle(0) // the last reply is counted after it is written
+	// A peer counts a frame it serves after writing it, so neither side
+	// may still be serving when the counters are read.
+	ps.WaitServeIdle(0)
+	pc.WaitServeIdle(0)
 
 	cs, ss := pc.Stats(), ps.Stats()
 	if cs.SendRetries != 1 || cs.ReleaseBatchesSent != 1 {

@@ -3,6 +3,8 @@ package vm
 import (
 	"fmt"
 	"sort"
+
+	"aide/internal/trace"
 )
 
 // Body is a method implementation: the stand-in for Java bytecode. Bodies
@@ -50,6 +52,10 @@ type Class struct {
 	methods map[string]*Method
 	fieldIx map[string]int
 	statIx  map[string]int
+
+	// ix is the class's index in its registry's class table: the ClassID
+	// monitoring events name it by.
+	ix trace.ClassID
 }
 
 // HasNative reports whether any method of the class is native, which pins
@@ -114,7 +120,11 @@ func (c *Class) StaticIndex(name string) (int, bool) {
 // access to the application's bytecodes (paper §4).
 type Registry struct {
 	classes map[string]*Class
-	order   []string
+
+	// table is the class table in registration order, shaped like a
+	// recording's (no events; Pinned, Array, Stateless from the class), so
+	// the monitor binds it exactly as it binds a recording.
+	table trace.Trace
 }
 
 // NewRegistry returns an empty class registry.
@@ -157,6 +167,7 @@ func (r *Registry) Register(spec ClassSpec) (*Class, error) {
 		methods:      make(map[string]*Method, len(spec.Methods)),
 		fieldIx:      make(map[string]int, len(spec.Fields)),
 		statIx:       make(map[string]int, len(spec.StaticFields)),
+		ix:           trace.ClassID(len(r.table.Classes)),
 	}
 	for i, f := range c.Fields {
 		if _, dup := c.fieldIx[f]; dup {
@@ -187,7 +198,8 @@ func (r *Registry) Register(spec ClassSpec) (*Class, error) {
 		}
 	}
 	r.classes[spec.Name] = c
-	r.order = append(r.order, spec.Name)
+	r.table.Classes = append(r.table.Classes,
+		trace.ClassInfo{Name: c.Name, Pinned: c.Pinned(), Array: c.Array, Stateless: c.NativeStateless()})
 	return c, nil
 }
 
@@ -195,4 +207,10 @@ func (r *Registry) Register(spec ClassSpec) (*Class, error) {
 func (r *Registry) Class(name string) *Class { return r.classes[name] }
 
 // Names returns registered class names in registration order.
-func (r *Registry) Names() []string { return append([]string(nil), r.order...) }
+func (r *Registry) Names() []string {
+	out := make([]string, len(r.table.Classes))
+	for i, c := range r.table.Classes {
+		out[i] = c.Name
+	}
+	return out
+}

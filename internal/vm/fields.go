@@ -1,6 +1,10 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+
+	"aide/internal/trace"
+)
 
 // GetField reads an instance field. If the object lives on the peer VM the
 // access transparently crosses the network (paper §3.2: accesses to remote
@@ -31,7 +35,6 @@ retry:
 		}
 		peerIdx := o.PeerIdx
 		peerID := o.PeerID
-		hooks := v.hooks
 		v.mu.Unlock()
 		val, err := peer.GetFieldRemote(peerID, field)
 		if err != nil {
@@ -52,10 +55,7 @@ retry:
 		if v.fieldHooks != nil {
 			v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
 		}
-		if hooks != nil {
-			hooks.OnAccess(from, to, target, val.WireSize())
-			v.chargeMonitorLocked()
-		}
+		v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
 		v.mu.Unlock()
 		return val, nil
 	}
@@ -80,10 +80,7 @@ retry:
 	if v.fieldHooks != nil {
 		v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
 	}
-	if v.hooks != nil && from != to {
-		v.hooks.OnAccess(from, to, target, val.WireSize())
-		v.chargeMonitorLocked()
-	}
+	v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
 	v.mu.Unlock()
 	return val, nil
 }
@@ -116,7 +113,6 @@ retry:
 		}
 		peerIdx := o.PeerIdx
 		peerID := o.PeerID
-		hooks := v.hooks
 		v.mu.Unlock()
 		if err := peer.SetFieldRemote(peerID, field, val); err != nil {
 			if !retried && v.failoverIfGone(peerIdx, peer, err) {
@@ -133,10 +129,7 @@ retry:
 		if v.fieldHooks != nil {
 			v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
 		}
-		if hooks != nil {
-			hooks.OnAccess(from, to, target, val.WireSize())
-			v.chargeMonitorLocked()
-		}
+		v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
 		v.mu.Unlock()
 		return nil
 	}
@@ -153,10 +146,7 @@ retry:
 	if v.fieldHooks != nil {
 		v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
 	}
-	if v.hooks != nil && from != to {
-		v.hooks.OnAccess(from, to, target, val.WireSize())
-		v.chargeMonitorLocked()
-	}
+	v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
 	return nil
 }
 
@@ -181,7 +171,6 @@ func (t *Thread) GetStatic(className, field string) (Value, error) {
 			return Nil(), fmt.Errorf("vm: getstatic %s.%s: %w", className, field, ErrNotAttached)
 		}
 		from := v.currentClassLocked()
-		hooks := v.hooks
 		v.mu.Unlock()
 		val, err := peer.GetStaticRemote(className, field)
 		if err != nil {
@@ -191,10 +180,7 @@ func (t *Thread) GetStatic(className, field string) (Value, error) {
 		if val.Kind == KindRef {
 			v.addTempLocked(val.Ref)
 		}
-		if hooks != nil {
-			hooks.OnAccess(from, className, InvalidObject, val.WireSize())
-			v.chargeMonitorLocked()
-		}
+		v.emitLocked(trace.KindAccess, from, class, InvalidObject, val.WireSize(), 0, false, false)
 		v.mu.Unlock()
 		return val, nil
 	}
@@ -204,10 +190,7 @@ func (t *Thread) GetStatic(className, field string) (Value, error) {
 	if val.Kind == KindRef {
 		v.addTempLocked(val.Ref)
 	}
-	if v.hooks != nil && from != className {
-		v.hooks.OnAccess(from, className, InvalidObject, val.WireSize())
-		v.chargeMonitorLocked()
-	}
+	v.emitLocked(trace.KindAccess, from, class, InvalidObject, val.WireSize(), 0, false, false)
 	return val, nil
 }
 
@@ -230,26 +213,18 @@ func (t *Thread) SetStatic(className, field string, val Value) error {
 			return fmt.Errorf("vm: setstatic %s.%s: %w", className, field, ErrNotAttached)
 		}
 		from := v.currentClassLocked()
-		hooks := v.hooks
 		v.mu.Unlock()
 		if err := peer.SetStaticRemote(className, field, val); err != nil {
 			return fmt.Errorf("vm: remote setstatic %s.%s: %w", className, field, err)
 		}
 		v.mu.Lock()
-		if hooks != nil {
-			hooks.OnAccess(from, className, InvalidObject, val.WireSize())
-			v.chargeMonitorLocked()
-		}
+		v.emitLocked(trace.KindAccess, from, class, InvalidObject, val.WireSize(), 0, false, false)
 		v.mu.Unlock()
 		return nil
 	}
 	defer v.mu.Unlock()
 	v.staticSlotsLocked(class)[ix] = val
-	from := v.currentClassLocked()
-	if v.hooks != nil && from != className {
-		v.hooks.OnAccess(from, className, InvalidObject, val.WireSize())
-		v.chargeMonitorLocked()
-	}
+	v.emitLocked(trace.KindAccess, v.currentClassLocked(), class, InvalidObject, val.WireSize(), 0, false, false)
 	return nil
 }
 

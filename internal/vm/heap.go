@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"aide/internal/telemetry"
+	"aide/internal/trace"
 )
 
 // Heap management and the mark-and-sweep collector.
@@ -62,10 +63,7 @@ func (v *VM) allocLocked(class *Class, size int64) (*Object, error) {
 	v.tm.allocBytes.Add(size)
 	// Protect the newborn before any threshold collection can see it.
 	v.addTempLocked(id)
-	if v.hooks != nil {
-		v.hooks.OnCreate(class.Name, id, size)
-	}
-	v.chargeMonitorLocked()
+	v.emitLocked(trace.KindCreate, nil, class, id, size, 0, false, false)
 
 	if v.objsSinceGC >= v.cfg.GCObjectTrigger || v.bytesSinceGC >= v.cfg.GCBytesTrigger {
 		v.collectLocked()
@@ -156,18 +154,14 @@ func (v *VM) collectLocked() {
 			v.dropResidualLocked(id)
 			// The migrated object is now releasable on the peer; tell
 			// monitoring so class memory accounting follows the release.
-			if v.hooks != nil && o.RemoteSize > 0 {
-				v.hooks.OnDelete(o.Class.Name, id, o.RemoteSize)
-				v.chargeMonitorLocked()
+			if o.RemoteSize > 0 {
+				v.emitLocked(trace.KindDelete, nil, o.Class, id, o.RemoteSize, 0, false, false)
 			}
 			continue
 		}
 		v.liveBytes -= o.Size
 		delete(v.objects, id)
-		if v.hooks != nil {
-			v.hooks.OnDelete(o.Class.Name, id, o.Size)
-		}
-		v.chargeMonitorLocked()
+		v.emitLocked(trace.KindDelete, nil, o.Class, id, o.Size, 0, false, false)
 	}
 
 	v.garbageBytes = 0
@@ -188,7 +182,9 @@ func (v *VM) collectLocked() {
 	hooks := v.hooks
 	peers := append([]Peer(nil), v.peers...)
 	if hooks != nil {
-		v.chargeMonitorLocked()
+		// The report sees every event before it.
+		v.deliverLocked()
+		v.clock += v.cfg.MonitorCostPerEvent
 	}
 	if hooks != nil || len(released) > 0 {
 		// Emit the resource report and distributed-GC releases without
@@ -230,9 +226,8 @@ func (v *VM) FreeObject(id ObjectID) error {
 		delete(v.objects, id)
 		delete(v.imports, importKey{peer: o.PeerIdx, id: o.PeerID})
 		v.dropResidualLocked(id)
-		if v.hooks != nil && o.RemoteSize > 0 {
-			v.hooks.OnDelete(o.Class.Name, id, o.RemoteSize)
-			v.chargeMonitorLocked()
+		if o.RemoteSize > 0 {
+			v.emitLocked(trace.KindDelete, nil, o.Class, id, o.RemoteSize, 0, false, false)
 		}
 		peer := v.peerAt(o.PeerIdx)
 		if peer != nil {
@@ -245,9 +240,6 @@ func (v *VM) FreeObject(id ObjectID) error {
 	delete(v.objects, id)
 	v.liveBytes -= o.Size
 	v.garbageBytes += o.Size
-	if v.hooks != nil {
-		v.hooks.OnDelete(o.Class.Name, id, o.Size)
-	}
-	v.chargeMonitorLocked()
+	v.emitLocked(trace.KindDelete, nil, o.Class, id, o.Size, 0, false, false)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aide/internal/telemetry"
+	"aide/internal/trace"
 )
 
 // MigratedObject is one object in an offload batch: the serialized form in
@@ -184,8 +185,8 @@ func (v *VM) AdoptMigration(peerIdx int, batch []MigratedObject) ([]ObjectID, er
 		v.bytesSinceGC += m.Size
 		assigned[i] = o.ID
 		senderToLocal[m.SenderID] = o.ID
-		if v.hooks != nil && !counted {
-			v.hooks.OnCreate(class.Name, o.ID, m.Size)
+		if !counted {
+			v.emitLocked(trace.KindCreate, nil, class, o.ID, m.Size, 0, false, false)
 		}
 	}
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"aide/internal/trace"
 )
 
 // Promise pipelining (paper §3.2's interaction-latency concern): a chain
@@ -275,12 +277,12 @@ func (p *Pipeline) Run(ctx context.Context) ([]Value, error) {
 // concrete receiver must be a stub hosted by the same peer, and that peer
 // must support pipelined invocation. It also captures each concrete
 // receiver's class for monitoring.
-func (p *Pipeline) batchTarget() (int, PipelinePeer, []string, bool) {
+func (p *Pipeline) batchTarget() (int, PipelinePeer, []*Class, bool) {
 	v := p.vm
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	peerIdx := -1
-	callees := make([]string, len(p.steps))
+	callees := make([]*Class, len(p.steps))
 	for i := range p.steps {
 		step := &p.steps[i]
 		if step.recvProm >= 0 {
@@ -295,7 +297,7 @@ func (p *Pipeline) batchTarget() (int, PipelinePeer, []string, bool) {
 		} else if o.PeerIdx != peerIdx {
 			return 0, nil, nil, false
 		}
-		callees[i] = o.Class.Name
+		callees[i] = o.Class
 	}
 	if peerIdx < 0 {
 		return 0, nil, nil, false
@@ -310,7 +312,7 @@ func (p *Pipeline) batchTarget() (int, PipelinePeer, []string, bool) {
 // runBatched ships the pipeline as one MsgInvokeBatch frame. done=false
 // means the frame could not be used (the peer vanished and failover
 // re-homed its objects) and the caller should run sequentially.
-func (p *Pipeline) runBatched(ctx context.Context, peerIdx int, pp PipelinePeer, callees []string) (done bool, res []Value, err error) {
+func (p *Pipeline) runBatched(ctx context.Context, peerIdx int, pp PipelinePeer, callees []*Class) (done bool, res []Value, err error) {
 	v := p.vm
 	calls := make([]PipelineCall, len(p.steps))
 	// exports remembers, per call, the local objects pinned by encoding
@@ -391,7 +393,6 @@ func (p *Pipeline) runBatched(ctx context.Context, peerIdx int, pp PipelinePeer,
 
 	v.mu.Lock()
 	v.clock += out.Elapsed
-	hooks := v.hooks
 	caller := v.currentClassLocked()
 	for i := 0; i < limit; i++ {
 		v.tm.invokeRemote.Inc()
@@ -400,10 +401,9 @@ func (p *Pipeline) runBatched(ctx context.Context, peerIdx int, pp PipelinePeer,
 		}
 		// Promise-receiver calls have no client-side class to attribute
 		// the invocation to; monitoring sees concrete-receiver calls only.
-		if hooks != nil && callees[i] != "" {
-			hooks.OnInvoke(caller, callees[i], p.steps[i].method, p.steps[i].recv,
-				WireSizeAll(p.steps[i].args), p.results[i].WireSize(), 0, false, false)
-			v.chargeMonitorLocked()
+		if callees[i] != nil {
+			v.emitLocked(trace.KindInvoke, caller, callees[i], p.steps[i].recv,
+				WireSizeAll(p.steps[i].args)+p.results[i].WireSize(), 0, false, false)
 		}
 	}
 	v.mu.Unlock()

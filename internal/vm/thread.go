@@ -3,6 +3,8 @@ package vm
 import (
 	"fmt"
 	"time"
+
+	"aide/internal/trace"
 )
 
 // frame is one entry of the logical application thread's call stack. The
@@ -10,7 +12,7 @@ import (
 // application frame stack is active per VM; RPC service threads execute on
 // behalf of the peer but never concurrently with local application code.
 type frame struct {
-	class  string
+	class  *Class
 	method string
 
 	// self accumulates Work() time exclusive of nested calls, at client
@@ -30,15 +32,15 @@ type frame struct {
 
 // getFrameLocked returns a recycled (or fresh) frame initialized for one
 // method invocation. Called with v.mu held.
-func (v *VM) getFrameLocked(className, method string) *frame {
+func (v *VM) getFrameLocked(class *Class, method string) *frame {
 	if n := len(v.framePool); n > 0 {
 		f := v.framePool[n-1]
 		v.framePool = v.framePool[:n-1]
-		f.class, f.method, f.self = className, method, 0
+		f.class, f.method, f.self = class, method, 0
 		f.temps = f.temps[:0]
 		return f
 	}
-	f := &frame{class: className, method: method}
+	f := &frame{class: class, method: method}
 	f.thread.vm = v
 	return f
 }
@@ -64,9 +66,10 @@ func (v *VM) NewThread() *Thread { return &Thread{vm: v} }
 // VM returns the underlying VM.
 func (t *Thread) VM() *VM { return t.vm }
 
-func (v *VM) currentClassLocked() string {
+// currentClassLocked is the class of the running frame, nil at top level.
+func (v *VM) currentClassLocked() *Class {
 	if len(v.frames) == 0 {
-		return ""
+		return nil
 	}
 	return v.frames[len(v.frames)-1].class
 }
@@ -181,13 +184,12 @@ func (v *VM) invokeRemoteLocked(o *Object, method string, args []Value) (Value, 
 	caller := v.currentClassLocked()
 	argBytes := WireSizeAll(args)
 	peerID := o.PeerID
-	callee := o.Class.Name
-	hooks := v.hooks
+	callee := o.Class
 	v.mu.Unlock()
 
 	ret, elapsed, err := peer.InvokeRemote(peerID, method, args)
 	if err != nil {
-		return Nil(), fmt.Errorf("vm: remote invoke %s.%s: %w", callee, method, err)
+		return Nil(), fmt.Errorf("vm: remote invoke %s.%s: %w", callee.Name, method, err)
 	}
 
 	v.mu.Lock()
@@ -195,10 +197,7 @@ func (v *VM) invokeRemoteLocked(o *Object, method string, args []Value) (Value, 
 	if ret.Kind == KindRef {
 		v.addTempLocked(ret.Ref)
 	}
-	if hooks != nil {
-		hooks.OnInvoke(caller, callee, method, o.ID, argBytes, ret.WireSize(), 0, false, false)
-		v.chargeMonitorLocked()
-	}
+	v.emitLocked(trace.KindInvoke, caller, callee, o.ID, argBytes+ret.WireSize(), 0, false, false)
 	v.mu.Unlock()
 	return ret, nil
 }
@@ -217,18 +216,18 @@ func (v *VM) invokeLocalLocked(o *Object, method string, args []Value) (Value, e
 	// leave the client, so reaching here with a native method on the
 	// surrogate means the stateless enhancement is required to proceed.
 	if m.Native && v.cfg.Role == RoleSurrogate && !(m.Stateless && v.statelessLocal) {
-		return v.routeNativeToClientLocked(o.Class.Name, method, o.ID, args)
+		return v.routeNativeToClientLocked(o.Class, method, o.ID, args)
 	}
-	return v.runBodyLocked(o.Class.Name, m, o.ID, args)
+	return v.runBodyLocked(o.Class, m, o.ID, args)
 }
 
 // runBodyLocked pushes a frame, runs the body (without the lock), pops the
 // frame, and reports monitoring. Called with the lock held; returns with it
 // released.
-func (v *VM) runBodyLocked(className string, m *Method, self ObjectID, args []Value) (Value, error) {
+func (v *VM) runBodyLocked(class *Class, m *Method, self ObjectID, args []Value) (Value, error) {
 	caller := v.currentClassLocked()
 	argBytes := WireSizeAll(args)
-	f := v.getFrameLocked(className, m.Name)
+	f := v.getFrameLocked(class, m.Name)
 	if self != InvalidObject {
 		f.temps = append(f.temps, self)
 	}
@@ -247,15 +246,12 @@ func (v *VM) runBodyLocked(className string, m *Method, self ObjectID, args []Va
 	if err != nil {
 		v.putFrameLocked(f)
 		v.mu.Unlock()
-		return Nil(), fmt.Errorf("vm: %s.%s: %w", className, m.Name, err)
+		return Nil(), fmt.Errorf("vm: %s.%s: %w", class.Name, m.Name, err)
 	}
 	if ret.Kind == KindRef {
 		v.addTempLocked(ret.Ref)
 	}
-	if v.hooks != nil {
-		v.hooks.OnInvoke(caller, className, m.Name, self, argBytes, ret.WireSize(), f.self, m.Native, m.Stateless)
-		v.chargeMonitorLocked()
-	}
+	v.emitLocked(trace.KindInvoke, caller, class, self, argBytes+ret.WireSize(), f.self, m.Native, m.Stateless)
 	v.putFrameLocked(f)
 	v.mu.Unlock()
 	return ret, nil
@@ -264,7 +260,8 @@ func (v *VM) runBodyLocked(className string, m *Method, self ObjectID, args []Va
 // routeNativeToClientLocked directs a native invocation back to the client
 // VM (paper §3.2: "native invocations are directed back to the client").
 // Called with the lock held; returns with it released.
-func (v *VM) routeNativeToClientLocked(className, method string, self ObjectID, args []Value) (Value, error) {
+func (v *VM) routeNativeToClientLocked(class *Class, method string, self ObjectID, args []Value) (Value, error) {
+	className := class.Name
 	peer := v.peerAt(0) // natives are directed back to the client
 	if peer == nil {
 		v.mu.Unlock()
@@ -272,7 +269,6 @@ func (v *VM) routeNativeToClientLocked(className, method string, self ObjectID, 
 	}
 	caller := v.currentClassLocked()
 	argBytes := WireSizeAll(args)
-	hooks := v.hooks
 	peerSelf := ObjectID(0)
 	selfIsCallerLocal := false
 	if self != InvalidObject {
@@ -294,10 +290,7 @@ func (v *VM) routeNativeToClientLocked(className, method string, self ObjectID, 
 	if ret.Kind == KindRef {
 		v.addTempLocked(ret.Ref)
 	}
-	if hooks != nil {
-		hooks.OnInvoke(caller, className, method, self, argBytes, ret.WireSize(), 0, true, false)
-		v.chargeMonitorLocked()
-	}
+	v.emitLocked(trace.KindInvoke, caller, class, self, argBytes+ret.WireSize(), 0, true, false)
 	v.mu.Unlock()
 	return ret, nil
 }
@@ -318,7 +311,7 @@ func (t *Thread) InvokeStatic(className, method string, args ...Value) (Value, e
 	}
 	v.mu.Lock()
 	if m.Native && v.cfg.Role == RoleSurrogate && !(m.Stateless && v.statelessLocal) {
-		return v.routeNativeToClientLocked(className, method, InvalidObject, args)
+		return v.routeNativeToClientLocked(class, method, InvalidObject, args)
 	}
-	return v.runBodyLocked(className, m, InvalidObject, args)
+	return v.runBodyLocked(class, m, InvalidObject, args)
 }

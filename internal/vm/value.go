@@ -16,7 +16,8 @@ package vm
 
 import (
 	"fmt"
-	"time"
+
+	"aide/internal/trace"
 )
 
 // ObjectID identifies an object within one VM's private reference
@@ -146,22 +147,24 @@ func WireSizeAll(vs []Value) int64 {
 // the JVM's code for method invocations, data field accesses, object
 // creation, and object deletion, and extracts resource information from the
 // garbage collector (paper §3.4). A nil Hooks disables monitoring.
+//
+// The four object-level kinds arrive as trace events, keyed by the index of
+// each class in the VM's registry, a batch at a time: the VM buffers them
+// and delivers the buffer when it is full, before a collection's OnGC, when
+// the hooks change, and whenever the flush handed to Attach runs.
 type Hooks interface {
-	// OnInvoke fires when a method invocation returns. selfTime excludes
-	// nested calls (paper Figure 9).
-	OnInvoke(caller, callee string, method string, obj ObjectID, argBytes, retBytes int64, selfTime time.Duration, native, stateless bool)
-
-	// OnAccess fires on a data-field access from the running class to the
-	// target object's class.
-	OnAccess(from, to string, obj ObjectID, bytes int64)
-
-	// OnCreate fires when an object is allocated.
-	OnCreate(class string, obj ObjectID, size int64)
-
-	// OnDelete fires when the collector reclaims an object.
-	OnDelete(class string, obj ObjectID, size int64)
+	// OnEvents receives buffered invoke, access, create and delete events,
+	// in the order they happened, keyed against t's class table. It runs
+	// under the VM lock, and the VM reuses evs once it returns.
+	OnEvents(t *trace.Trace, evs []trace.Event)
 
 	// OnGC fires after every collection cycle with the post-cycle free
 	// memory, matching the prototype's "frequent memory usage updates".
+	// Every event of the cycle, and before it, has been delivered.
 	OnGC(free, capacity int64, freed bool)
+
+	// Attach is called once SetHooks installs the hooks, with the VM's
+	// flush: a call delivers what the VM has buffered. It takes the VM lock,
+	// so the hooks must never run it while that lock is held.
+	Attach(flush func())
 }

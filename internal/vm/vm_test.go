@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"aide/internal/trace"
 )
 
 func testRegistry(t *testing.T) *Registry {
@@ -401,6 +403,7 @@ func TestNestedSelfTimeAttribution(t *testing.T) {
 	if _, err := th.Invoke(a, "f"); err != nil {
 		t.Fatal(err)
 	}
+	rec.flush()
 	if rec.self["A"] != 20*time.Millisecond || rec.self["B"] != 100*time.Millisecond {
 		t.Fatalf("attribution: %v", rec.self)
 	}
@@ -427,25 +430,114 @@ func TestMonitorCostChargesClock(t *testing.T) {
 	}
 }
 
+// TestSetHooksDeliversToOldHooks: events buffered under one set of hooks
+// reach those hooks when SetHooks replaces them, and none of them reach
+// the new ones.
+func TestSetHooksDeliversToOldHooks(t *testing.T) {
+	v := New(testRegistry(t), Config{})
+	old, next := &recordingHooks{}, &recordingHooks{}
+	v.SetHooks(old)
+	th := v.NewThread()
+	c, err := th.New("Counter", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := th.Invoke(c, "inc"); err != nil {
+		t.Fatal(err)
+	}
+	if old.creates != 0 || old.invokes != 0 {
+		t.Fatalf("delivered before any delivery point: %+v", old)
+	}
+	v.SetHooks(next)
+	if old.creates != 1 || old.invokes != 1 {
+		t.Fatalf("old hooks after SetHooks: %+v, want 1 create and 1 invoke", old)
+	}
+	if _, err := th.Invoke(c, "inc"); err != nil {
+		t.Fatal(err)
+	}
+	next.flush()
+	if old.invokes != 1 || next.invokes != 1 || next.creates != 0 {
+		t.Fatalf("after the swap: old %+v, new %+v", old, next)
+	}
+}
+
+// TestRemoteSameClassAccessIsNotAnEvent: an access between two objects of
+// one class is no interaction wherever the target lives. A frame of class
+// C reading and writing a field of a C object that was offloaded (while a
+// newer C object stayed local) reports no access, as the same access to a
+// local C object does not.
+func TestRemoteSameClassAccessIsNotAnEvent(t *testing.T) {
+	reg := NewRegistry()
+	mustRegister(reg, ClassSpec{Name: "C", Fields: []string{"val"}, Methods: []MethodSpec{
+		{Name: "peek", Body: func(th *Thread, self ObjectID, args []Value) (Value, error) {
+			val, err := th.GetField(args[0].Ref, "val")
+			if err != nil {
+				return Nil(), err
+			}
+			return Nil(), th.SetField(args[0].Ref, "val", Int(val.I+1))
+		}},
+	}})
+	client := New(reg, Config{Role: RoleClient})
+	surrogate := New(reg, Config{Role: RoleSurrogate})
+	cp, sp := wireLoopPair(client, surrogate)
+	th := client.NewThread()
+	old, err := th.New("C", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.SetRoot("old", old)
+	offload(t, client, surrogate, cp, sp, "C")
+	fresh, err := th.New("C", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.SetRoot("fresh", fresh)
+	if !client.Object(old).Remote || client.Object(fresh).Remote {
+		t.Fatal("want the old C remote and the fresh one local")
+	}
+
+	rec := &recordingHooks{}
+	client.SetHooks(rec)
+	for _, target := range []ObjectID{fresh, old} {
+		if _, err := th.Invoke(fresh, "peek", RefOf(target)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec.flush()
+	if rec.invokes != 2 || rec.accesses != 0 {
+		t.Fatalf("hooks saw %d invocations and %d accesses, want 2 and 0", rec.invokes, rec.accesses)
+	}
+}
+
 // recordingHooks is a minimal Hooks capture.
 type recordingHooks struct {
 	invokes, accesses, creates, deletes, gcs int
 	lastSelf                                 time.Duration
 	self                                     map[string]time.Duration
+	flush                                    func()
 }
 
-func (r *recordingHooks) OnInvoke(caller, callee, method string, obj ObjectID, argBytes, retBytes int64, selfTime time.Duration, native, stateless bool) {
-	r.invokes++
-	r.lastSelf = selfTime
-	if r.self == nil {
-		r.self = map[string]time.Duration{}
+func (r *recordingHooks) OnEvents(t *trace.Trace, evs []trace.Event) {
+	for _, e := range evs {
+		switch e.Kind {
+		case trace.KindInvoke:
+			r.invokes++
+			r.lastSelf = e.SelfTime
+			if r.self == nil {
+				r.self = map[string]time.Duration{}
+			}
+			r.self[t.Classes[e.Callee].Name] += e.SelfTime
+		case trace.KindAccess:
+			r.accesses++
+		case trace.KindCreate:
+			r.creates++
+		case trace.KindDelete:
+			r.deletes++
+		}
 	}
-	r.self[callee] += selfTime
 }
-func (r *recordingHooks) OnAccess(from, to string, obj ObjectID, bytes int64) { r.accesses++ }
-func (r *recordingHooks) OnCreate(class string, obj ObjectID, size int64)     { r.creates++ }
-func (r *recordingHooks) OnDelete(class string, obj ObjectID, size int64)     { r.deletes++ }
-func (r *recordingHooks) OnGC(free, capacity int64, freed bool)               { r.gcs++ }
+func (r *recordingHooks) OnGC(free, capacity int64, freed bool) { r.gcs++ }
+func (r *recordingHooks) Attach(flush func())                   { r.flush = flush }
 
 func TestValueWireSizes(t *testing.T) {
 	cases := []struct {
@@ -537,18 +629,13 @@ func TestDeterministicTraceAcrossRuns(t *testing.T) {
 
 type loggingHooks struct{ events []string }
 
-func (l *loggingHooks) OnInvoke(caller, callee, method string, obj ObjectID, a, r int64, s time.Duration, n, st bool) {
-	l.events = append(l.events, fmt.Sprintf("i %s %s %d", caller, callee, obj))
-}
-func (l *loggingHooks) OnAccess(from, to string, obj ObjectID, bytes int64) {
-	l.events = append(l.events, fmt.Sprintf("a %s %s %d", from, to, obj))
-}
-func (l *loggingHooks) OnCreate(class string, obj ObjectID, size int64) {
-	l.events = append(l.events, fmt.Sprintf("c %s %d %d", class, obj, size))
-}
-func (l *loggingHooks) OnDelete(class string, obj ObjectID, size int64) {
-	l.events = append(l.events, fmt.Sprintf("d %s %d %d", class, obj, size))
+func (l *loggingHooks) OnEvents(t *trace.Trace, evs []trace.Event) {
+	for _, e := range evs {
+		l.events = append(l.events, fmt.Sprintf("%s %s %s %d %d",
+			e.Kind, t.Classes[e.Caller].Name, t.Classes[e.Callee].Name, e.Obj, e.Bytes))
+	}
 }
 func (l *loggingHooks) OnGC(free, capacity int64, freed bool) {
 	l.events = append(l.events, fmt.Sprintf("g %d %t", free, freed))
 }
+func (l *loggingHooks) Attach(flush func()) {}
