@@ -10,6 +10,11 @@ import (
 // Body is a method implementation: the stand-in for Java bytecode. Bodies
 // run with a Thread context that provides allocation, invocation, field and
 // static access, and simulated work.
+//
+// args is borrowed: it is the invocation frame's copy of the caller's
+// arguments, valid until the body returns, and the VM clears it then. A
+// body may write to it; a body that keeps the slice past its return (in a
+// goroutine, say) copies it.
 type Body func(t *Thread, self ObjectID, args []Value) (Value, error)
 
 // Method describes one method of a class.

@@ -133,9 +133,9 @@ retry:
 		v.mu.Unlock()
 		return nil
 	}
-	defer v.mu.Unlock()
 	ix, ok := o.Class.FieldIndex(field)
 	if !ok {
+		v.mu.Unlock()
 		return fmt.Errorf("vm: set %s.%s: %w", to, field, ErrNoSuchField)
 	}
 	// Writing a deferred slot overwrites the placeholder; the origin's
@@ -147,6 +147,7 @@ retry:
 		v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
 	}
 	v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
+	v.mu.Unlock()
 	return nil
 }
 

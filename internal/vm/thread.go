@@ -23,6 +23,12 @@ type frame struct {
 	// this frame are GC roots until the frame exits.
 	temps []ObjectID
 
+	// args is the frame's copy of the invocation's arguments, the slice
+	// the body borrows. Owning it here keeps the caller's variadic array
+	// on the caller's stack; it is cleared when the frame pops, so a
+	// pooled frame pins no argument.
+	args []Value
+
 	// thread is the execution context handed to this frame's method body.
 	// Embedding it in the (pooled) frame makes it allocation-free; reuse
 	// is safe because a Thread holds only the VM pointer, which is the
@@ -146,7 +152,9 @@ func (t *Thread) Invoke(target ObjectID, method string, args ...Value) (Value, e
 			return Nil(), fmt.Errorf("vm: invoke %s on #%d: %w", method, target, ErrNoSuchObject)
 		}
 		if !o.Remote {
-			return v.invokeLocalLocked(o, method, args)
+			var ret Value
+			err := v.invokeLocalLocked(o, method, args, &ret)
+			return ret, err
 		}
 		peerIdx := o.PeerIdx
 		used := v.peerAt(peerIdx)
@@ -187,7 +195,9 @@ func (v *VM) invokeRemoteLocked(o *Object, method string, args []Value) (Value, 
 	callee := o.Class
 	v.mu.Unlock()
 
-	ret, elapsed, err := peer.InvokeRemote(peerID, method, args)
+	// The peer is an interface, so whatever it is handed escapes: hand it
+	// a copy and the caller's args stay on the caller's stack.
+	ret, elapsed, err := peer.InvokeRemote(peerID, method, append([]Value(nil), args...))
 	if err != nil {
 		return Nil(), fmt.Errorf("vm: remote invoke %s.%s: %w", callee.Name, method, err)
 	}
@@ -202,59 +212,67 @@ func (v *VM) invokeRemoteLocked(o *Object, method string, args []Value) (Value, 
 	return ret, nil
 }
 
-// invokeLocalLocked executes a method body on this VM. Called with the
-// lock held; returns with it released.
-func (v *VM) invokeLocalLocked(o *Object, method string, args []Value) (Value, error) {
+// invokeLocalLocked executes a method body on this VM and writes its
+// result to *ret. Called with the lock held; returns with it released.
+func (v *VM) invokeLocalLocked(o *Object, method string, args []Value, ret *Value) error {
 	v.tm.invokeLocal.Inc()
 	m := o.Class.Method(method)
 	if m == nil {
 		v.mu.Unlock()
-		return Nil(), fmt.Errorf("vm: %s.%s: %w", o.Class.Name, method, ErrNoSuchMethod)
+		return fmt.Errorf("vm: %s.%s: %w", o.Class.Name, method, ErrNoSuchMethod)
 	}
 	// Native methods are implemented with native code and cannot migrate;
 	// instance natives only exist on pinned classes, whose objects never
 	// leave the client, so reaching here with a native method on the
 	// surrogate means the stateless enhancement is required to proceed.
 	if m.Native && v.cfg.Role == RoleSurrogate && !(m.Stateless && v.statelessLocal) {
-		return v.routeNativeToClientLocked(o.Class, method, o.ID, args)
+		var err error
+		*ret, err = v.routeNativeToClientLocked(o.Class, method, o.ID, args)
+		return err
 	}
-	return v.runBodyLocked(o.Class, m, o.ID, args)
+	return v.runBodyLocked(o.Class, m, o.ID, args, ret)
 }
 
-// runBodyLocked pushes a frame, runs the body (without the lock), pops the
-// frame, and reports monitoring. Called with the lock held; returns with it
-// released.
-func (v *VM) runBodyLocked(class *Class, m *Method, self ObjectID, args []Value) (Value, error) {
+// runBodyLocked pushes a frame, runs the body (without the lock) on the
+// frame's copy of args, pops the frame, and reports monitoring; on success
+// it writes the body's result to *ret. Called with the lock held; returns
+// with it released.
+func (v *VM) runBodyLocked(class *Class, m *Method, self ObjectID, args []Value, ret *Value) error {
 	caller := v.currentClassLocked()
 	argBytes := WireSizeAll(args)
 	f := v.getFrameLocked(class, m.Name)
+	// A distinct variable: reassigning args would make it leak into the
+	// body as well (escape analysis is flow-insensitive).
+	f.args = append(f.args[:0], args...)
 	if self != InvalidObject {
 		f.temps = append(f.temps, self)
 	}
-	for i := range args {
-		if args[i].Kind == KindRef {
-			f.temps = append(f.temps, args[i].Ref)
+	for i := range f.args {
+		if f.args[i].Kind == KindRef {
+			f.temps = append(f.temps, f.args[i].Ref)
 		}
 	}
 	v.frames = append(v.frames, f)
 	v.mu.Unlock()
 
-	ret, err := m.Body(&f.thread, self, args)
+	r, err := m.Body(&f.thread, self, f.args)
 
 	v.mu.Lock()
 	v.frames = v.frames[:len(v.frames)-1]
+	clear(f.args)
 	if err != nil {
 		v.putFrameLocked(f)
 		v.mu.Unlock()
-		return Nil(), fmt.Errorf("vm: %s.%s: %w", class.Name, m.Name, err)
+		return fmt.Errorf("vm: %s.%s: %w", class.Name, m.Name, err)
 	}
-	if ret.Kind == KindRef {
-		v.addTempLocked(ret.Ref)
+	if r.Kind == KindRef {
+		v.addTempLocked(r.Ref)
 	}
-	v.emitLocked(trace.KindInvoke, caller, class, self, argBytes+ret.WireSize(), f.self, m.Native, m.Stateless)
+	v.emitLocked(trace.KindInvoke, caller, class, self, argBytes+r.WireSize(), f.self, m.Native, m.Stateless)
 	v.putFrameLocked(f)
 	v.mu.Unlock()
-	return ret, nil
+	*ret = r
+	return nil
 }
 
 // routeNativeToClientLocked directs a native invocation back to the client
@@ -281,7 +299,8 @@ func (v *VM) routeNativeToClientLocked(class *Class, method string, self ObjectI
 	}
 	v.mu.Unlock()
 
-	ret, elapsed, err := peer.InvokeNativeRemote(className, method, peerSelf, selfIsCallerLocal, args)
+	// A copy, for the reason given in invokeRemoteLocked.
+	ret, elapsed, err := peer.InvokeNativeRemote(className, method, peerSelf, selfIsCallerLocal, append([]Value(nil), args...))
 	if err != nil {
 		return Nil(), fmt.Errorf("vm: native %s.%s via client: %w", className, method, err)
 	}
@@ -313,5 +332,7 @@ func (t *Thread) InvokeStatic(className, method string, args ...Value) (Value, e
 	if m.Native && v.cfg.Role == RoleSurrogate && !(m.Stateless && v.statelessLocal) {
 		return v.routeNativeToClientLocked(class, method, InvalidObject, args)
 	}
-	return v.runBodyLocked(class, m, InvalidObject, args)
+	var ret Value
+	err := v.runBodyLocked(class, m, InvalidObject, args, &ret)
+	return ret, err
 }

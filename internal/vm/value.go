@@ -137,8 +137,8 @@ func (v Value) String() string {
 // WireSizeAll sums the wire sizes of a parameter list.
 func WireSizeAll(vs []Value) int64 {
 	var n int64
-	for _, v := range vs {
-		n += v.WireSize()
+	for i := range vs {
+		n += vs[i].WireSize()
 	}
 	return n
 }

@@ -98,6 +98,10 @@ type Object struct {
 // Peer is the remote-invocation module's interface as seen by the VM: the
 // operations that cross to the other VM. The remote package implements it;
 // tests may stub it.
+//
+// The args of InvokeRemote and InvokeNativeRemote are borrowed, as a
+// Body's are: valid until the call returns. A peer that still reads them
+// afterwards copies them first; remote.Peer encodes them before it sends.
 type Peer interface {
 	// InvokeRemote invokes method on the peer-namespace object, returning
 	// the result, the simulated time the peer spent executing, and any

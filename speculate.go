@@ -178,9 +178,10 @@ func (sp *specPeer) InvokeRemote(peerObj ObjectID, method string, args []Value) 
 		err error
 	}
 	rch := make(chan remoteResult, 1)
+	owned := append([]Value(nil), args...) // the straggler outlives the borrow (vm.Peer)
 	go func() {
 		defer c.slots.bg.Done()
-		v, d, rerr := sp.inner.InvokeRemote(peerObj, method, args)
+		v, d, rerr := sp.inner.InvokeRemote(peerObj, method, owned)
 		rch <- remoteResult{v, d, rerr}
 	}()
 
