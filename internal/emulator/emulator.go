@@ -171,7 +171,8 @@ const (
 
 // PartitionRecord describes one (re)partitioning during replay.
 type PartitionRecord struct {
-	// EventIndex is the trace position at which partitioning ran.
+	// EventIndex is the last event the partition read: the one at which
+	// it ran.
 	EventIndex int
 
 	// At is the simulated time of the decision.
@@ -300,7 +301,9 @@ type emulation struct {
 	mon *monitor.Monitor
 	res *Result
 
-	feed *monitor.Batch // into mon; flushed only by partition, its one reader
+	// fed counts the events handed to mon: a partition, its one reader,
+	// feeds the window since the last one before it reads.
+	fed int
 
 	// side[class] is the current class placement.
 	side []Side
@@ -341,15 +344,10 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err := cfg.Link.Validate(); err != nil {
 		return nil, err
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	mon := monitor.New(nil)
 	e := &emulation{
 		cfg:           cfg,
 		tr:            tr,
-		mon:           mon,
-		feed:          mon.Batch(),
+		mon:           monitor.New(nil),
 		res:           &Result{App: tr.App},
 		side:          make([]Side, len(tr.Classes)),
 		objects:       make(map[trace.ObjectID]*objInfo),
@@ -367,20 +365,28 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err := e.trigger.Validate(); err != nil {
 		return nil, err
 	}
-	e.run()
+	if err := e.run(); err != nil {
+		return nil, err
+	}
 	e.res.Time = e.res.ExecTime + e.res.CommTime + e.res.TransferTime + e.res.MonitorTime
 	return e.res, nil
 }
 
-func (e *emulation) run() {
+// run replays the events, checking each against the trace's rules before
+// it consumes it: the liveness rules against objects, which holds exactly
+// the live set. A run that stops early, out of memory, checks the rest of
+// the trace before it returns, so a replay accepts what Validate accepts.
+func (e *emulation) run() error {
 	for i := range e.tr.Events {
+		if err := e.tr.CheckEvent(i); err != nil {
+			return err
+		}
 		ev := &e.tr.Events[i]
 		if ev.Kind == trace.KindGC {
 			// Recorded resource events are superseded by the replayed
 			// heap simulation.
 			continue
 		}
-		e.feed.Feed(e.tr, ev)
 		e.res.Events++
 		if e.cfg.MonitorCostPerEvent > 0 {
 			e.res.MonitorTime += e.cfg.MonitorCostPerEvent
@@ -392,11 +398,23 @@ func (e *emulation) run() {
 		case trace.KindAccess:
 			e.access(ev)
 		case trace.KindCreate:
+			_, live := e.objects[ev.Obj]
+			if err := e.tr.CheckLive(i, 0, live); err != nil {
+				return err
+			}
 			if !e.create(ev, i) {
-				return // out of memory; run aborted
+				return e.tr.Validate() // out of memory; run aborted
 			}
 		case trace.KindDelete:
-			e.delete(ev)
+			oi, live := e.objects[ev.Obj]
+			var created trace.ClassID
+			if live {
+				created = oi.class
+			}
+			if err := e.tr.CheckLive(i, created, live); err != nil {
+				return err
+			}
+			e.delete(ev.Obj, oi)
 		}
 		// A raised memory trigger partitions at the next event boundary.
 		if e.fired && !e.cfg.DisableOffload && e.cfg.Mode == MemoryMode {
@@ -407,6 +425,7 @@ func (e *emulation) run() {
 			e.partition(i, false)
 		}
 	}
+	return nil
 }
 
 // execSide returns where an invoke event executes, honoring native routing
@@ -533,13 +552,10 @@ func (e *emulation) create(ev *trace.Event, idx int) bool {
 	return true
 }
 
-func (e *emulation) delete(ev *trace.Event) {
-	oi, ok := e.objects[ev.Obj]
-	if !ok {
-		return
-	}
-	delete(e.objects, ev.Obj)
-	delete(e.arrayAffinity, ev.Obj)
+// delete frees obj, live as oi.
+func (e *emulation) delete(obj trace.ObjectID, oi *objInfo) {
+	delete(e.objects, obj)
+	delete(e.arrayAffinity, obj)
 	if oi.side == OnClient {
 		e.clientLive -= oi.size
 		e.garbage += oi.size
@@ -577,7 +593,8 @@ func (e *emulation) partition(idx int, forced bool) {
 	if e.partitions >= e.cfg.MaxPartitions && !forced {
 		return
 	}
-	e.feed.Flush()
+	e.mon.OnEvents(e.tr, e.tr.Events[e.fed:idx+1])
+	e.fed = idx + 1
 	g := e.mon.Graph()
 	in := e.mc.FromGraph(g, graph.BytesWeight)
 	var cands []mincut.Candidate

@@ -353,6 +353,84 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// sampleTrace is the trace package's validation sample: two creates, a
+// delete, calls, an access and a GC report.
+func sampleTrace() *trace.Trace {
+	return &trace.Trace{
+		App:          "Sample",
+		HeapCapacity: 1 << 20,
+		Classes: []trace.ClassInfo{
+			{Name: "ui", Pinned: true},
+			{Name: "doc"},
+			{Name: "arr", Array: true},
+			{Name: "math", Pinned: true, Stateless: true},
+		},
+		Events: []trace.Event{
+			{Kind: trace.KindCreate, Callee: 1, Obj: 1, Bytes: 100},
+			{Kind: trace.KindInvoke, Caller: 0, Callee: 1, Obj: 1, Bytes: 24, SelfTime: time.Millisecond},
+			{Kind: trace.KindCreate, Callee: 2, Obj: 2, Bytes: 4096},
+			{Kind: trace.KindAccess, Caller: 1, Callee: 2, Obj: 2, Bytes: 64},
+			{Kind: trace.KindInvoke, Caller: 1, Callee: 3, Obj: trace.NoObject, Bytes: 16, SelfTime: time.Millisecond, Native: true, Stateless: true},
+			{Kind: trace.KindDelete, Callee: 2, Obj: 2, Bytes: 4096},
+			{Kind: trace.KindGC, Free: 1 << 19, Capacity: 1 << 20, Freed: true},
+		},
+	}
+}
+
+// TestRunRejectsWhatValidateRejects: Run checks the trace as it replays
+// it, with the rules Validate applies, and must refuse every corruption
+// Validate refuses with Validate's own error — the trace package's
+// corruptions, a negative GC capacity and a zero kind among them, and a
+// corruption after the point where a run without offloading dies of
+// memory exhaustion.
+func TestRunRejectsWhatValidateRejects(t *testing.T) {
+	corruptions := []func(*trace.Trace){
+		func(tr *trace.Trace) { tr.Events[1].Callee = 99 },                   // class out of range
+		func(tr *trace.Trace) { tr.Events[3].Caller = -1 },                   // negative class
+		func(tr *trace.Trace) { tr.Events[1].Bytes = -1 },                    // negative bytes
+		func(tr *trace.Trace) { tr.Events[0].Obj = 2; tr.Events[2].Obj = 2 }, // double create
+		func(tr *trace.Trace) { tr.Events[5].Obj = 77 },                      // delete unknown
+		func(tr *trace.Trace) { tr.Events[5].Callee = 1 },                    // delete wrong class
+		func(tr *trace.Trace) { tr.Events[6].Free = -1 },                     // negative GC
+		func(tr *trace.Trace) { tr.Events[6].Capacity = -1 },                 // negative GC capacity
+		func(tr *trace.Trace) { tr.Events[3].Kind = trace.EventKind(42) },    // unknown kind
+		func(tr *trace.Trace) { tr.Events[6].Kind = 0 },                      // zero kind
+		func(tr *trace.Trace) { tr.Events[0].Bytes = -5 },                    // negative size
+		func(tr *trace.Trace) { tr.Events[2].Callee = 4 },                    // create out of range
+	}
+	configs := map[string]Config{
+		"memory":   memCfg(1 << 20),
+		"original": {Mode: MemoryMode, HeapCapacity: 1 << 20, Link: netmodel.WaveLAN(), DisableOffload: true},
+		"cpu":      {Mode: CPUMode, Link: netmodel.WaveLAN(), SurrogateSpeedup: 3.5, ReevalEvery: time.Millisecond},
+	}
+	for i, corrupt := range corruptions {
+		tr := sampleTrace()
+		corrupt(tr)
+		want := tr.Validate()
+		if want == nil {
+			t.Fatalf("case %d: Validate accepts the corruption", i)
+		}
+		for name, cfg := range configs {
+			if _, err := Run(tr, cfg); err == nil || err.Error() != want.Error() {
+				t.Errorf("case %d, %s: Run returned %v, want %q", i, name, err, want)
+			}
+		}
+	}
+
+	// The 4096-byte create does not fit a 2 KB heap: the original run dies
+	// there, before the corrupted delete.
+	tr := sampleTrace()
+	cfg := Config{Mode: MemoryMode, HeapCapacity: 2 << 10, Link: netmodel.WaveLAN(), DisableOffload: true}
+	if res, err := Run(tr, cfg); err != nil || !res.OOM || res.OOMEvent != 2 {
+		t.Fatalf("clean trace: %+v, %v; want an out-of-memory abort at event 2", res, err)
+	}
+	tr.Events[5].Obj = 77
+	want := tr.Validate()
+	if _, err := Run(tr, cfg); err == nil || err.Error() != want.Error() {
+		t.Errorf("corruption after the abort: Run returned %v, want %q", err, want)
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	tr := synthTrace(30)
 	cfg := memCfg(5 << 20)

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"aide/internal/apps"
+	"aide/internal/emulator"
+	"aide/internal/policy"
 )
 
 // sharedSuite caches the (expensive) application recordings across the
@@ -79,6 +84,37 @@ func TestFigure5Shape(t *testing.T) {
 	}
 	if !strings.Contains(r.DOTAfter, "style=dotted") {
 		t.Error("Figure 5b rendering must show cut edges dotted")
+	}
+}
+
+// TestFigure5RedecidesTheEmulatorsPartition: Figure 5 rebuilds the graph
+// the emulator's partition read — every event up to and including the
+// one it ran at — so the decision it recomputes on it is the emulator's.
+func TestFigure5RedecidesTheEmulatorsPartition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	s := suite()
+	spec, err := apps.ByName("JavaNote")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.Trace(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := emulator.Run(tr, s.memoryConfig(spec, policy.InitialParams()))
+	if err != nil || len(res.Partitions) == 0 {
+		t.Fatalf("JavaNote did not partition: %v", err)
+	}
+	part := res.Partitions[0]
+	_, dec, _, err := s.redecide(tr, part, spec.EmuHeap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec, part.Decision) {
+		t.Fatalf("recomputed decision frees %d B in %d classes, the emulator's %d B in %d",
+			dec.OffloadBytes, dec.OffloadClasses, part.Decision.OffloadBytes, part.Decision.OffloadClasses)
 	}
 }
 

@@ -134,22 +134,9 @@ func (s *Suite) Figure5() (*Figure5Result, error) {
 	}
 	part := res.Partitions[0]
 
-	// Rebuild the graph at the partition point to render Figure 5a/5b and
-	// time the heuristic.
-	g, err := graphAt(t, part.EventIndex)
+	g, dec, heuristic, err := s.redecide(t, part, spec.EmuHeap)
 	if err != nil {
 		return nil, err
-	}
-	start := s.now()
-	cands, err := mincut.Candidates(mincut.FromGraph(g, graph.BytesWeight))
-	if err != nil {
-		return nil, err
-	}
-	mp := policy.MemoryPolicy{MinFreeFraction: policy.InitialParams().MinFreeFraction}
-	dec, err := mp.Choose(g, spec.EmuHeap, cands)
-	heuristic := s.now().Sub(start)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: figure 5 repartition: %w", err)
 	}
 
 	offloaded := make(map[graph.NodeID]bool)
@@ -179,20 +166,30 @@ func (s *Suite) Figure5() (*Figure5Result, error) {
 	return r, nil
 }
 
-// graphAt replays the trace's first n events into a fresh monitor,
-// through a batch as the emulator does, and returns the execution graph,
-// with class metadata applied.
-func graphAt(t *trace.Trace, n int) (*graph.Graph, error) {
-	if n > len(t.Events) {
-		n = len(t.Events)
+// redecide rebuilds the graph a partition read, to render Figure 5a/5b,
+// and recomputes the memory decision on it, timing the heuristic.
+func (s *Suite) redecide(t *trace.Trace, part emulator.PartitionRecord, heap int64) (*graph.Graph, policy.Decision, time.Duration, error) {
+	g := graphAt(t, part.EventIndex+1)
+	start := s.now()
+	cands, err := mincut.Candidates(mincut.FromGraph(g, graph.BytesWeight))
+	if err != nil {
+		return nil, policy.Decision{}, 0, err
 	}
+	mp := policy.MemoryPolicy{MinFreeFraction: policy.InitialParams().MinFreeFraction}
+	dec, err := mp.Choose(g, heap, cands)
+	if err != nil {
+		return nil, policy.Decision{}, 0, fmt.Errorf("experiments: figure 5 repartition: %w", err)
+	}
+	return g, dec, s.now().Sub(start), nil
+}
+
+// graphAt replays the trace's first n events into a fresh monitor in one
+// window, as the emulator feeds it, and returns the execution graph, with
+// class metadata applied.
+func graphAt(t *trace.Trace, n int) *graph.Graph {
 	m := monitor.New(nil)
-	b := m.Batch()
-	for i := 0; i < n; i++ {
-		b.Feed(t, &t.Events[i])
-	}
-	b.Flush()
-	return m.Graph(), nil
+	m.OnEvents(t, t.Events[:min(n, len(t.Events))])
+	return m.Graph()
 }
 
 // Figure6Row is one bar pair of Figure 6: original execution time and the

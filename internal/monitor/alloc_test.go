@@ -13,11 +13,12 @@ import (
 )
 
 // TestWarmEventPathAllocatesNothing: once its classes (and fields) have
-// been seen, an event costs no allocation through Feed, Batch.Feed, the
-// by-name methods, a VM's OnEvents batch or a monitored VM's invocation,
-// with no recorder attached; and a batch's flush of a window the monitor
-// has seen before allocates no more than the monitor's own. The race
-// detector's instrumentation allocates, so the file is built without it.
+// been seen, an event costs no allocation through Feed, the by-name
+// methods, an OnEvents window (a GC event in it included) or a monitored
+// VM's invocation, with no recorder attached; and a window passed to
+// OnEvents and flushed allocates no more than the same events fed one at a
+// time. The race detector's instrumentation allocates, so the file is
+// built without it.
 func TestWarmEventPathAllocatesNothing(t *testing.T) {
 	tr := &trace.Trace{
 		Classes: []trace.ClassInfo{{Name: "ui", Pinned: true}, {Name: "doc"}},
@@ -31,7 +32,6 @@ func TestWarmEventPathAllocatesNothing(t *testing.T) {
 		},
 	}
 	m := monitor.New(nil)
-	b := m.Batch()
 	paths := map[string]func(){
 		"OnInvoke":      func() { m.OnInvoke("ui", "doc", "edit", 1, 16, 8, time.Microsecond, false, false) },
 		"OnAccess":      func() { m.OnAccess("ui", "doc", 1, 8) },
@@ -42,34 +42,32 @@ func TestWarmEventPathAllocatesNothing(t *testing.T) {
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		paths[fmt.Sprintf("Feed %s #%d", e.Kind, i)] = func() { m.Feed(tr, e) }
-		paths[fmt.Sprintf("Batch.Feed %s #%d", e.Kind, i)] = func() { b.Feed(tr, e) }
 	}
-	vmEvents := tr.Events[:len(tr.Events)-1] // a VM reports collections through OnGC
-	paths["OnEvents"] = func() { m.OnEvents(tr, vmEvents) }
+	paths["OnEvents window"] = func() { m.OnEvents(tr, tr.Events) }
 	paths["monitored VM invoke"] = monitoredTap(t, m)
 	for name, f := range paths {
 		f() // first sight interns
 		m.Flush()
-		b.Flush()
 		f() // first event of a window claims its delta
 		if n := testing.AllocsPerRun(1000, f); n != 0 {
 			t.Errorf("%s: %v allocations per warm event, want 0", name, n)
 		}
 	}
 
-	window := func(feed func(*trace.Trace, *trace.Event), flush func()) func() {
-		return func() {
-			for i := range tr.Events {
-				feed(tr, &tr.Events[i])
-			}
-			flush()
+	perEvent := func() {
+		for i := range tr.Events {
+			m.Feed(tr, &tr.Events[i])
 		}
+		m.Flush()
 	}
-	perEvent, batched := window(m.Feed, m.Flush), window(b.Feed, b.Flush)
+	windowed := func() {
+		m.OnEvents(tr, tr.Events)
+		m.Flush()
+	}
 	perEvent()
-	batched()
-	if n, ref := testing.AllocsPerRun(100, batched), testing.AllocsPerRun(100, perEvent); n > ref {
-		t.Errorf("a batched window and its flush allocate %v, the same window fed per event and flushed %v", n, ref)
+	windowed()
+	if n, ref := testing.AllocsPerRun(100, windowed), testing.AllocsPerRun(100, perEvent); n > ref {
+		t.Errorf("a window and its flush allocate %v, the same events fed one at a time and flushed %v", n, ref)
 	}
 }
 

@@ -151,60 +151,81 @@ func TestFeedEqualsHooks(t *testing.T) {
 	}
 }
 
-// TestBatchEqualsFeed: a trace fed per event through Feed and the same
-// trace buffered through a Batch, both flushed at every GC event and at a
-// seeded random set of others, agree at every flush on everything a
-// snapshot shows: the graph (peaks, CPU time and decayed Hot included),
-// the counters and clock, and the delta since the previous pull.
-func TestBatchEqualsFeed(t *testing.T) {
+// TestWindowsEqualFeed: a trace passed to OnEvents in windows of seeded
+// random length, GC events included as they lie, and the same events fed
+// one at a time through Feed agree after every window on everything a
+// snapshot shows: the graph (peaks, CPU time, clock and decayed Hot
+// included), the event counters and the delta since the previous pull.
+// OnEvents skips a window's GC events, so Feed is given the others.
+func TestWindowsEqualFeed(t *testing.T) {
 	for _, tr := range table1(t) {
 		for _, opts := range [][]monitor.Option{nil, {monitor.WithDecay(5000)}} {
 			what := fmt.Sprintf("%s, %d options", tr.App, len(opts))
-			fed, batched := monitor.New(nil, opts...), monitor.New(nil, opts...)
-			b := batched.Batch()
+			fed, windowed := monitor.New(nil, opts...), monitor.New(nil, opts...)
 			rng := rand.New(rand.NewSource(int64(len(tr.Events))))
-			var fedEpoch, batchedEpoch int64
-			flushes := 0
-			for i := range tr.Events {
-				e := &tr.Events[i]
-				fed.Feed(tr, e)
-				b.Feed(tr, e)
-				if e.Kind != trace.KindGC && rng.Intn(4000) != 0 {
-					continue
+			var fedEpoch, windowedEpoch int64
+			windows, gcs := 0, 0
+			for i := 0; i < len(tr.Events); {
+				j := min(len(tr.Events), i+rng.Intn(len(tr.Events)/50+1)) // 100 on average
+				windowed.OnEvents(tr, tr.Events[i:j])
+				for ; i < j; i++ {
+					if e := &tr.Events[i]; e.Kind != trace.KindGC {
+						fed.Feed(tr, e)
+					} else {
+						gcs++
+					}
 				}
-				flushes++
-				b.Flush()
-				if g, w := batched.Graph(), fed.Graph(); !reflect.DeepEqual(g, w) {
-					t.Fatalf("%s: graphs differ after event %d", what, i)
+				windows++
+				if g, w := windowed.Graph(), fed.Graph(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s: graphs differ after window %d, event %d", what, windows, j)
 				}
 				var gc, wc [5]int64
-				gc[0], gc[1], gc[2], gc[3], gc[4] = batched.Counts()
+				gc[0], gc[1], gc[2], gc[3], gc[4] = windowed.Counts()
 				wc[0], wc[1], wc[2], wc[3], wc[4] = fed.Counts()
-				if gc != wc || batched.Events() != fed.Events() {
-					t.Fatalf("%s: after event %d counts %v/%v, events %d/%d", what, i, gc, wc, batched.Events(), fed.Events())
+				if gc != wc || windowed.Events() != fed.Events() {
+					t.Fatalf("%s: after event %d counts %v/%v, events %d/%d", what, j, gc, wc, windowed.Events(), fed.Events())
 				}
-				gd, wd := batched.Delta(batchedEpoch), fed.Delta(fedEpoch)
+				gd, wd := windowed.Delta(windowedEpoch), fed.Delta(fedEpoch)
 				if !reflect.DeepEqual(gd, wd) {
-					t.Fatalf("%s: deltas differ after event %d: %d/%d nodes, %d/%d edges", what, i, len(gd.Nodes), len(wd.Nodes), len(gd.Edges), len(wd.Edges))
+					t.Fatalf("%s: deltas differ after event %d: %d/%d nodes, %d/%d edges", what, j, len(gd.Nodes), len(wd.Nodes), len(gd.Edges), len(wd.Edges))
 				}
-				batchedEpoch, fedEpoch = gd.Epoch, wd.Epoch
+				windowedEpoch, fedEpoch = gd.Epoch, wd.Epoch
 			}
-			if flushes < 10 {
-				t.Fatalf("%s: only %d flushes", what, flushes)
+			if windows < 50 || gcs == 0 {
+				t.Fatalf("%s: only %d windows, %d GC events", what, windows, gcs)
 			}
 		}
 	}
 }
 
-// TestBatchFlushDuringConcurrentHooks: a batch flushing while another
-// goroutine drives the by-name hooks on the same monitor loses and
-// doubles nothing — every invocation, access and creation either source
-// made is on the books once.
-func TestBatchFlushDuringConcurrentHooks(t *testing.T) {
+// TestOnEventsSkipsGCEvents: a GC event names no class — Validate leaves
+// its Caller and Callee unchecked — so in a window it neither interns a
+// class nor counts.
+func TestOnEventsSkipsGCEvents(t *testing.T) {
+	tr := &trace.Trace{Classes: []trace.ClassInfo{{Name: "ui"}, {Name: "doc"}}}
+	m := monitor.New(nil)
+	m.OnEvents(tr, []trace.Event{
+		{Kind: trace.KindGC, Callee: 1, Free: 1 << 20, Capacity: 1 << 21},
+		{Kind: trace.KindGC, Caller: -1, Callee: 7},
+		{Kind: trace.KindCreate, Callee: 0, Obj: 1, Bytes: 64},
+	})
+	g := m.Live()
+	if _, _, creates, _, gcs := m.Counts(); g.Len() != 1 || g.Node(0).Name != "ui" || creates != 1 || gcs != 0 || m.Events() != 1 {
+		t.Fatalf("%d classes (first %q), %d creates, %d GCs, %d events; want ui alone, 1 create, no GC, 1 event",
+			g.Len(), g.Node(0).Name, creates, gcs, m.Events())
+	}
+}
+
+// TestWindowsDuringConcurrentHooks: OnEvents windows and flushes on one
+// goroutine while another drives the by-name hooks on the same monitor
+// lose and double nothing — every invocation, access and creation either
+// source made is on the books once, and no GC event in a window counts.
+func TestWindowsDuringConcurrentHooks(t *testing.T) {
 	tr := &trace.Trace{Classes: []trace.ClassInfo{{Name: "ui"}, {Name: "doc"}, {Name: "buf"}}}
 	evs := []trace.Event{
 		{Kind: trace.KindInvoke, Caller: 0, Callee: 1, Bytes: 24, SelfTime: time.Microsecond},
 		{Kind: trace.KindAccess, Caller: 1, Callee: 2, Bytes: 8},
+		{Kind: trace.KindGC, Free: 1 << 20, Capacity: 1 << 21},
 		{Kind: trace.KindCreate, Callee: 2, Obj: 1, Bytes: 64},
 	}
 	const rounds = 20000
@@ -217,22 +238,18 @@ func TestBatchFlushDuringConcurrentHooks(t *testing.T) {
 			m.OnCreate("doc", vm.ObjectID(i), 32)
 		}
 	}()
-	b := m.Batch()
 	for i := 0; i < rounds; i++ {
-		for j := range evs {
-			b.Feed(tr, &evs[j])
-		}
+		m.OnEvents(tr, evs)
 		if i%64 == 0 {
-			b.Flush()
+			m.Flush()
 		}
 	}
 	<-done
-	b.Flush()
 
-	inv, acc, creates, _, _ := m.Counts()
-	if inv != 2*rounds || acc != rounds || creates != 2*rounds || m.Events() != 5*rounds {
-		t.Fatalf("counted %d invocations, %d accesses, %d creates, %d events; want %d, %d, %d, %d",
-			inv, acc, creates, m.Events(), 2*rounds, rounds, 2*rounds, 5*rounds)
+	inv, acc, creates, _, gcs := m.Counts()
+	if inv != 2*rounds || acc != rounds || creates != 2*rounds || gcs != 0 || m.Events() != 5*rounds {
+		t.Fatalf("counted %d invocations, %d accesses, %d creates, %d GCs, %d events; want %d, %d, %d, 0, %d",
+			inv, acc, creates, gcs, m.Events(), 2*rounds, rounds, 2*rounds, 5*rounds)
 	}
 	g := m.Live()
 	var einv, eacc, bytes, objs int64

@@ -19,15 +19,14 @@
 //
 // Ingestion adds into one delta (classes in a dense slice by ID, class
 // pairs in a map keyed by the packed pair) behind one mutex, taken once
-// per event fed and once per VM batch. The delta merges into the base
+// per event fed and once per OnEvents slice. The delta merges into the base
 // graph only when a snapshot is taken (Graph, Delta, Live, Flush), and the
 // merge walks only what the window touched. The merged graph tracks a
 // dirty set, and Delta hands the partitioner only what changed since its
 // last pull.
 //
-// A replay, one goroutine feeding a monitor nothing else touches, feeds
-// a Batch instead: a delta of its own without the mutex, merged under one
-// lock acquisition per Flush by the same code, so the books match Feed's.
+// A replay feeds a monitor as a VM does, through OnEvents: at each
+// partition, the window of its trace since the previous one.
 package monitor
 
 import (
@@ -106,12 +105,11 @@ func (c counts) events() int64 {
 	return c[trace.KindInvoke] + c[trace.KindAccess] + c[trace.KindCreate] + c[trace.KindDelete]
 }
 
-// delta is one window's accumulation, what the monitor's ingest and a
-// Batch each hold: per-class lifecycle deltas in a dense slice by NodeID
-// (touched lists what the window wrote, so a merge walks only that),
-// per-pair interaction deltas keyed by the pair packed into one word
-// (A<<32 | B, A < B — the runtime's 64-bit map fast path), and the
-// event-kind counters.
+// delta is one window's accumulation, the monitor's ingest: per-class
+// lifecycle deltas in a dense slice by NodeID (touched lists what the
+// window wrote, so a merge walks only that), per-pair interaction deltas
+// keyed by the pair packed into one word (A<<32 | B, A < B — the
+// runtime's 64-bit map fast path), and the event-kind counters.
 type delta struct {
 	nodes   []nodeDelta
 	touched []int32
@@ -165,7 +163,7 @@ type fieldKey struct {
 
 // Monitor builds and maintains the execution graph. It implements
 // vm.Hooks; install it with VM.SetHooks. All methods are safe for
-// concurrent use; the Batch it hands out is the one type that is not.
+// concurrent use.
 //
 // Never read a monitor (Graph, Delta, Live, Flush, Events, Counts) while
 // holding a VM's lock: a read first delivers what every hooked VM has
@@ -194,7 +192,7 @@ type Monitor struct {
 
 	// in is the ingest delta: what events added since the last merge,
 	// behind inMu. Feed and the by-name methods take inMu once per event,
-	// a VM batch once per batch.
+	// OnEvents once per slice.
 	inMu sync.Mutex
 	in   delta
 
@@ -404,10 +402,9 @@ func (m *Monitor) record(f func(r *Recorder)) {
 	m.recMu.Unlock()
 }
 
-// flushLocked merges the ingest delta, plus b's when a Batch flushes (nil
-// otherwise), pending classes, and pending metadata upgrades into the base
-// graph. Caller holds m.mu.
-func (m *Monitor) flushLocked(b *delta) {
+// flushLocked merges the ingest delta, pending classes, and pending
+// metadata upgrades into the base graph. Caller holds m.mu.
+func (m *Monitor) flushLocked() {
 	// createMu stays held to the end: a class first seen mid-flush would
 	// have deltas before its node exists in the graph.
 	m.createMu.Lock()
@@ -430,23 +427,7 @@ func (m *Monitor) flushLocked(b *delta) {
 	// touched in the window decays from the window-end timestamp.
 	m.inMu.Lock()
 	defer m.inMu.Unlock()
-	ds := [2]*delta{&m.in, b}
-	for _, d := range ds {
-		if d != nil {
-			m.mergeNodesLocked(d)
-		}
-	}
-	m.g.AdvanceClock(float64(m.base.events() + m.gcs.Load()))
-	for _, d := range ds {
-		if d != nil {
-			m.mergeEdgesLocked(d)
-		}
-	}
-}
-
-// mergeNodesLocked drains one delta's classes and counters into the base
-// graph. Caller holds m.mu and inMu.
-func (m *Monitor) mergeNodesLocked(d *delta) {
+	d := &m.in
 	for _, j := range d.touched {
 		n := &d.nodes[j]
 		m.g.AddNodeDelta(graph.NodeID(j), n.mem, n.live, n.total, n.peakRise, n.cpu)
@@ -455,11 +436,7 @@ func (m *Monitor) mergeNodesLocked(d *delta) {
 	d.touched = d.touched[:0]
 	m.base.add(d.ctr)
 	d.ctr = counts{}
-}
-
-// mergeEdgesLocked drains one delta's interactions into the base graph,
-// after the clock has advanced past them. Locking as mergeNodesLocked.
-func (m *Monitor) mergeEdgesLocked(d *delta) {
+	m.g.AdvanceClock(float64(m.base.events() + m.gcs.Load()))
 	for k, e := range d.edges {
 		m.g.AddEdgeDelta(graph.NodeID(k>>32), graph.NodeID(uint32(k)), e.inv, e.acc, e.bytes)
 	}
@@ -494,15 +471,9 @@ func (m *Monitor) syncVMs() {
 // Live to be current without taking a snapshot.
 func (m *Monitor) Flush() {
 	m.syncVMs()
-	m.flush(nil)
-}
-
-// flush is Flush plus b, a flushing Batch's delta (nil: none), without
-// the VMs.
-func (m *Monitor) flush(b *delta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushLocked(b)
+	m.flushLocked()
 }
 
 // Graph returns a snapshot (deep copy) of the execution graph, suitable
@@ -511,7 +482,7 @@ func (m *Monitor) Graph() *graph.Graph {
 	m.syncVMs()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushLocked(nil)
+	m.flushLocked()
 	return m.g.Clone()
 }
 
@@ -524,7 +495,7 @@ func (m *Monitor) Delta(since int64) graph.Delta {
 	m.syncVMs()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushLocked(nil)
+	m.flushLocked()
 	return m.g.Delta(since)
 }
 
@@ -535,7 +506,7 @@ func (m *Monitor) Live() *graph.Graph {
 	m.syncVMs()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushLocked(nil)
+	m.flushLocked()
 	return m.g
 }
 
@@ -594,7 +565,7 @@ func (m *Monitor) OnInvoke(caller, callee, method string, obj vm.ObjectID, argBy
 		from = m.classID(caller)
 	}
 	m.inMu.Lock()
-	m.invoke(&m.in, from, cn, obj, argBytes+retBytes, selfTime, native, stateless)
+	m.invoke(from, cn, obj, argBytes+retBytes, selfTime, native, stateless)
 	m.inMu.Unlock()
 }
 
@@ -605,7 +576,7 @@ func (m *Monitor) OnAccess(from, to string, obj vm.ObjectID, bytes int64) {
 		fn = m.classID(from)
 	}
 	m.inMu.Lock()
-	m.access(&m.in, fn, tn, obj, bytes)
+	m.access(fn, tn, obj, bytes)
 	m.inMu.Unlock()
 }
 
@@ -613,7 +584,7 @@ func (m *Monitor) OnAccess(from, to string, obj vm.ObjectID, bytes int64) {
 func (m *Monitor) OnCreate(class string, obj vm.ObjectID, size int64) {
 	id := m.classID(class)
 	m.inMu.Lock()
-	m.lifecycle(&m.in, trace.KindCreate, id, obj, size)
+	m.lifecycle(trace.KindCreate, id, obj, size)
 	m.inMu.Unlock()
 }
 
@@ -621,7 +592,7 @@ func (m *Monitor) OnCreate(class string, obj vm.ObjectID, size int64) {
 func (m *Monitor) OnDelete(class string, obj vm.ObjectID, size int64) {
 	id := m.classID(class)
 	m.inMu.Lock()
-	m.lifecycle(&m.in, trace.KindDelete, id, obj, size)
+	m.lifecycle(trace.KindDelete, id, obj, size)
 	m.inMu.Unlock()
 }
 
@@ -631,12 +602,12 @@ func (m *Monitor) OnDelete(class string, obj vm.ObjectID, size int64) {
 // table leaves nameless is the class named "".
 func (m *Monitor) Feed(t *trace.Trace, e *trace.Event) {
 	if e.Kind == trace.KindGC {
-		m.gc(nil, e.Free, e.Capacity, e.Freed)
+		m.OnGC(e.Free, e.Capacity, e.Freed)
 		return
 	}
 	from, to := m.ends(m.binding(t), e)
 	m.inMu.Lock()
-	m.feed(&m.in, e, from, to)
+	m.feed(e, from, to)
 	m.inMu.Unlock()
 }
 
@@ -644,7 +615,9 @@ func (m *Monitor) Feed(t *trace.Trace, e *trace.Event) {
 // class table, decoded as Feed decodes a recording. The binding is looked
 // up once, first sightings are resolved before the ingest lock is taken
 // (they take createMu, which a flush holds around that lock), and the
-// whole batch then goes in under one acquisition.
+// whole batch then goes in under one acquisition. GC events in the slice
+// are skipped, so that a window of a recording can be passed as it is: a
+// collection reaches the monitor through OnGC.
 func (m *Monitor) OnEvents(t *trace.Trace, evs []trace.Event) {
 	b := m.binding(t)
 	for i := range evs {
@@ -655,7 +628,7 @@ func (m *Monitor) OnEvents(t *trace.Trace, evs []trace.Event) {
 	m.inMu.Lock()
 	for i := range evs {
 		from, to := m.ends(b, &evs[i])
-		m.feed(&m.in, &evs[i], from, to)
+		m.feed(&evs[i], from, to)
 	}
 	m.inMu.Unlock()
 }
@@ -664,9 +637,12 @@ func (m *Monitor) OnEvents(t *trace.Trace, evs []trace.Event) {
 // first sightings in the order NodeIDs follow: an invocation's callee
 // before its caller, an access's source before its target. from is noNode
 // for an invocation whose Caller is outside the class table (no caller)
-// and for a creation or deletion.
+// and for a creation or deletion; both are for a GC event, which names no
+// class.
 func (m *Monitor) ends(b *traceBinding, e *trace.Event) (from, to graph.NodeID) {
 	switch e.Kind {
+	case trace.KindGC:
+		return noNode, noNode
 	case trace.KindInvoke:
 		to, from = m.bound(b, e.Callee), noNode
 		if e.Caller >= 0 && int(e.Caller) < len(b.t.Classes) {
@@ -681,29 +657,30 @@ func (m *Monitor) ends(b *traceBinding, e *trace.Event) (from, to graph.NodeID) 
 	return from, to
 }
 
-// feed accumulates one non-GC trace event, its classes resolved by ends,
-// into d: a Batch's delta, or the ingest delta under inMu.
-func (m *Monitor) feed(d *delta, e *trace.Event, from, to graph.NodeID) {
+// feed accumulates one trace event, its classes resolved by ends, into the
+// ingest delta; a GC event adds nothing. Caller holds inMu.
+func (m *Monitor) feed(e *trace.Event, from, to graph.NodeID) {
 	switch e.Kind {
 	case trace.KindInvoke:
-		m.invoke(d, from, to, vm.ObjectID(e.Obj), e.Bytes, e.SelfTime, e.Native, e.Stateless)
+		m.invoke(from, to, vm.ObjectID(e.Obj), e.Bytes, e.SelfTime, e.Native, e.Stateless)
 	case trace.KindAccess:
-		m.access(d, from, to, vm.ObjectID(e.Obj), e.Bytes)
+		m.access(from, to, vm.ObjectID(e.Obj), e.Bytes)
 	case trace.KindCreate, trace.KindDelete:
-		m.lifecycle(d, e.Kind, to, vm.ObjectID(e.Obj), e.Bytes)
+		m.lifecycle(e.Kind, to, vm.ObjectID(e.Obj), e.Bytes)
 	}
 }
 
 // invoke accounts one invocation of callee from class from (noNode: no
-// caller) into d: self time to the callee, the interaction to the pair.
-func (m *Monitor) invoke(d *delta, from, callee graph.NodeID, obj vm.ObjectID, bytes int64, selfTime time.Duration, native, stateless bool) {
+// caller) into the ingest delta: self time to the callee, the interaction
+// to the pair. Caller holds inMu, as for access and lifecycle.
+func (m *Monitor) invoke(from, callee graph.NodeID, obj vm.ObjectID, bytes int64, selfTime time.Duration, native, stateless bool) {
 	if from == noNode || from == callee {
-		d.addNode(callee, 0, 0, 0, selfTime, trace.KindInvoke)
+		m.in.addNode(callee, 0, 0, 0, selfTime, trace.KindInvoke)
 	} else {
 		if selfTime != 0 {
-			d.addNode(callee, 0, 0, 0, selfTime, 0) // counted with the edge
+			m.in.addNode(callee, 0, 0, 0, selfTime, 0) // counted with the edge
 		}
-		d.addEdge(from, callee, 1, 0, bytes, trace.KindInvoke)
+		m.in.addEdge(from, callee, 1, 0, bytes, trace.KindInvoke)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) {
@@ -713,11 +690,11 @@ func (m *Monitor) invoke(d *delta, from, callee graph.NodeID, obj vm.ObjectID, b
 }
 
 // access accounts one data-field access to class to from class from.
-func (m *Monitor) access(d *delta, from, to graph.NodeID, obj vm.ObjectID, bytes int64) {
+func (m *Monitor) access(from, to graph.NodeID, obj vm.ObjectID, bytes int64) {
 	if from == noNode || from == to {
-		d.addNode(to, 0, 0, 0, 0, trace.KindAccess)
+		m.in.addNode(to, 0, 0, 0, 0, trace.KindAccess)
 	} else {
-		d.addEdge(from, to, 0, 1, bytes, trace.KindAccess)
+		m.in.addEdge(from, to, 0, 1, bytes, trace.KindAccess)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) { r.access(m.className(from), m.className(to), obj, bytes) })
@@ -726,63 +703,23 @@ func (m *Monitor) access(d *delta, from, to graph.NodeID, obj vm.ObjectID, bytes
 
 // lifecycle accounts the creation (k KindCreate) or deletion (KindDelete)
 // of one object of the class.
-func (m *Monitor) lifecycle(d *delta, k trace.EventKind, id graph.NodeID, obj vm.ObjectID, size int64) {
+func (m *Monitor) lifecycle(k trace.EventKind, id graph.NodeID, obj vm.ObjectID, size int64) {
 	if k == trace.KindCreate {
-		d.addNode(id, size, 1, 1, 0, k)
+		m.in.addNode(id, size, 1, 1, 0, k)
 	} else {
-		d.addNode(id, -size, -1, 0, 0, k)
+		m.in.addNode(id, -size, -1, 0, 0, k)
 	}
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) { r.lifecycle(k, m.className(id), obj, size) })
 	}
 }
 
-// Batch is a single-owner event buffer, the one type of this package that
-// is not safe for concurrent use. Feed decodes events exactly as
-// Monitor.Feed does (same class binding, so NodeIDs follow first sight;
-// same recorder mirror) into one local delta with no lock; Flush merges
-// it, with the ingest delta, under one acquisition of the monitor's lock.
-// Buffered events are invisible to Graph, Delta, Live, Events and Counts
-// until Flush; a GC event flushes, counting itself in the clock, before
-// the listeners run. Feed and the other event paths on the same monitor
-// stay safe.
-type Batch struct {
-	m *Monitor
-	d delta
-}
-
-// Batch returns an empty batch feeding m.
-func (m *Monitor) Batch() *Batch {
-	return &Batch{m: m, d: delta{edges: make(map[uint64]*edgeDelta)}}
-}
-
-// Feed buffers one trace event; see Monitor.Feed.
-func (b *Batch) Feed(t *trace.Trace, e *trace.Event) {
-	if e.Kind == trace.KindGC {
-		b.m.gc(&b.d, e.Free, e.Capacity, e.Freed)
-		return
-	}
-	from, to := b.m.ends(b.m.binding(t), e)
-	b.m.feed(&b.d, e, from, to)
-}
-
-// Flush merges the buffered events, and the ingest delta, into the
-// monitor's base graph.
-func (b *Batch) Flush() { b.m.flush(&b.d) }
-
-// OnGC implements vm.Hooks.
-func (m *Monitor) OnGC(free, capacity int64, freed bool) { m.gc(nil, free, capacity, freed) }
-
-// gc counts one collection report and hands it to the listeners. A Batch
-// feeding it (d non-nil) flushes in between, so the clock covers the
-// report and the listeners see every event before it.
-func (m *Monitor) gc(d *delta, free, capacity int64, freed bool) {
+// OnGC implements vm.Hooks: it counts one collection report and hands it
+// to the listeners.
+func (m *Monitor) OnGC(free, capacity int64, freed bool) {
 	m.gcs.Add(1)
 	if m.recOn.Load() {
 		m.record(func(r *Recorder) { r.gc(free, capacity, freed) })
-	}
-	if d != nil {
-		m.flush(d)
 	}
 	if ls := m.listeners.Load(); ls != nil {
 		for _, f := range *ls {

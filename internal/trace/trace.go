@@ -130,47 +130,75 @@ type Trace struct {
 }
 
 // Validate checks internal consistency: class references in range, sizes
-// non-negative, deletes matching live creates.
+// non-negative, deletes matching live creates. It applies CheckEvent and
+// CheckLive to every event in order, keeping the live set itself; a replay
+// applies the same two rules to each event it consumes.
 func (t *Trace) Validate() error {
-	n := ClassID(len(t.Classes))
 	live := make(map[ObjectID]ClassID)
 	for i := range t.Events {
-		e := &t.Events[i]
-		switch e.Kind {
-		case KindInvoke, KindAccess:
-			if e.Caller < 0 || e.Caller >= n || e.Callee < 0 || e.Callee >= n {
-				return fmt.Errorf("trace: event %d (%s) references class out of range", i, e.Kind)
-			}
-			if e.Bytes < 0 {
-				return fmt.Errorf("trace: event %d has negative bytes", i)
-			}
+		if err := t.CheckEvent(i); err != nil {
+			return err
+		}
+		switch e := &t.Events[i]; e.Kind {
 		case KindCreate:
-			if e.Callee < 0 || e.Callee >= n {
-				return fmt.Errorf("trace: event %d creates class out of range", i)
-			}
-			if e.Bytes < 0 {
-				return fmt.Errorf("trace: event %d creates negative size", i)
-			}
-			if _, ok := live[e.Obj]; ok {
-				return fmt.Errorf("trace: event %d re-creates live object %d", i, e.Obj)
+			_, ok := live[e.Obj]
+			if err := t.CheckLive(i, 0, ok); err != nil {
+				return err
 			}
 			live[e.Obj] = e.Callee
 		case KindDelete:
 			cls, ok := live[e.Obj]
-			if !ok {
-				return fmt.Errorf("trace: event %d deletes unknown object %d", i, e.Obj)
-			}
-			if cls != e.Callee {
-				return fmt.Errorf("trace: event %d deletes object %d with class %d, created as %d", i, e.Obj, e.Callee, cls)
+			if err := t.CheckLive(i, cls, ok); err != nil {
+				return err
 			}
 			delete(live, e.Obj)
-		case KindGC:
-			if e.Capacity < 0 || e.Free < 0 {
-				return fmt.Errorf("trace: event %d has negative GC figures", i)
-			}
-		default:
-			return fmt.Errorf("trace: event %d has unknown kind %d", i, e.Kind)
 		}
+	}
+	return nil
+}
+
+// CheckEvent applies to event i the rules that need no other event: class
+// references in range, sizes and GC figures non-negative, a known kind.
+func (t *Trace) CheckEvent(i int) error {
+	n := uint32(len(t.Classes))
+	e := &t.Events[i]
+	switch e.Kind {
+	case KindInvoke, KindAccess:
+		if uint32(e.Caller) >= n || uint32(e.Callee) >= n {
+			return fmt.Errorf("trace: event %d (%s) references class out of range", i, e.Kind)
+		}
+		if e.Bytes < 0 {
+			return fmt.Errorf("trace: event %d has negative bytes", i)
+		}
+	case KindCreate:
+		if uint32(e.Callee) >= n {
+			return fmt.Errorf("trace: event %d creates class out of range", i)
+		}
+		if e.Bytes < 0 {
+			return fmt.Errorf("trace: event %d creates negative size", i)
+		}
+	case KindDelete:
+	case KindGC:
+		if e.Capacity < 0 || e.Free < 0 {
+			return fmt.Errorf("trace: event %d has negative GC figures", i)
+		}
+	default:
+		return fmt.Errorf("trace: event %d has unknown kind %d", i, e.Kind)
+	}
+	return nil
+}
+
+// CheckLive applies to create or delete event i the rules that need the
+// live set: live reports whether the event's object is live before it, and
+// created is the class it was created as when it is.
+func (t *Trace) CheckLive(i int, created ClassID, live bool) error {
+	switch e := &t.Events[i]; {
+	case e.Kind == KindCreate && live:
+		return fmt.Errorf("trace: event %d re-creates live object %d", i, e.Obj)
+	case e.Kind == KindDelete && !live:
+		return fmt.Errorf("trace: event %d deletes unknown object %d", i, e.Obj)
+	case e.Kind == KindDelete && created != e.Callee:
+		return fmt.Errorf("trace: event %d deletes object %d with class %d, created as %d", i, e.Obj, e.Callee, created)
 	}
 	return nil
 }
