@@ -412,7 +412,8 @@ func (g *Graph) TotalCPU() time.Duration {
 // Clone returns a deep copy of the graph. Partitioning runs against a clone
 // so that monitoring can continue concurrently. The clone starts a fresh
 // delta lineage: everything is dirty and its epoch is zero, so a first
-// Delta pull sees the full content.
+// Delta pull sees the full content. Nodes and edges are copied into one
+// slab each, not one allocation apiece.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		nodes:      make([]*Node, len(g.nodes)),
@@ -424,15 +425,17 @@ func (g *Graph) Clone() *Graph {
 		clock:      g.clock,
 		base:       g.base,
 	}
+	nodes := make([]Node, len(g.nodes))
 	for i, n := range g.nodes {
-		cp := *n
-		c.nodes[i] = &cp
+		nodes[i] = *n
+		c.nodes[i] = &nodes[i]
 		c.byName[n.Name] = n.ID
 		c.dirtyNodes[n.ID] = struct{}{}
 	}
+	edges := make([]Edge, 0, len(g.edges))
 	for k, e := range g.edges {
-		cp := *e
-		c.edges[k] = &cp
+		edges = append(edges, *e)
+		c.edges[k] = &edges[len(edges)-1]
 		c.dirtyEdges[k] = struct{}{}
 	}
 	return c

@@ -89,24 +89,41 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a clone and its source share nothing, whichever of
+// the two is mutated — a counter on an existing edge, a new edge, a
+// node's memory, a new node.
 func TestCloneIsDeep(t *testing.T) {
-	g := New()
-	a := g.Intern("A")
-	b := g.Intern("B")
-	g.AddInvocation(a.ID, b.ID, 10)
-	g.AddObject(a.ID, 100)
+	for _, mutateClone := range []bool{false, true} {
+		g := New()
+		a, b, c := g.Intern("A").ID, g.Intern("B").ID, g.Intern("C").ID
+		g.AddInvocation(a, b, 10)
+		g.AddObject(a, 100)
 
-	c := g.Clone()
-	g.AddInvocation(a.ID, b.ID, 90)
-	g.AddObject(a.ID, 900)
+		cl := g.Clone()
+		changed, kept := g, cl
+		if mutateClone {
+			changed, kept = cl, g
+		}
+		changed.AddInvocation(a, b, 90)
+		changed.AddInvocation(a, c, 5)
+		changed.AddObject(a, 900)
+		changed.Intern("D")
 
-	cn, _ := c.Lookup("A")
-	if cn.Memory != 100 {
-		t.Fatalf("clone node mutated: %d", cn.Memory)
-	}
-	ce := c.Edge(a.ID, b.ID)
-	if ce.Bytes != 10 {
-		t.Fatalf("clone edge mutated: %d", ce.Bytes)
+		if e := changed.Edge(a, b); e.Bytes != 100 || e.Invocations != 2 {
+			t.Fatalf("mutateClone=%t: mutated edge = %d B, %d calls", mutateClone, e.Bytes, e.Invocations)
+		}
+		if n := kept.Node(a); n.Memory != 100 || n.LiveObjects != 1 {
+			t.Fatalf("mutateClone=%t: other node mutated: %d B, %d live", mutateClone, n.Memory, n.LiveObjects)
+		}
+		if e := kept.Edge(a, b); e.Bytes != 10 || e.Invocations != 1 {
+			t.Fatalf("mutateClone=%t: other edge mutated: %d B, %d calls", mutateClone, e.Bytes, e.Invocations)
+		}
+		if kept.Edge(a, c) != nil || kept.EdgeCount() != 1 {
+			t.Fatalf("mutateClone=%t: new edge leaked across the clone", mutateClone)
+		}
+		if _, ok := kept.Lookup("D"); ok || kept.Len() != 3 {
+			t.Fatalf("mutateClone=%t: new node leaked across the clone", mutateClone)
+		}
 	}
 }
 

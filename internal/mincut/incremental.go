@@ -6,14 +6,14 @@ import (
 
 // Incremental maintains a dense partitioning input across graph deltas
 // and re-derives candidate partitionings in O(changed edges) instead of
-// O(N²): the weight matrix persists between repartitions and only cells
-// named by the delta are rewritten, and the heuristic warm-starts from
-// the previously committed partition with local refinement around dirty
-// vertices. When the dirty fraction exceeds Threshold — or there is no
-// committed partition to refine — it falls back to the full modified
-// MINCUT pass over the maintained matrix, which is equivalent by
-// construction to a from-scratch run (the matrix is kept byte-equal to a
-// fresh fillFromGraph).
+// a full pass: the weight matrix persists between repartitions and only
+// cells named by the delta are rewritten, and the heuristic warm-starts
+// from the previously committed partition with local refinement around
+// dirty vertices. When the dirty fraction exceeds Threshold — or there
+// is no committed partition to refine — it falls back to the full
+// modified MINCUT pass over the maintained matrix, which is equivalent
+// by construction to a from-scratch run (the matrix is kept byte-equal
+// to a fresh Scratch.FromGraph).
 //
 // The intended loop is single-consumer, mirroring graph.Delta's lineage
 // contract:
@@ -186,8 +186,8 @@ func (inc *Incremental) threshold() float64 {
 // Candidates derives candidate partitionings from the maintained input.
 // With a committed partition and a dirty fraction at or below Threshold
 // it refines locally around dirty vertices (O(dirty·N)); otherwise it
-// runs the full modified MINCUT pass (O(N²)), whose result is identical
-// to a from-scratch Candidates call on the same graph.
+// runs the full modified MINCUT pass (O(N²) to read the matrix), whose
+// result is identical to a from-scratch Candidates call on the same graph.
 func (inc *Incremental) Candidates() ([]Candidate, error) {
 	if inc.in.N == 0 {
 		return nil, ErrNoVertices
@@ -203,10 +203,8 @@ func (inc *Incremental) Candidates() ([]Candidate, error) {
 	}
 	if !inc.havePrev || inc.forceFull || frac > inc.threshold() {
 		inc.lastFull = true
-		if len(inc.conn) < inc.in.N {
-			inc.conn = make([]float64, inc.in.N)
-		}
-		cands, err := candidates(inc.in, inc.conn[:inc.in.N])
+		inc.tmp.fromDense(inc.in)
+		cands, err := candidates(inc.in, &inc.tmp, &inc.order)
 		if err == nil {
 			inc.forceFull = false
 		}

@@ -5,6 +5,9 @@
 // client partition with every class that cannot be offloaded (native
 // methods, static data) and then emits a family of approximate minimum-cut
 // candidate partitionings for the partitioning policy to evaluate.
+//
+// The heuristic walks the E nonzero edges, not the N×N matrix: a pass
+// costs O((N+E) log N) plus an N × count slab of memberships.
 package mincut
 
 import (
@@ -82,115 +85,184 @@ var ErrNoVertices = errors.New("mincut: graph has no vertices")
 // candidates and selects the one that best satisfies the overall policy,
 // which is not necessarily the one with the minimum interaction cost.
 //
-// If no vertex is pinned, vertex 0 seeds the client partition, matching the
+// If no vertex is pinned, the first candidate offloads everything, and the
+// vertex of greatest total weight seeds the client partition, as in the
 // original Stoer–Wagner minimum-cut-phase construction.
+//
+// Past Validate's O(N²), it costs O((N+E) log N) for E nonzero edges,
+// plus the N × count slab every candidate's InClient is a row of.
 func Candidates(in Input) ([]Candidate, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	return candidates(in, nil)
+	var adj adjacency
+	adj.fromDense(in)
+	return candidates(in, &adj, &order{})
 }
 
-// candidates is the heuristic core, shared by Candidates and
-// Scratch.Candidates. It assumes a validated input. conn is an optional
-// length-N scratch buffer for the connectivity array; nil allocates one.
-func candidates(in Input, conn []float64) ([]Candidate, error) {
-	if in.N == 0 {
+// adjacency holds an input's nonzero off-diagonal weights in compressed
+// rows: row v is arcs[start[v]:start[v+1]], ascending by neighbour.
+type adjacency struct {
+	start []int32
+	arcs  []arc
+}
+
+type arc struct {
+	to int32
+	w  float64
+}
+
+func (a *adjacency) row(v int) []arc { return a.arcs[a.start[v]:a.start[v+1]] }
+
+// fromDense derives a from in's rows in one O(N²) scan.
+func (a *adjacency) fromDense(in Input) {
+	a.start, a.arcs = append(a.start[:0], 0), a.arcs[:0]
+	for v, row := range in.Weight[:in.N] {
+		for u, w := range row {
+			if w != 0 && u != v {
+				a.arcs = append(a.arcs, arc{int32(u), w})
+			}
+		}
+		a.start = append(a.start, int32(len(a.arcs)))
+	}
+}
+
+// order is an indexed max-heap of offload-side vertices by (conn desc,
+// vertex asc): its root is what a dense `conn[v] > bestConn` scan picks.
+type order struct {
+	conn []float64
+	at   []int32 // vertices in heap order
+	pos  []int32 // pos[v] is v's index in at
+}
+
+func (h *order) above(i, j int) bool {
+	a, b := h.at[i], h.at[j]
+	return h.conn[a] > h.conn[b] || h.conn[a] == h.conn[b] && a < b
+}
+
+// sift moves slot i up past the parents it outranks (an insertion, a
+// raised conn), then down past the children that outrank it (a new root).
+func (h *order) sift(i int) {
+	for i > 0 && h.above(i, (i-1)/2) {
+		i = h.swap(i, (i-1)/2)
+	}
+	for c := 2*i + 1; c < len(h.at); c = 2*i + 1 {
+		if c+1 < len(h.at) && h.above(c+1, c) {
+			c++
+		}
+		if !h.above(c, i) {
+			return
+		}
+		i = h.swap(i, c)
+	}
+}
+
+// swap exchanges heap slots i and j and returns j.
+func (h *order) swap(i, j int) int {
+	h.at[i], h.at[j] = h.at[j], h.at[i]
+	h.pos[h.at[i]], h.pos[h.at[j]] = int32(i), int32(j)
+	return j
+}
+
+// candidates is the heuristic core of Candidates, Scratch.Candidates and
+// Incremental's full pass, over a validated input whose nonzero cells adj
+// lists. It adds a dense scan's nonzero terms in the scan's (ascending)
+// order, so every sum is bit-identical to the scan's: x + 0 is x.
+func candidates(in Input, adj *adjacency, h *order) ([]Candidate, error) {
+	n := in.N
+	if n == 0 {
 		return nil, ErrNoVertices
 	}
-
-	inClient := make([]bool, in.N)
-	clientN := 0
-	for v := 0; v < in.N; v++ {
-		if in.Pinned != nil && in.Pinned[v] {
-			inClient[v] = true
-			clientN++
+	pinned := 0
+	for _, p := range in.Pinned {
+		if p {
+			pinned++
 		}
 	}
-	var candidates []Candidate
-	if clientN == 0 {
+	count := max(n-max(pinned, 1), 1)
+	if pinned == 0 {
+		count++
+	}
+	slab := make([]bool, count*n)
+	row := func(k int) []bool { return slab[k*n : (k+1)*n : (k+1)*n] }
+	cands := make([]Candidate, 0, count)
+	cur, clientN := row(0), pinned
+	if pinned > 0 {
+		copy(cur, in.Pinned)
+	} else {
 		// Nothing is pinned: offloading everything is itself a valid
 		// partitioning (the whole application runs on the surrogate), and
 		// the maximum-adjacency ordering seeds from the best-connected
 		// vertex, as in the original Stoer–Wagner phase.
-		candidates = append(candidates, Candidate{
-			InClient:  make([]bool, in.N),
-			CutWeight: 0,
-			Offloaded: in.N,
-		})
+		cands = append(cands, Candidate{InClient: cur, Offloaded: n})
 		seed, best := 0, -1.0
-		for v := 0; v < in.N; v++ {
+		for v := 0; v < n; v++ {
 			var total float64
-			for u := 0; u < in.N; u++ {
-				if u != v {
-					total += in.Weight[v][u]
-				}
+			for _, a := range adj.row(v) {
+				total += a.w
 			}
 			if total > best {
 				seed, best = v, total
 			}
 		}
-		inClient[seed] = true
-		clientN = 1
+		cur, clientN = row(1), 1
+		cur[seed] = true
 	}
-	if clientN == in.N {
+	if clientN == n {
 		// Everything (that remains) is in the client partition: the only
 		// further candidate offloads nothing.
-		candidates = append(candidates, Candidate{InClient: cloneBools(inClient), Offloaded: 0})
-		return candidates, nil
+		return append(cands, Candidate{InClient: cur}), nil
 	}
 
 	// conn[v] = total weight between v and the current client partition.
-	if len(conn) != in.N {
-		conn = make([]float64, in.N)
-	} else {
-		for i := range conn {
-			conn[i] = 0
-		}
-	}
+	h.conn, h.pos, h.at = resize(h.conn, n), resize(h.pos, n), h.at[:0]
 	var cut float64
-	for v := 0; v < in.N; v++ {
-		if inClient[v] {
+	for v := 0; v < n; v++ {
+		if cur[v] {
 			continue
 		}
-		for u := 0; u < in.N; u++ {
-			if u != v && inClient[u] {
-				conn[v] += in.Weight[v][u]
+		for _, a := range adj.row(v) {
+			if cur[a.to] {
+				h.conn[v] += a.w
 			}
 		}
-		cut += conn[v]
+		cut += h.conn[v]
+		h.pos[v], h.at = int32(len(h.at)), append(h.at, int32(v))
+		h.sift(len(h.at) - 1)
 	}
+	cands = append(cands, Candidate{InClient: cur, CutWeight: cut, Offloaded: n - clientN})
 
-	record := func() {
-		candidates = append(candidates, Candidate{
-			InClient:  cloneBools(inClient),
-			CutWeight: cut,
-			Offloaded: in.N - clientN,
-		})
-	}
-	record() // offload everything that is not pinned
-
-	for in.N-clientN > 1 {
+	for n-clientN > 1 {
 		// Move the most-connected offload vertex into the client partition.
-		best, bestConn := -1, math.Inf(-1)
-		for v := 0; v < in.N; v++ {
-			if !inClient[v] && conn[v] > bestConn {
-				best, bestConn = v, conn[v]
-			}
-		}
-		inClient[best] = true
+		best := int(h.at[0])
+		last := h.swap(0, len(h.at)-1)
+		h.at = h.at[:last]
+		h.sift(0)
+		cur = append(row(len(cands))[:0], cur...)
+		cur[best] = true
 		clientN++
-		cut -= conn[best]
-		for v := 0; v < in.N; v++ {
-			if !inClient[v] && v != best {
-				w := in.Weight[v][best]
-				conn[v] += w
-				cut += w
+		cut -= h.conn[best]
+		for _, a := range adj.row(best) {
+			if !cur[a.to] {
+				h.conn[a.to] += a.w
+				cut += a.w
+				h.sift(int(h.pos[a.to]))
 			}
 		}
-		record()
+		cands = append(cands, Candidate{InClient: cur, CutWeight: cut, Offloaded: n - clientN})
 	}
-	return candidates, nil
+	return cands, nil
+}
+
+// resize returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // GlobalMinCut computes the exact global minimum cut of the weighted graph

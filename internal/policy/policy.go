@@ -87,11 +87,11 @@ func evaluate(g *graph.Graph, c mincut.Candidate) Decision {
 }
 
 // MemoryPolicy selects a partitioning that relieves a memory constraint:
-// any acceptable partitioning must free at least MinFreeFraction of the
-// Java heap, and among acceptable candidates the one minimizing the cost
-// function (historical bytes transferred across the cut) wins. Conceptually
-// this offloads a sufficient amount of information while placing the
-// smallest demand on network bandwidth (paper §3.3).
+// any acceptable partitioning must free memory, at least MinFreeFraction
+// of the Java heap, and among acceptable candidates the one minimizing
+// the cost function (historical bytes transferred across the cut) wins.
+// Conceptually this offloads a sufficient amount of information while
+// placing the smallest demand on network bandwidth (paper §3.3).
 type MemoryPolicy struct {
 	// MinFreeFraction is the minimum fraction of the heap capacity that an
 	// acceptable partitioning must free (paper §5.1 uses 0.20).
@@ -141,19 +141,21 @@ func (p MemoryPolicy) ChooseDense(mem []int64, heapCapacity int64, cands []mincu
 	var best Decision
 	found := false
 	for _, c := range cands {
+		// Sum bytes only for a candidate that can win; even the hard-
+		// pressure retry (need 0) must free memory.
+		if c.Offloaded == 0 || found && !(c.CutWeight < best.CutWeight) {
+			continue
+		}
 		d := Decision{InClient: c.InClient, CutWeight: c.CutWeight, OffloadClasses: c.Offloaded}
 		for v, m := range mem {
 			if v < len(c.InClient) && !c.InClient[v] {
 				d.OffloadBytes += m
 			}
 		}
-		if d.OffloadBytes < need || d.OffloadClasses == 0 {
+		if d.OffloadBytes < need || d.OffloadBytes <= 0 {
 			continue
 		}
-		if !found || d.CutWeight < best.CutWeight {
-			best = d
-			found = true
-		}
+		best, found = d, true
 	}
 	if !found {
 		p.Rejected.Inc()

@@ -101,6 +101,32 @@ func TestMemoryPolicyInfeasible(t *testing.T) {
 	}
 }
 
+// TestHardPressureFallbackFreesMemory: the hard-pressure retry runs at
+// MinFreeFraction 0, which must still accept only an offload that frees
+// memory. Here the cheapest cut offloads a class with no objects; the
+// policy must pick the dearer cut that frees the document's 50,000 B.
+func TestHardPressureFallbackFreesMemory(t *testing.T) {
+	g := graph.New()
+	ui := g.Intern("ui")
+	ui.Pinned = true
+	helper := g.Intern("helper")
+	doc := g.Intern("doc")
+	g.AddObject(ui.ID, 1000)
+	g.AddObject(doc.ID, 50000)
+	g.AddInvocation(ui.ID, helper.ID, 10)
+	g.AddInvocation(ui.ID, doc.ID, 5000)
+
+	mp := MemoryPolicy{MinFreeFraction: 0}
+	d, err := mp.Choose(g, 64<<10, candidatesOf(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.OffloadBytes != 50000 || d.OffloadClasses != 2 || d.CutWeight != 5010 {
+		t.Fatalf("decision frees %d B in %d classes at cut %v, want 50000 B in 2 classes at 5010",
+			d.OffloadBytes, d.OffloadClasses, d.CutWeight)
+	}
+}
+
 func TestMemoryPolicyRejectsBadHeap(t *testing.T) {
 	g := twoClusterGraph()
 	mp := MemoryPolicy{MinFreeFraction: 0.2}
