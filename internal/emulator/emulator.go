@@ -125,7 +125,8 @@ type Config struct {
 	Heuristic Heuristic
 
 	// KLRefine applies a Kernighan–Lin improvement pass to the chosen
-	// partitioning before it is applied (ablation).
+	// partitioning (ablation). The refined placement is applied only if
+	// the policy that chose the original accepts it on its own.
 	KLRefine bool
 }
 
@@ -619,15 +620,21 @@ func (e *emulation) partition(idx int, forced bool) {
 		return
 	}
 
+	// choose is the policy call the decision came from; the KL pass puts
+	// its refined placement through it again.
+	var choose func(cands []mincut.Candidate) (policy.Decision, error)
 	var dec policy.Decision
 	switch e.cfg.Mode {
 	case MemoryMode:
 		mp := policy.MemoryPolicy{MinFreeFraction: e.cfg.Params.MinFreeFraction}
-		dec, err = mp.Choose(g, e.cfg.HeapCapacity, cands)
+		choose = func(cands []mincut.Candidate) (policy.Decision, error) {
+			return mp.Choose(g, e.cfg.HeapCapacity, cands)
+		}
+		dec, err = choose(cands)
 		if err != nil && forced {
 			// Hard pressure: accept any partitioning that frees memory.
 			mp.MinFreeFraction = 0
-			dec, err = mp.Choose(g, e.cfg.HeapCapacity, cands)
+			dec, err = choose(cands)
 		}
 	case CPUMode:
 		minCPU := e.cfg.MinOffloadCPUFraction
@@ -642,11 +649,12 @@ func (e *emulation) partition(idx int, forced bool) {
 			ArrayGranularity:     e.cfg.ArrayGranularity,
 			MinCPUFraction:       minCPU,
 		}
+		pick := cp.Choose
 		if e.cfg.ForceCPUOffload {
-			dec, err = cp.ChooseBest(g, cands)
-		} else {
-			dec, err = cp.Choose(g, cands)
+			pick = cp.ChooseBest
 		}
+		choose = func(cands []mincut.Candidate) (policy.Decision, error) { return pick(g, cands) }
+		dec, err = choose(cands)
 	}
 	if err != nil {
 		e.res.Partitions = append(e.res.Partitions, PartitionRecord{
@@ -656,10 +664,14 @@ func (e *emulation) partition(idx int, forced bool) {
 		return
 	}
 	if e.cfg.KLRefine {
-		refined, cutW, rerr := e.mc.RefineKL(in, dec.InClient)
-		if rerr == nil {
-			dec.InClient = refined
-			dec.CutWeight = cutW
+		// The refined placement replaces the decision only if the policy
+		// accepts it, and then as the policy evaluates it. A KL swap
+		// trades one class for another, so the offloaded count holds.
+		if refined, cutW, rerr := e.mc.RefineKL(in, dec.InClient); rerr == nil {
+			kl := mincut.Candidate{InClient: refined, CutWeight: cutW, Offloaded: dec.OffloadClasses}
+			if d, kerr := choose([]mincut.Candidate{kl}); kerr == nil {
+				dec = d
+			}
 		}
 	}
 	e.apply(g, dec, idx)

@@ -11,9 +11,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aide/internal/graph"
 	"aide/internal/monitor"
+	"aide/internal/vm"
 )
 
 func approx(t *testing.T, name string, got, want, tol float64) {
@@ -158,15 +160,22 @@ func TestGoldenFigure10(t *testing.T) {
 	}
 }
 
-// TestGoldenDecayDeterminism pins the streaming-decay contract alongside
-// the engine's order-preservation gate above: the same event multiset fed
-// serially and from 8 round-robin concurrent sources, flushed once, must
-// produce bit-identical decayed edge weights — integer deltas commute and
-// every event in a flush window decays from the same event-time stamp, so
-// ingestion interleaving can never leak into the partitioner's input.
-func TestGoldenDecayDeterminism(t *testing.T) {
-	feed := func(sources int) *graph.Graph {
-		m := monitor.New(nil, monitor.WithDecay(5000))
+// TestGoldenConcurrentIngestDeterminism pins the monitor's ingest
+// alongside the engine's order-preservation gate above: the same event
+// multiset fed serially and from 8 round-robin concurrent sources, flushed
+// once, must leave identical integer books — invocations, accesses and
+// bytes on every edge, memory, objects and CPU time on every class, and the
+// event counts — because integer deltas commute, so ingestion interleaving
+// can never leak into the partitioner's input. Peak memory is left out:
+// it follows the order creations and deletions interleave in.
+func TestGoldenConcurrentIngestDeterminism(t *testing.T) {
+	type books struct {
+		edges  map[[2]string][3]int64
+		nodes  map[string][4]int64
+		counts [5]int64
+	}
+	feed := func(sources int) books {
+		m := monitor.New(nil)
 		var wg sync.WaitGroup
 		for s := 0; s < sources; s++ {
 			wg.Add(1)
@@ -175,42 +184,52 @@ func TestGoldenDecayDeterminism(t *testing.T) {
 				for i := s; i < 40000; i += sources {
 					a := fmt.Sprintf("C%02d", i%37)
 					b := fmt.Sprintf("C%02d", (i*11+3)%37)
-					if i%3 == 0 {
-						m.OnInvoke(a, b, "m", 0, int64(i%512), 32, 0, false, false)
-					} else {
+					switch i % 4 {
+					case 0:
+						m.OnInvoke(a, b, "m", 0, int64(i%512), 32, time.Duration(i%97), false, false)
+					case 1:
+						m.OnCreate(b, vm.ObjectID(i), int64(i%300))
+					case 2:
+						m.OnDelete(a, vm.ObjectID(i), int64(i%200))
+					default:
 						m.OnAccess(a, b, 0, int64(i%256))
 					}
 				}
 			}(s)
 		}
 		wg.Wait()
-		return m.Live() // single flush: one decay window for all events
-	}
-
-	serial, parallel := feed(1), feed(8)
-	if serial.Clock() != parallel.Clock() {
-		t.Fatalf("clock diverges: %v vs %v", serial.Clock(), parallel.Clock())
-	}
-	// NodeIDs differ under concurrent interning; compare by name pair.
-	type pair struct{ a, b string }
-	index := func(g *graph.Graph) map[pair]float64 {
-		out := map[pair]float64{}
+		g := m.Live() // single flush
+		out := books{edges: map[[2]string][3]int64{}, nodes: map[string][4]int64{}}
+		out.counts[0], out.counts[1], out.counts[2], out.counts[3], out.counts[4] = m.Counts()
 		g.EdgesFunc(func(e *graph.Edge) {
 			a, b := g.Node(e.A).Name, g.Node(e.B).Name
 			if a > b {
 				a, b = b, a
 			}
-			out[pair{a, b}] = e.Hot
+			out.edges[[2]string{a, b}] = [3]int64{e.Invocations, e.Accesses, e.Bytes}
 		})
+		for _, n := range g.Nodes() {
+			out.nodes[n.Name] = [4]int64{n.Memory, n.LiveObjects, n.TotalObjects, int64(n.CPUTime)}
+		}
 		return out
 	}
-	si, pi := index(serial), index(parallel)
-	if len(si) != len(pi) {
-		t.Fatalf("edge sets differ: %d vs %d", len(si), len(pi))
+
+	serial, parallel := feed(1), feed(8)
+	if serial.counts != parallel.counts {
+		t.Fatalf("counts diverge: %v vs %v", serial.counts, parallel.counts)
 	}
-	for k, hot := range si {
-		if got, ok := pi[k]; !ok || got != hot {
-			t.Fatalf("edge %v: serial Hot %v, parallel Hot %v (ok=%t) — decay must be bit-identical", k, hot, got, ok)
+	// NodeIDs differ under concurrent interning; compare by name.
+	if len(serial.edges) != len(parallel.edges) || len(serial.nodes) != len(parallel.nodes) {
+		t.Fatalf("graph shapes differ: %d/%d edges, %d/%d classes", len(serial.edges), len(parallel.edges), len(serial.nodes), len(parallel.nodes))
+	}
+	for k, w := range serial.edges {
+		if got, ok := parallel.edges[k]; !ok || got != w {
+			t.Fatalf("edge %v: serial %v, parallel %v (ok=%t)", k, w, got, ok)
+		}
+	}
+	for k, w := range serial.nodes {
+		if got := parallel.nodes[k]; got != w {
+			t.Fatalf("class %s: serial %v, parallel %v", k, w, got)
 		}
 	}
 }

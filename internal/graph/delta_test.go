@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -102,75 +101,6 @@ func TestAddNodeDeltaPeakSemantics(t *testing.T) {
 	}
 }
 
-// TestDecayHalves pins the decay semantics: after one half-life of
-// event-time, an edge's absolute score halves; relative order between a
-// stale and a fresh edge flips once the stale one ages.
-func TestDecayHalves(t *testing.T) {
-	g := New()
-	g.SetDecay(100)
-	a, b, c := g.Intern("a"), g.Intern("b"), g.Intern("c")
-
-	g.AddInvocation(a.ID, b.ID, 1000) // at t=0
-	e := g.Edge(a.ID, b.ID)
-	if got := g.HotAt(e, 0); math.Abs(got-1000) > 1e-9 {
-		t.Fatalf("hot@0 = %v", got)
-	}
-	if got := g.HotAt(e, 100); math.Abs(got-500) > 1e-9 {
-		t.Fatalf("hot@half-life = %v", got)
-	}
-
-	// 400 events later a 200-byte edge outweighs the stale 1000-byte one.
-	g.AdvanceClock(400)
-	g.AddInvocation(a.ID, c.ID, 200)
-	f := g.Edge(a.ID, c.ID)
-	if HotWeight(f) <= HotWeight(e) {
-		t.Fatalf("fresh edge must outweigh stale: fresh=%v stale=%v", f.Hot, e.Hot)
-	}
-	// Absolute readings agree with the closed form.
-	if got, want := g.HotAt(e, 400), 1000*math.Exp2(-4); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("stale hot@400 = %v want %v", got, want)
-	}
-	if got := g.HotAt(f, 400); math.Abs(got-200) > 1e-9 {
-		t.Fatalf("fresh hot@400 = %v", got)
-	}
-}
-
-// TestDecayDisabledTracksBytes: with no half-life, Hot is exactly Bytes,
-// so HotWeight degrades to BytesWeight.
-func TestDecayDisabledTracksBytes(t *testing.T) {
-	g := New()
-	a, b := g.Intern("a"), g.Intern("b")
-	g.AddInvocation(a.ID, b.ID, 123)
-	g.AddAccess(a.ID, b.ID, 77)
-	e := g.Edge(a.ID, b.ID)
-	if e.Hot != 200 || HotWeight(e) != BytesWeight(e) {
-		t.Fatalf("hot = %v bytes = %d", e.Hot, e.Bytes)
-	}
-}
-
-// TestDecayRebase drives the clock past the rebase horizon and checks
-// that relative weights survive and everything lands in the next delta.
-func TestDecayRebase(t *testing.T) {
-	g := New()
-	g.SetDecay(1)
-	a, b, c := g.Intern("a"), g.Intern("b"), g.Intern("c")
-	g.AddInvocation(a.ID, b.ID, 100)
-	g.AdvanceClock(2)
-	g.AddInvocation(a.ID, c.ID, 100) // 2 half-lives fresher: 4x the weight
-	g.Delta(0)                       // drain
-
-	ratio := g.Edge(a.ID, c.ID).Hot / g.Edge(a.ID, b.ID).Hot
-	g.AdvanceClock(600) // past rebaseExp=512 → rebase fires
-	d := g.Delta(1)
-	if len(d.Edges) != 2 {
-		t.Fatalf("rebase must dirty every edge, got %d", len(d.Edges))
-	}
-	got := g.Edge(a.ID, c.ID).Hot / g.Edge(a.ID, b.ID).Hot
-	if math.Abs(got-ratio) > 1e-9*ratio {
-		t.Fatalf("rebase changed relative weights: %v vs %v", got, ratio)
-	}
-}
-
 // TestEdgesCaching: repeated Edges calls return the same slice until a
 // new class pair interacts; counter updates alone do not invalidate.
 func TestEdgesCaching(t *testing.T) {
@@ -197,21 +127,16 @@ func TestEdgesCaching(t *testing.T) {
 }
 
 // TestCloneStartsFreshLineage: a clone's first delta pull must carry the
-// whole graph, and decay state must survive the copy.
+// whole graph.
 func TestCloneStartsFreshLineage(t *testing.T) {
 	g := New()
-	g.SetDecay(50)
 	a, b := g.Intern("a"), g.Intern("b")
 	g.AddInvocation(a.ID, b.ID, 10)
-	g.AdvanceClock(25)
 	g.Delta(0) // drain the original
 
 	c := g.Clone()
 	d := c.Delta(0)
 	if len(d.Nodes) != 2 || len(d.Edges) != 1 {
 		t.Fatalf("clone first delta = nodes%d edges%d", len(d.Nodes), len(d.Edges))
-	}
-	if c.HalfLife() != 50 || c.Clock() != 25 {
-		t.Fatalf("decay state lost: hl=%v clock=%v", c.HalfLife(), c.Clock())
 	}
 }

@@ -12,7 +12,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -77,16 +76,6 @@ type Edge struct {
 	// of the two classes, as represented by the parameters and return
 	// values used in inter-class interactions.
 	Bytes int64
-
-	// Hot is the edge's streaming-decay interaction score: bytes
-	// transferred, exponentially decayed on the graph's event-time clock
-	// (SetDecay). The stored value is *scale-free* — it is the decayed
-	// score divided by a global decay factor shared by every edge — so
-	// relative comparisons (and therefore minimum cuts) are exact without
-	// ever rewriting untouched edges. Use Graph.HotAt for an absolute
-	// reading; use HotWeight as the partitioning weight. With decay
-	// disabled Hot equals float64(Bytes).
-	Hot float64
 }
 
 // Interactions returns the combined interaction-event count for the edge.
@@ -120,16 +109,6 @@ type Graph struct {
 	dirtyNodes map[NodeID]struct{}
 	dirtyEdges map[EdgeKey]struct{}
 	epoch      int64
-
-	// Streaming decay state (SetDecay): halfLife in event-time units,
-	// clock the current event time, base the event-time origin of the
-	// scale-free Hot values. Contributions at event time t are stored as
-	// w·2^((t−base)/halfLife); the absolute decayed score at time T is
-	// Hot·2^((base−T)/halfLife). When the exponent drifts too far the
-	// graph rebases, rescaling every edge (rare, amortized O(1)).
-	halfLife float64
-	clock    float64
-	base     float64
 }
 
 // New returns an empty execution graph.
@@ -261,9 +240,9 @@ func (g *Graph) AddAccess(a, b NodeID, bytes int64) {
 
 // AddEdgeDelta merges a batch of interactions between classes a and b in
 // one step: inv invocations and acc accesses transferring bytes in total.
-// The monitor drains its ingest and batch deltas through this entry
-// point, paying the edge lookup, dirty marking, and decay arithmetic once
-// per touched edge per flush instead of once per event.
+// The monitor drains its ingest delta through this entry point, paying
+// the edge lookup and dirty marking once per touched edge per flush
+// instead of once per event.
 func (g *Graph) AddEdgeDelta(a, b NodeID, inv, acc, bytes int64) {
 	if a == b || (inv == 0 && acc == 0 && bytes == 0) {
 		return
@@ -272,7 +251,6 @@ func (g *Graph) AddEdgeDelta(a, b NodeID, inv, acc, bytes int64) {
 	e.Invocations += inv
 	e.Accesses += acc
 	e.Bytes += bytes
-	e.Hot += float64(bytes) * g.scale()
 }
 
 // AddObject records the creation of an object of the class with the given
@@ -319,77 +297,6 @@ func (g *Graph) AddCPU(id NodeID, d time.Duration) {
 	g.dirtyNodes[id] = struct{}{}
 }
 
-// rebaseExp is the scale exponent (in half-lives) beyond which the graph
-// rebases its Hot values. 2^512 is far inside float64 range (max ~2^1023),
-// leaving headroom for per-edge accumulation on top of the scale.
-const rebaseExp = 512
-
-// SetDecay enables streaming exponential decay of edge Hot scores with
-// the given half-life, measured in event-time units (AdvanceClock).
-// Configure it before recording interactions; a half-life of 0 disables
-// decay, making Hot track Bytes exactly. Decay is applied lazily and
-// scale-free: recording and reading both stay O(1) per edge, and a
-// repartition over HotWeight never needs untouched edges rewritten.
-func (g *Graph) SetDecay(halfLife float64) {
-	if halfLife < 0 || math.IsNaN(halfLife) || math.IsInf(halfLife, 0) {
-		halfLife = 0
-	}
-	g.halfLife = halfLife
-}
-
-// HalfLife returns the configured decay half-life (0 = decay disabled).
-func (g *Graph) HalfLife() float64 { return g.halfLife }
-
-// AdvanceClock moves the graph's event-time clock forward to now.
-// Event-time is any monotonic, caller-defined measure (the monitor uses
-// its consumed-event count), which keeps decay deterministic under
-// replay. Moving backwards is ignored.
-func (g *Graph) AdvanceClock(now float64) {
-	if now <= g.clock {
-		return
-	}
-	g.clock = now
-	if g.halfLife > 0 && (g.clock-g.base)/g.halfLife > rebaseExp {
-		g.rebase()
-	}
-}
-
-// Clock returns the current event-time reading.
-func (g *Graph) Clock() float64 { return g.clock }
-
-// scale is the factor a contribution recorded now carries so that the
-// shared decay divisor keeps every edge comparable: 2^((now−base)/halfLife).
-func (g *Graph) scale() float64 {
-	if g.halfLife == 0 {
-		return 1
-	}
-	return math.Exp2((g.clock - g.base) / g.halfLife)
-}
-
-// rebase rescales every Hot value so the shared exponent returns to zero
-// at the current clock. All edges change, so all are marked dirty —
-// delta-driven partitioners refresh them on their next pull. Scores older
-// than ~512 half-lives underflow to zero, which is exactly "aged out".
-func (g *Graph) rebase() {
-	f := math.Exp2((g.base - g.clock) / g.halfLife)
-	for k, e := range g.edges {
-		e.Hot *= f
-		g.dirtyEdges[k] = struct{}{}
-	}
-	g.base = g.clock
-}
-
-// HotAt returns the absolute decayed score of an edge at event-time now:
-// the scale-free Hot value re-anchored to the shared decay origin. Use it
-// for diagnostics and thresholds; partitioning can consume Hot directly
-// because a shared factor never changes relative order.
-func (g *Graph) HotAt(e *Edge, now float64) float64 {
-	if g.halfLife == 0 {
-		return e.Hot
-	}
-	return e.Hot * math.Exp2((g.base-now)/g.halfLife)
-}
-
 // TotalMemory returns the memory occupied by live objects across all
 // classes.
 func (g *Graph) TotalMemory() int64 {
@@ -421,9 +328,6 @@ func (g *Graph) Clone() *Graph {
 		edges:      make(map[EdgeKey]*Edge, len(g.edges)),
 		dirtyNodes: make(map[NodeID]struct{}, len(g.nodes)),
 		dirtyEdges: make(map[EdgeKey]struct{}, len(g.edges)),
-		halfLife:   g.halfLife,
-		clock:      g.clock,
-		base:       g.base,
 	}
 	nodes := make([]Node, len(g.nodes))
 	for i, n := range g.nodes {
@@ -444,9 +348,8 @@ func (g *Graph) Clone() *Graph {
 // Delta is the changed part of a graph since an epoch: value copies of
 // every touched node and edge, safe to hand to a partitioner while the
 // graph keeps mutating. When Full is set the receiver's state was not
-// continuable from the caller's epoch (first pull, competing consumer, or
-// a decay rebase made everything dirty anyway) and Nodes/Edges carry the
-// entire graph.
+// continuable from the caller's epoch (first pull or competing consumer)
+// and Nodes/Edges carry the entire graph.
 type Delta struct {
 	// Epoch identifies this delta; pass it to the next Delta call to
 	// continue the lineage.
@@ -511,23 +414,13 @@ func (g *Graph) Delta(since int64) Delta {
 }
 
 // WeightFunc maps an edge to the weight used by partitioning. The paper's
-// cost function uses the historical amount of information transferred
-// (bytes); alternatives weight by interaction count.
+// cost function, and the only one in use, is BytesWeight: the historical
+// amount of information transferred.
 type WeightFunc func(*Edge) float64
 
 // BytesWeight weights edges by total bytes transferred (the paper's §3.3
 // cost function).
 func BytesWeight(e *Edge) float64 { return float64(e.Bytes) }
-
-// InteractionWeight weights edges by interaction-event count.
-func InteractionWeight(e *Edge) float64 { return float64(e.Interactions()) }
-
-// HotWeight weights edges by the streaming-decay byte score, so stale
-// interactions age out of partitioning decisions (SetDecay). The value is
-// scale-free — every edge shares one decay factor — which keeps relative
-// order, and therefore cuts, exact. With decay disabled it equals
-// BytesWeight.
-func HotWeight(e *Edge) float64 { return e.Hot }
 
 // CutWeight returns the total weight of edges crossing the cut defined by
 // inA: edges with exactly one endpoint x for which inA(x) is true.

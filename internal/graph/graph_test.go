@@ -143,7 +143,8 @@ func TestCutWeightAndBytes(t *testing.T) {
 	if got := g.CutBytes(inA); got != 50 {
 		t.Fatalf("CutBytes = %d, want 50", got)
 	}
-	if got := g.CutWeight(inA, InteractionWeight); got != 2 {
+	interactions := func(e *Edge) float64 { return float64(e.Interactions()) }
+	if got := g.CutWeight(inA, interactions); got != 2 {
 		t.Fatalf("interaction cut = %v, want 2", got)
 	}
 }

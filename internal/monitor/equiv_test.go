@@ -132,68 +132,61 @@ func requireSameBooks(t *testing.T, what string, got, want books) {
 // TestFeedEqualsHooks: a trace replayed through Feed and the same events
 // delivered through the by-name hooks are one accumulation — same nodes
 // in the same order with the same flags and weights, same edges, same
-// clock. Flushing both at the same events makes the decayed Hot scores
-// comparable bit for bit.
+// counts, flushed at the same events or not.
 func TestFeedEqualsHooks(t *testing.T) {
 	for _, tr := range table1(t) {
-		for _, opts := range [][]monitor.Option{nil, {monitor.WithDecay(5000)}} {
-			fed, hooked := monitor.New(nil, opts...), monitor.New(traceMeta(tr), opts...)
-			for i := range tr.Events {
-				fed.Feed(tr, &tr.Events[i])
-				hook(hooked, tr, &tr.Events[i])
-				if i%20000 == 0 {
-					fed.Flush()
-					hooked.Flush()
-				}
+		fed, hooked := monitor.New(nil), monitor.New(traceMeta(tr))
+		for i := range tr.Events {
+			fed.Feed(tr, &tr.Events[i])
+			hook(hooked, tr, &tr.Events[i])
+			if i%20000 == 0 {
+				fed.Flush()
 			}
-			requireSameBooks(t, fmt.Sprintf("%s, %d options", tr.App, len(opts)), booksOf(fed), booksOf(hooked))
 		}
+		requireSameBooks(t, tr.App, booksOf(fed), booksOf(hooked))
 	}
 }
 
 // TestWindowsEqualFeed: a trace passed to OnEvents in windows of seeded
 // random length, GC events included as they lie, and the same events fed
 // one at a time through Feed agree after every window on everything a
-// snapshot shows: the graph (peaks, CPU time, clock and decayed Hot
-// included), the event counters and the delta since the previous pull.
-// OnEvents skips a window's GC events, so Feed is given the others.
+// snapshot shows: the graph (peaks and CPU time included), the event
+// counters and the delta since the previous pull. OnEvents skips a
+// window's GC events, so Feed is given the others.
 func TestWindowsEqualFeed(t *testing.T) {
 	for _, tr := range table1(t) {
-		for _, opts := range [][]monitor.Option{nil, {monitor.WithDecay(5000)}} {
-			what := fmt.Sprintf("%s, %d options", tr.App, len(opts))
-			fed, windowed := monitor.New(nil, opts...), monitor.New(nil, opts...)
-			rng := rand.New(rand.NewSource(int64(len(tr.Events))))
-			var fedEpoch, windowedEpoch int64
-			windows, gcs := 0, 0
-			for i := 0; i < len(tr.Events); {
-				j := min(len(tr.Events), i+rng.Intn(len(tr.Events)/50+1)) // 100 on average
-				windowed.OnEvents(tr, tr.Events[i:j])
-				for ; i < j; i++ {
-					if e := &tr.Events[i]; e.Kind != trace.KindGC {
-						fed.Feed(tr, e)
-					} else {
-						gcs++
-					}
+		fed, windowed := monitor.New(nil), monitor.New(nil)
+		rng := rand.New(rand.NewSource(int64(len(tr.Events))))
+		var fedEpoch, windowedEpoch int64
+		windows, gcs := 0, 0
+		for i := 0; i < len(tr.Events); {
+			j := min(len(tr.Events), i+rng.Intn(len(tr.Events)/50+1)) // 100 on average
+			windowed.OnEvents(tr, tr.Events[i:j])
+			for ; i < j; i++ {
+				if e := &tr.Events[i]; e.Kind != trace.KindGC {
+					fed.Feed(tr, e)
+				} else {
+					gcs++
 				}
-				windows++
-				if g, w := windowed.Graph(), fed.Graph(); !reflect.DeepEqual(g, w) {
-					t.Fatalf("%s: graphs differ after window %d, event %d", what, windows, j)
-				}
-				var gc, wc [5]int64
-				gc[0], gc[1], gc[2], gc[3], gc[4] = windowed.Counts()
-				wc[0], wc[1], wc[2], wc[3], wc[4] = fed.Counts()
-				if gc != wc || windowed.Events() != fed.Events() {
-					t.Fatalf("%s: after event %d counts %v/%v, events %d/%d", what, j, gc, wc, windowed.Events(), fed.Events())
-				}
-				gd, wd := windowed.Delta(windowedEpoch), fed.Delta(fedEpoch)
-				if !reflect.DeepEqual(gd, wd) {
-					t.Fatalf("%s: deltas differ after event %d: %d/%d nodes, %d/%d edges", what, j, len(gd.Nodes), len(wd.Nodes), len(gd.Edges), len(wd.Edges))
-				}
-				windowedEpoch, fedEpoch = gd.Epoch, wd.Epoch
 			}
-			if windows < 50 || gcs == 0 {
-				t.Fatalf("%s: only %d windows, %d GC events", what, windows, gcs)
+			windows++
+			if g, w := windowed.Graph(), fed.Graph(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: graphs differ after window %d, event %d", tr.App, windows, j)
 			}
+			var gc, wc [5]int64
+			gc[0], gc[1], gc[2], gc[3], gc[4] = windowed.Counts()
+			wc[0], wc[1], wc[2], wc[3], wc[4] = fed.Counts()
+			if gc != wc || windowed.Events() != fed.Events() {
+				t.Fatalf("%s: after event %d counts %v/%v, events %d/%d", tr.App, j, gc, wc, windowed.Events(), fed.Events())
+			}
+			gd, wd := windowed.Delta(windowedEpoch), fed.Delta(fedEpoch)
+			if !reflect.DeepEqual(gd, wd) {
+				t.Fatalf("%s: deltas differ after event %d: %d/%d nodes, %d/%d edges", tr.App, j, len(gd.Nodes), len(wd.Nodes), len(gd.Edges), len(wd.Edges))
+			}
+			windowedEpoch, fedEpoch = gd.Epoch, wd.Epoch
+		}
+		if windows < 50 || gcs == 0 {
+			t.Fatalf("%s: only %d windows, %d GC events", tr.App, windows, gcs)
 		}
 	}
 }
@@ -229,7 +222,7 @@ func TestWindowsDuringConcurrentHooks(t *testing.T) {
 		{Kind: trace.KindCreate, Callee: 2, Obj: 1, Bytes: 64},
 	}
 	const rounds = 20000
-	m := monitor.New(nil, monitor.WithDecay(1000))
+	m := monitor.New(nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -297,26 +290,28 @@ func TestConcurrentFeedEqualsSerial(t *testing.T) {
 	requireSameBooks(t, "two halves of one trace", unordered(booksOf(both)), unordered(booksOf(serial)))
 }
 
-// TestFeedFollowsAGrowingTrace: a trace whose recorder is still appending
-// grows its class table between Feed calls; the binding must pick the new
-// classes up.
+// TestFeedFollowsAGrowingTrace: a trace still being appended to grows its
+// class table between Feed calls; the binding must pick the new classes
+// up, and the books must match the same events delivered by name.
 func TestFeedFollowsAGrowingTrace(t *testing.T) {
 	meta := func(name string) monitor.ClassMeta { return monitor.ClassMeta{Pinned: name == "K2"} }
 	src, dst := monitor.New(meta), monitor.New(nil)
-	rec := monitor.NewRecorder("growing", 1<<20, meta)
-	src.SetRecorder(rec)
-	tr, fed := rec.Trace(), 0
+	tr := &trace.Trace{App: "growing", HeapCapacity: 1 << 20}
 	for round := 0; round < 4; round++ {
 		k, l := fmt.Sprintf("K%d", round), fmt.Sprintf("L%d", round)
 		src.OnCreate(k, vm.ObjectID(round), 100)
 		src.OnInvoke(k, l, "m", vm.ObjectID(round), 10, 6, time.Microsecond, false, false)
 		src.OnAccess(l, "K0", 0, 8)
+
+		ki, li, fed := trace.ClassID(len(tr.Classes)), trace.ClassID(len(tr.Classes)+1), len(tr.Events)
+		tr.Classes = append(tr.Classes, trace.ClassInfo{Name: k, Pinned: meta(k).Pinned}, trace.ClassInfo{Name: l})
+		tr.Events = append(tr.Events,
+			trace.Event{Kind: trace.KindCreate, Callee: ki, Obj: trace.ObjectID(round), Bytes: 100},
+			trace.Event{Kind: trace.KindInvoke, Caller: ki, Callee: li, Obj: trace.ObjectID(round), Bytes: 16, SelfTime: time.Microsecond},
+			trace.Event{Kind: trace.KindAccess, Caller: li, Callee: 0, Bytes: 8})
 		for ; fed < len(tr.Events); fed++ {
 			dst.Feed(tr, &tr.Events[fed])
 		}
-	}
-	if len(tr.Classes) != 8 {
-		t.Fatalf("recorded %d classes, want 8", len(tr.Classes))
 	}
 	requireSameBooks(t, "growing trace", booksOf(dst), booksOf(src))
 }

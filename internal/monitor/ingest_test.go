@@ -94,7 +94,7 @@ func TestConcurrentSourcesMatchSerial(t *testing.T) {
 // snapshots against 8 ingestion sources; run under -race this is the
 // ingest-safety gate.
 func TestConcurrentSnapshotsDuringIngestion(t *testing.T) {
-	m := New(nil, WithDecay(1e6))
+	m := New(nil)
 	m.OnGCListener(func(free, capacity int64, freed bool) {})
 	done := make(chan struct{})
 	var snaps sync.WaitGroup

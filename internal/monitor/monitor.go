@@ -15,7 +15,9 @@
 // every golden. A VM is such a source: it hands over its registry's class
 // table with its events (vm.Hooks), so it is bound exactly like a
 // recording. Both then call one by-ID core (invoke, access, lifecycle),
-// the only code that accumulates and records.
+// the only code that accumulates. The monitor keeps no copy of the
+// stream: a recording is apps.Record's tap on the VM's events, with no
+// monitor attached.
 //
 // Ingestion adds into one delta (classes in a dense slice by ID, class
 // pairs in a map keyed by the packed pair) behind one mutex, taken once
@@ -75,24 +77,9 @@ type ClassMetaFunc func(name string) ClassMeta
 // policies subscribe here).
 type GCListener func(free, capacity int64, freed bool)
 
-// Option configures a Monitor at construction.
-type Option func(*Monitor)
-
-// WithDecay enables streaming exponential decay of edge interaction
-// weights with the given half-life measured in consumed events (the
-// monitor's deterministic event-time clock). Stale interactions then age
-// out of HotWeight-based partitioning decisions instead of accumulating
-// forever. Decay advances at flush granularity: every event in one flush
-// window carries the window-end timestamp, which keeps replays
-// bit-identical regardless of ingestion interleaving.
-func WithDecay(halfLifeEvents float64) Option {
-	return func(m *Monitor) { m.halfLife = halfLifeEvents }
-}
-
 // counts is one delta's slice of the monitor's event totals, indexed by
-// trace.EventKind (invoke to delete); their sum, plus the GC reports, is
-// the event-time clock. Slot 0 is never read: it takes the adds that
-// belong to an event counted elsewhere.
+// trace.EventKind (invoke to delete). Slot 0 is never read: it takes the
+// adds that belong to an event counted elsewhere.
 type counts [trace.KindDelete + 1]int64
 
 func (c *counts) add(o counts) {
@@ -207,15 +194,9 @@ type Monitor struct {
 	vmFlushes atomic.Pointer[[]func()]
 	lmu       sync.Mutex
 
-	// Recorder mirror: recOn gates the slow path with one atomic load.
-	recMu sync.Mutex
-	rec   *Recorder
-	recOn atomic.Bool
-
 	// mu guards the merged base graph and flushing.
-	mu       sync.Mutex
-	g        *graph.Graph
-	halfLife float64
+	mu sync.Mutex
+	g  *graph.Graph
 }
 
 var (
@@ -226,7 +207,7 @@ var (
 // New returns a monitor. meta may be nil, in which case no class is
 // considered pinned (the emulator supplies metadata from the trace's class
 // table instead).
-func New(meta ClassMetaFunc, opts ...Option) *Monitor {
+func New(meta ClassMetaFunc) *Monitor {
 	m := &Monitor{
 		meta:        meta,
 		g:           graph.New(),
@@ -236,12 +217,6 @@ func New(meta ClassMetaFunc, opts ...Option) *Monitor {
 	m.classes.Store(&classTable{ids: map[string]graph.NodeID{}})
 	m.bindings.Store(new([]*traceBinding))
 	m.heat.Store(&map[fieldKey]*atomic.Int64{})
-	for _, o := range opts {
-		o(m)
-	}
-	if m.halfLife > 0 {
-		m.g.SetDecay(m.halfLife)
-	}
 	return m
 }
 
@@ -277,14 +252,6 @@ func (m *Monitor) flagLocked(id graph.NodeID, bits uint32) {
 	}
 }
 
-// className is classID's inverse, for the recorder.
-func (m *Monitor) className(id graph.NodeID) string {
-	if id == noNode {
-		return ""
-	}
-	return m.classes.Load().names[id]
-}
-
 // binding returns t's binding, sized to cover t's class table as it is
 // now. A monitor is fed one trace, rarely two, so the list is scanned; it
 // keeps every trace it was ever fed alive.
@@ -298,10 +265,10 @@ func (m *Monitor) binding(t *trace.Trace) *traceBinding {
 }
 
 // rebind publishes a binding sized to t's class table as it is now: on
-// first sight of the trace, and again when the table has grown (a Recorder
-// still appending, a class registered after a VM's first event). Resolved
-// slots carry over; a store racing into the binding this replaces is lost,
-// and that class simply resolves again.
+// first sight of the trace, and again when the table has grown (a trace
+// still being appended to, a class registered after a VM's first event).
+// Resolved slots carry over; a store racing into the binding this replaces
+// is lost, and that class simply resolves again.
 func (m *Monitor) rebind(t *trace.Trace) *traceBinding {
 	m.createMu.Lock()
 	defer m.createMu.Unlock()
@@ -391,17 +358,6 @@ func (d *delta) addEdge(a, b graph.NodeID, inv, acc, bytes int64, k trace.EventK
 	d.ctr[k]++
 }
 
-// record runs f against the attached recorder, serialized on its own
-// mutex. Callers check recOn first, so with recording off (the common
-// case) an event builds no closure and takes no lock.
-func (m *Monitor) record(f func(r *Recorder)) {
-	m.recMu.Lock()
-	if m.rec != nil {
-		f(m.rec)
-	}
-	m.recMu.Unlock()
-}
-
 // flushLocked merges the ingest delta, pending classes, and pending
 // metadata upgrades into the base graph. Caller holds m.mu.
 func (m *Monitor) flushLocked() {
@@ -422,9 +378,6 @@ func (m *Monitor) flushLocked() {
 	}
 	clear(m.pendingMeta)
 
-	// Classes and counters first, so the clock covers every event in this
-	// window, then advance event-time, then merge interactions: every edge
-	// touched in the window decays from the window-end timestamp.
 	m.inMu.Lock()
 	defer m.inMu.Unlock()
 	d := &m.in
@@ -436,7 +389,6 @@ func (m *Monitor) flushLocked() {
 	d.touched = d.touched[:0]
 	m.base.add(d.ctr)
 	d.ctr = counts{}
-	m.g.AdvanceClock(float64(m.base.events() + m.gcs.Load()))
 	for k, e := range d.edges {
 		m.g.AddEdgeDelta(graph.NodeID(k>>32), graph.NodeID(uint32(k)), e.inv, e.acc, e.bytes)
 	}
@@ -521,8 +473,7 @@ func (m *Monitor) liveCounts() counts {
 	return c
 }
 
-// Events reports the monitor's event-time clock: the total number of
-// events consumed (the decay half-life is measured in these units).
+// Events reports the total number of events the monitor has consumed.
 func (m *Monitor) Events() int64 {
 	return m.liveCounts().events() + m.gcs.Load()
 }
@@ -547,15 +498,6 @@ func (m *Monitor) OnGCListener(f GCListener) {
 	m.listeners.Store(&next)
 }
 
-// SetRecorder attaches a trace recorder that mirrors every event (nil
-// detaches).
-func (m *Monitor) SetRecorder(r *Recorder) {
-	m.recMu.Lock()
-	m.rec = r
-	m.recMu.Unlock()
-	m.recOn.Store(r != nil)
-}
-
 // OnInvoke accounts one invocation by class name: the entry for sources
 // that name classes instead of indexing a class table (the repository
 // benchmark, tests).
@@ -565,7 +507,7 @@ func (m *Monitor) OnInvoke(caller, callee, method string, obj vm.ObjectID, argBy
 		from = m.classID(caller)
 	}
 	m.inMu.Lock()
-	m.invoke(from, cn, obj, argBytes+retBytes, selfTime, native, stateless)
+	m.invoke(from, cn, argBytes+retBytes, selfTime)
 	m.inMu.Unlock()
 }
 
@@ -576,7 +518,7 @@ func (m *Monitor) OnAccess(from, to string, obj vm.ObjectID, bytes int64) {
 		fn = m.classID(from)
 	}
 	m.inMu.Lock()
-	m.access(fn, tn, obj, bytes)
+	m.access(fn, tn, bytes)
 	m.inMu.Unlock()
 }
 
@@ -584,7 +526,7 @@ func (m *Monitor) OnAccess(from, to string, obj vm.ObjectID, bytes int64) {
 func (m *Monitor) OnCreate(class string, obj vm.ObjectID, size int64) {
 	id := m.classID(class)
 	m.inMu.Lock()
-	m.lifecycle(trace.KindCreate, id, obj, size)
+	m.lifecycle(trace.KindCreate, id, size)
 	m.inMu.Unlock()
 }
 
@@ -592,7 +534,7 @@ func (m *Monitor) OnCreate(class string, obj vm.ObjectID, size int64) {
 func (m *Monitor) OnDelete(class string, obj vm.ObjectID, size int64) {
 	id := m.classID(class)
 	m.inMu.Lock()
-	m.lifecycle(trace.KindDelete, id, obj, size)
+	m.lifecycle(trace.KindDelete, id, size)
 	m.inMu.Unlock()
 }
 
@@ -662,18 +604,18 @@ func (m *Monitor) ends(b *traceBinding, e *trace.Event) (from, to graph.NodeID) 
 func (m *Monitor) feed(e *trace.Event, from, to graph.NodeID) {
 	switch e.Kind {
 	case trace.KindInvoke:
-		m.invoke(from, to, vm.ObjectID(e.Obj), e.Bytes, e.SelfTime, e.Native, e.Stateless)
+		m.invoke(from, to, e.Bytes, e.SelfTime)
 	case trace.KindAccess:
-		m.access(from, to, vm.ObjectID(e.Obj), e.Bytes)
+		m.access(from, to, e.Bytes)
 	case trace.KindCreate, trace.KindDelete:
-		m.lifecycle(e.Kind, to, vm.ObjectID(e.Obj), e.Bytes)
+		m.lifecycle(e.Kind, to, e.Bytes)
 	}
 }
 
 // invoke accounts one invocation of callee from class from (noNode: no
 // caller) into the ingest delta: self time to the callee, the interaction
 // to the pair. Caller holds inMu, as for access and lifecycle.
-func (m *Monitor) invoke(from, callee graph.NodeID, obj vm.ObjectID, bytes int64, selfTime time.Duration, native, stateless bool) {
+func (m *Monitor) invoke(from, callee graph.NodeID, bytes int64, selfTime time.Duration) {
 	if from == noNode || from == callee {
 		m.in.addNode(callee, 0, 0, 0, selfTime, trace.KindInvoke)
 	} else {
@@ -682,35 +624,24 @@ func (m *Monitor) invoke(from, callee graph.NodeID, obj vm.ObjectID, bytes int64
 		}
 		m.in.addEdge(from, callee, 1, 0, bytes, trace.KindInvoke)
 	}
-	if m.recOn.Load() {
-		m.record(func(r *Recorder) {
-			r.invoke(m.className(from), m.className(callee), obj, bytes, selfTime, native, stateless)
-		})
-	}
 }
 
 // access accounts one data-field access to class to from class from.
-func (m *Monitor) access(from, to graph.NodeID, obj vm.ObjectID, bytes int64) {
+func (m *Monitor) access(from, to graph.NodeID, bytes int64) {
 	if from == noNode || from == to {
 		m.in.addNode(to, 0, 0, 0, 0, trace.KindAccess)
 	} else {
 		m.in.addEdge(from, to, 0, 1, bytes, trace.KindAccess)
 	}
-	if m.recOn.Load() {
-		m.record(func(r *Recorder) { r.access(m.className(from), m.className(to), obj, bytes) })
-	}
 }
 
 // lifecycle accounts the creation (k KindCreate) or deletion (KindDelete)
 // of one object of the class.
-func (m *Monitor) lifecycle(k trace.EventKind, id graph.NodeID, obj vm.ObjectID, size int64) {
+func (m *Monitor) lifecycle(k trace.EventKind, id graph.NodeID, size int64) {
 	if k == trace.KindCreate {
 		m.in.addNode(id, size, 1, 1, 0, k)
 	} else {
 		m.in.addNode(id, -size, -1, 0, 0, k)
-	}
-	if m.recOn.Load() {
-		m.record(func(r *Recorder) { r.lifecycle(k, m.className(id), obj, size) })
 	}
 }
 
@@ -718,9 +649,6 @@ func (m *Monitor) lifecycle(k trace.EventKind, id graph.NodeID, obj vm.ObjectID,
 // to the listeners.
 func (m *Monitor) OnGC(free, capacity int64, freed bool) {
 	m.gcs.Add(1)
-	if m.recOn.Load() {
-		m.record(func(r *Recorder) { r.gc(free, capacity, freed) })
-	}
 	if ls := m.listeners.Load(); ls != nil {
 		for _, f := range *ls {
 			f(free, capacity, freed)

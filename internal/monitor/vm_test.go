@@ -12,30 +12,28 @@ import (
 	"aide/internal/vm"
 )
 
-// TestVMEqualsFeed: a monitor on a VM running each Table-1 driver, and a
-// monitor fed the recording that run made, keep the same books — node
-// order, flags, weights, counts and clock. A VM's batches go through the
-// same binding and decode as a replay.
-func TestVMEqualsFeed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the five Table-1 drivers")
-	}
-	for _, spec := range apps.All() {
+// TestVMEqualsTapReplay: a monitor on a VM running each Table-1 driver,
+// and a monitor fed the recording apps.Record's tap makes of the same run,
+// keep the same books — node order, flags, weights and counts. A VM's
+// batches go through the same binding and decode as a replay.
+func TestVMEqualsTapReplay(t *testing.T) {
+	recordings := table1(t)
+	for i, spec := range apps.All() {
 		reg, driver, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta := monitor.RegistryMeta(reg)
 		v := vm.New(reg, vm.Config{Role: vm.RoleClient, HeapCapacity: spec.RecordHeap, GCBytesTrigger: 512 << 10})
-		live := monitor.New(meta)
-		rec := monitor.NewRecorder(spec.Name, spec.RecordHeap, meta)
-		live.SetRecorder(rec)
+		live := monitor.New(monitor.RegistryMeta(reg))
 		v.SetHooks(live)
 		if err := driver(v.NewThread()); err != nil {
 			t.Fatal(err)
 		}
-		got := booksOf(live) // delivers what the VM still buffers
-		fed, tr := monitor.New(nil), rec.Trace()
+		// Collect as Record does, for the final object deaths; booksOf
+		// delivers what the VM still buffers.
+		v.Collect()
+		got := booksOf(live)
+		fed, tr := monitor.New(nil), recordings[i]
 		for i := range tr.Events {
 			fed.Feed(tr, &tr.Events[i])
 		}

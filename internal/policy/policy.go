@@ -97,10 +97,6 @@ type MemoryPolicy struct {
 	// acceptable partitioning must free (paper §5.1 uses 0.20).
 	MinFreeFraction float64
 
-	// Weight is the cost function over edges. Nil defaults to
-	// graph.BytesWeight, the paper's cost function.
-	Weight graph.WeightFunc
-
 	// Chosen and Rejected, when non-nil, count decision outcomes: Chosen
 	// increments when a candidate is accepted, Rejected when every
 	// candidate fails the policy (ErrNotBeneficial). Nil-safe no-ops
@@ -182,10 +178,6 @@ type CPUPolicy struct {
 
 	// Link models the client↔surrogate network.
 	Link netmodel.Link
-
-	// Weight is the cost function used to rank candidate cuts before
-	// prediction. Nil defaults to graph.BytesWeight.
-	Weight graph.WeightFunc
 
 	// StatelessNativeLocal mirrors the §5.2 native enhancement in the
 	// prediction: cut edges whose pinned endpoint is a stateless-native

@@ -47,9 +47,9 @@ func requestsSent(p *Peer, transfer func()) int64 {
 	return p.Stats().RequestsSent - before
 }
 
-// TestPushSnapshotChunkedDelivery keeps the name it had when an image
-// this size crossed in chunks: it crosses as one request now.
-func TestPushSnapshotChunkedDelivery(t *testing.T) {
+// TestPushSnapshotOneRequest: an image this size crosses whole, as one
+// request.
+func TestPushSnapshotOneRequest(t *testing.T) {
 	var gotMethod, gotDest string
 	var gotImg []byte
 	pc, ps := snapPair(t, Options{Workers: 2})
@@ -136,10 +136,9 @@ func TestPushSnapshotNoHandler(t *testing.T) {
 	}
 }
 
-// TestPullSnapshotChunkedRoundTrip keeps the name it had when a pull was
-// a chunk exchange closed by an ack: it is one request now, and the source
+// TestPullSnapshotOneRequest: a pull is one request, and the source
 // captures once for each.
-func TestPullSnapshotChunkedRoundTrip(t *testing.T) {
+func TestPullSnapshotOneRequest(t *testing.T) {
 	img := testImage(5000)
 	var captures atomic.Int64
 	pc, ps := snapPair(t, Options{Workers: 2})
