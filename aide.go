@@ -125,8 +125,6 @@ func WaveLAN() Link { return netmodel.WaveLAN() }
 // least 20% of the heap.
 func InitialPolicy() PolicyParams { return policy.InitialParams() }
 
-// Options configure a Client or Surrogate.
-
 // Option configures platform construction.
 type Option func(*options)
 
@@ -154,10 +152,6 @@ type options struct {
 	// instrument the platform holds is then a nil-safe no-op.
 	telemetry *TelemetryRegistry
 	tracer    *Tracer
-
-	// Lazy state transfer, from WithLazyMigration.
-	lazyMigration   bool
-	lazyMinAccesses int64
 
 	// Surrogate session control, from WithMaxSessions, WithSessionQuota,
 	// WithHealthCheck, and WithEvictOnDegraded. All inert on clients.
@@ -190,7 +184,6 @@ func (o *options) remoteOptions() remote.Options {
 		Logf:            o.logf,
 		Telemetry:       o.telemetry,
 		Tracer:          o.tracer,
-		LazyMigration:   o.lazyMigration,
 	}
 }
 
@@ -274,17 +267,6 @@ func WithDisconnectCooldown(cycles int) Option {
 // orphan replies, dropped release batches). Nil discards them.
 func WithLogf(f func(format string, args ...any)) Option {
 	return func(o *options) { o.logf = f }
-}
-
-// WithLazyMigration enables monitor-driven lazy state transfer:
-// migrations ship only the fields the access graph predicts will be
-// touched (at least minAccesses recorded accesses make a field hot);
-// cold fields stay behind and cross on first access, all of an object's
-// remaining fields in one batched pull. minAccesses < 1 defaults to 1.
-// Requires monitoring; with WithoutMonitoring the option is inert and
-// migrations stay full-state.
-func WithLazyMigration(minAccesses int64) Option {
-	return func(o *options) { o.lazyMigration = true; o.lazyMinAccesses = minAccesses }
 }
 
 // WithPeriodicRebalance re-evaluates the whole placement every n

@@ -107,13 +107,6 @@ func NewClient(reg *Registry, opts ...Option) *Client {
 	if o.monitor {
 		c.mon = monitor.New(monitor.RegistryMeta(reg))
 		c.vm.SetHooks(c.mon)
-		if o.lazyMigration {
-			min := o.lazyMinAccesses
-			if min < 1 {
-				min = o.params.LazyMinAccesses
-			}
-			c.vm.SetFieldPredictor(c.mon.FieldPredictor(min))
-		}
 	}
 	c.trigger = policy.MemoryTrigger{
 		FreeFraction: o.params.TriggerFreeFraction,

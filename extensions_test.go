@@ -1,10 +1,6 @@
 package aide
 
 import (
-	"errors"
-	"fmt"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 )
@@ -417,84 +413,5 @@ func TestMultiSurrogateOffloadSpreads(t *testing.T) {
 	}
 	if v, err := th.Invoke(doc, "append", Int(1)); err != nil || v.I != 8 {
 		t.Fatalf("post-recall invoke: %v %v", v, err)
-	}
-}
-
-// TestLazyMigrationMatchesFullState runs one application twice through
-// the public API, full-state and with WithLazyMigration: the lazy run
-// withholds the field the monitor saw touched once, the surrogate pulls
-// it on first use, and the application cannot tell the difference.
-func TestLazyMigrationMatchesFullState(t *testing.T) {
-	reg := NewRegistry()
-	mustRegister(t, reg, ClassSpec{
-		Name:   "Note",
-		Fields: []string{"len", "title"},
-		Methods: []MethodSpec{
-			{Name: "append", Body: func(th *Thread, self ObjectID, args []Value) (Value, error) {
-				cur, err := th.GetField(self, "len")
-				if err != nil {
-					return Nil(), err
-				}
-				n := cur.I + args[0].I
-				return Int(n), th.SetField(self, "len", Int(n))
-			}},
-			{Name: "headline", Body: func(th *Thread, self ObjectID, args []Value) (Value, error) {
-				title, err := th.GetField(self, "title")
-				if err != nil {
-					return Nil(), err
-				}
-				n, err := th.GetField(self, "len")
-				return Str(fmt.Sprintf("%s (%d)", title.S, n.I)), err
-			}},
-		},
-	})
-	run := func(t *testing.T, opts ...Option) (headline string, fetches, saved float64) {
-		cReg, sReg := NewTelemetry(), NewTelemetry()
-		client, surrogate, err := NewLocalPair(reg,
-			append(opts, WithHeap(1<<20), WithTelemetry(cReg, nil)),
-			[]Option{WithTelemetry(sReg, nil)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		defer surrogate.Close()
-		th := client.Thread()
-		note, err := th.New("Note", 300<<10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client.VM().SetRoot("note", note)
-		if err := th.SetField(note, "title", Str("a title nobody has read yet")); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 6; i++ {
-			if _, err := th.Invoke(note, "append", Int(1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if rep, err := client.Offload(); err != nil || !slices.Contains(rep.Classes, "Note") {
-			t.Fatalf("offload: %+v, %v", rep, err)
-		}
-		v, err := th.Invoke(note, "headline")
-		if err != nil {
-			t.Fatalf("headline on the surrogate: %v", err)
-		}
-		var cProm, sProm strings.Builder
-		if err := errors.Join(cReg.WriteProm(&cProm), sReg.WriteProm(&sProm)); err != nil {
-			t.Fatal(err)
-		}
-		return v.S, metricValue(t, sProm.String(), "aide_remote_field_fetches_total"),
-			metricValue(t, cProm.String(), "aide_remote_lazy_migration_saved_bytes_total")
-	}
-	want, fetches, saved := run(t)
-	if want != "a title nobody has read yet (6)" || fetches != 0 || saved != 0 {
-		t.Fatalf("full-state run: %q, %v field fetches, %v bytes saved", want, fetches, saved)
-	}
-	got, fetches, saved := run(t, WithLazyMigration(5))
-	if got != want {
-		t.Errorf("lazy run returned %q, full-state run %q", got, want)
-	}
-	if fetches <= 0 || saved <= 0 {
-		t.Errorf("lazy run: %v field fetches, %v bytes saved, want both > 0", fetches, saved)
 	}
 }

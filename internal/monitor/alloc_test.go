@@ -33,11 +33,10 @@ func TestWarmEventPathAllocatesNothing(t *testing.T) {
 	}
 	m := monitor.New(nil)
 	paths := map[string]func(){
-		"OnInvoke":      func() { m.OnInvoke("ui", "doc", "edit", 1, 16, 8, time.Microsecond, false, false) },
-		"OnAccess":      func() { m.OnAccess("ui", "doc", 1, 8) },
-		"OnCreate":      func() { m.OnCreate("doc", 1, 64) },
-		"OnDelete":      func() { m.OnDelete("doc", 1, 64) },
-		"OnFieldAccess": func() { m.OnFieldAccess("doc", "len", 8) },
+		"OnInvoke": func() { m.OnInvoke("ui", "doc", "edit", 1, 16, 8, time.Microsecond, false, false) },
+		"OnAccess": func() { m.OnAccess("ui", "doc", 1, 8) },
+		"OnCreate": func() { m.OnCreate("doc", 1, 64) },
+		"OnDelete": func() { m.OnDelete("doc", 1, 64) },
 	}
 	for i := range tr.Events {
 		e := &tr.Events[i]

@@ -12,7 +12,7 @@ import (
 
 // feedWorkload drives a fixed synthetic workload through the monitor from
 // `sources` goroutines, partitioned round-robin so every interleaving
-// consumes the same multiset of events.
+// consumes the same multiset of events. Indices ≡ 4 (mod 5) feed nothing.
 func feedWorkload(m *Monitor, classes, events, sources int) {
 	var wg sync.WaitGroup
 	for s := 0; s < sources; s++ {
@@ -31,8 +31,6 @@ func feedWorkload(m *Monitor, classes, events, sources int) {
 					m.OnCreate(a, vm.ObjectID(i), 64)
 				case 3:
 					m.OnDelete(a, vm.ObjectID(i), 32)
-				case 4:
-					m.OnFieldAccess(a, "f", 8)
 				}
 			}
 		}(s)
@@ -85,12 +83,9 @@ func TestConcurrentSourcesMatchSerial(t *testing.T) {
 	if si != pi || sa != pa || sc != pc || sd != pd {
 		t.Fatalf("counts diverge: serial=%d/%d/%d/%d concurrent=%d/%d/%d/%d", si, sa, sc, sd, pi, pa, pc, pd)
 	}
-	if serial.FieldHeat("C000", "f") != concurrent.FieldHeat("C000", "f") {
-		t.Fatal("field heat diverges")
-	}
 }
 
-// TestConcurrentSnapshotsDuringIngestion races Graph/Delta/Live/FieldHeat
+// TestConcurrentSnapshotsDuringIngestion races Graph/Delta/Live
 // snapshots against 8 ingestion sources; run under -race this is the
 // ingest-safety gate.
 func TestConcurrentSnapshotsDuringIngestion(t *testing.T) {
@@ -122,7 +117,6 @@ func TestConcurrentSnapshotsDuringIngestion(t *testing.T) {
 			}
 			g := m.Graph()
 			_ = g.Len()
-			m.FieldHeat("C001", "f")
 			m.OnGC(1<<20, 1<<24, false)
 		}
 	}()
@@ -145,7 +139,8 @@ func TestConcurrentSnapshotsDuringIngestion(t *testing.T) {
 	}
 	// Self-edges are dropped by design; cross-class pairs here never
 	// alias (i%classes vs (i*7+1)%classes collide only when 6i+1 ≡ 0 mod
-	// classes, impossible mod 25 — 6i+1 is never divisible by 5).
+	// classes, which mod 25 needs i ≡ 4 mod 5 — an index that feeds
+	// nothing).
 	if einv != inv || eacc != acc {
 		t.Fatalf("edge accounting: einv=%d inv=%d eacc=%d acc=%d", einv, inv, eacc, acc)
 	}

@@ -143,11 +143,6 @@ type traceBinding struct {
 	nodes []atomic.Int32 // by trace.ClassID
 }
 
-// fieldKey identifies one instance field for the heat table.
-type fieldKey struct {
-	class, field string
-}
-
 // Monitor builds and maintains the execution graph. It implements
 // vm.Hooks; install it with VM.SetHooks. All methods are safe for
 // concurrent use.
@@ -160,19 +155,18 @@ type fieldKey struct {
 type Monitor struct {
 	meta ClassMetaFunc
 
-	// Identity. classes, bindings and heat are copy-on-write: an event
-	// reads them with one atomic load and no lock; a first sighting (of a
-	// class, a trace, a field) republishes a copy under createMu. That
-	// makes a run's interning O(classes²) — nothing at the 100-150
-	// classes of a Table-1 application, and for a thousand classes half a
-	// million map slots copied once, what a few thousand events cost.
+	// Identity. classes and bindings are copy-on-write: an event reads
+	// them with one atomic load and no lock; a first sighting (of a class
+	// or a trace) republishes a copy under createMu. That makes a run's
+	// interning O(classes²) — nothing at the 100-150 classes of a Table-1
+	// application, and for a thousand classes half a million map slots
+	// copied once, what a few thousand events cost.
 	//
 	// createMu also serializes ID assignment and guards what only first
 	// sightings and flushes touch: applied (by NodeID, the metadata bits
 	// applied or pending) and pendingMeta (the ones the graph lacks).
 	classes     atomic.Pointer[classTable]
 	bindings    atomic.Pointer[[]*traceBinding]
-	heat        atomic.Pointer[map[fieldKey]*atomic.Int64]
 	createMu    sync.Mutex
 	applied     []uint32
 	pendingMeta map[graph.NodeID]uint32
@@ -199,10 +193,7 @@ type Monitor struct {
 	g  *graph.Graph
 }
 
-var (
-	_ vm.Hooks      = (*Monitor)(nil)
-	_ vm.FieldHooks = (*Monitor)(nil)
-)
+var _ vm.Hooks = (*Monitor)(nil)
 
 // New returns a monitor. meta may be nil, in which case no class is
 // considered pinned (the emulator supplies metadata from the trace's class
@@ -216,7 +207,6 @@ func New(meta ClassMetaFunc) *Monitor {
 	}
 	m.classes.Store(&classTable{ids: map[string]graph.NodeID{}})
 	m.bindings.Store(new([]*traceBinding))
-	m.heat.Store(&map[fieldKey]*atomic.Int64{})
 	return m
 }
 
@@ -653,55 +643,6 @@ func (m *Monitor) OnGC(free, capacity int64, freed bool) {
 		for _, f := range *ls {
 			f(free, capacity, freed)
 		}
-	}
-}
-
-// OnFieldAccess implements vm.FieldHooks: it heats the (class, field)
-// entry every instance-field read or write touches, on a hit with one
-// atomic load, one map access and one atomic add.
-func (m *Monitor) OnFieldAccess(class, field string, bytes int64) {
-	k := fieldKey{class: class, field: field}
-	c := (*m.heat.Load())[k]
-	if c == nil {
-		c = m.heatCounter(k)
-	}
-	c.Add(1)
-}
-
-// heatCounter adds a field to the heat table on its first access.
-func (m *Monitor) heatCounter(k fieldKey) *atomic.Int64 {
-	m.createMu.Lock()
-	defer m.createMu.Unlock()
-	old := *m.heat.Load()
-	if c := old[k]; c != nil {
-		return c
-	}
-	next, c := maps.Clone(old), new(atomic.Int64)
-	next[k] = c
-	m.heat.Store(&next)
-	return c
-}
-
-// FieldHeat reports how many accesses the monitor has seen for one field
-// (diagnostics and tests).
-func (m *Monitor) FieldHeat(class, field string) int64 {
-	if c := (*m.heat.Load())[fieldKey{class: class, field: field}]; c != nil {
-		return c.Load()
-	}
-	return 0
-}
-
-// FieldPredictor derives a lazy-migration predictor from the heat table:
-// a field is hot (ship eagerly) once it has at least minAccesses recorded
-// accesses; colder fields stay behind for on-demand pull. minAccesses < 1
-// defaults to 1 — any observed access makes the field hot. The predictor
-// reads the live table, so heat accumulated after installation counts.
-func (m *Monitor) FieldPredictor(minAccesses int64) vm.FieldPredictor {
-	if minAccesses < 1 {
-		minAccesses = 1
-	}
-	return func(class, field string) bool {
-		return m.FieldHeat(class, field) >= minAccesses
 	}
 }
 

@@ -145,13 +145,6 @@ type Params struct {
 	// MinFreeFraction is the minimum heap fraction a partitioning must
 	// free (0.10–0.80).
 	MinFreeFraction float64
-
-	// LazyMinAccesses is the field-heat threshold for lazy state
-	// transfer: a field ships eagerly in a lazy migration once the
-	// monitor has seen at least this many accesses to it. Zero keeps the
-	// default of 1 (any observed access makes the field hot); the value
-	// only matters when lazy migration is enabled.
-	LazyMinAccesses int64
 }
 
 // String renders the parameters the way EXPERIMENTS.md reports them.

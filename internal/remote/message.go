@@ -45,12 +45,7 @@ const (
 	// call's index) where MsgInvoke introduces a concrete object ID. It
 	// never appears as a top-level frame kind.
 	MsgPromiseRef
-	// MsgFieldFetch pulls fields a lazy migration withheld: Obj names the
-	// object in the serving VM's namespace (the lazy migration's origin),
-	// Classes the requested field names (empty = all remaining). The reply
-	// carries the served names in Classes, values in Args, and their wire
-	// size in MovedBytes.
-	MsgFieldFetch
+	_ // kind 16 is retired, never reused: serve answers it as an unknown request kind
 	// MsgAttach opens a session: the serving side runs admission control
 	// and either admits the sender (reply carries the same occupancy
 	// payload as MsgInfo plus Sessions) or rejects it with a typed error
@@ -100,8 +95,6 @@ func (k MsgKind) String() string {
 		return "invoke-batch"
 	case MsgPromiseRef:
 		return "promise-ref"
-	case MsgFieldFetch:
-		return "field-fetch"
 	case MsgAttach:
 		return "attach"
 	case MsgSnapshot:

@@ -26,8 +26,6 @@ const (
 	metricBatchCallTimeouts  = "aide_remote_batch_call_timeouts_total"
 	metricPipelineFrames     = "aide_remote_pipeline_frames_total"
 	metricPipelineCalls      = "aide_remote_pipeline_calls_total"
-	metricFieldFetches       = "aide_remote_field_fetches_total"
-	metricLazyBytesSaved     = "aide_remote_lazy_migration_saved_bytes_total"
 	metricDuplicatesDropped  = "aide_remote_duplicates_dropped_total"
 	metricReleasesDropped    = "aide_remote_releases_dropped_total"
 	metricSelfReads          = "aide_remote_self_reads_total"
@@ -68,8 +66,6 @@ type peerMetrics struct {
 	batchCallTimeouts  *telemetry.Counter
 	pipelineFrames     *telemetry.Counter
 	pipelineCalls      *telemetry.Counter
-	fieldFetches       *telemetry.Counter
-	lazyBytesSaved     *telemetry.Counter
 	duplicatesDropped  *telemetry.Counter
 	releasesDropped    *telemetry.Counter
 	snapshotBytes      *telemetry.Counter
@@ -114,8 +110,6 @@ func newPeerMetrics(reg *telemetry.Registry) *peerMetrics {
 		batchCallTimeouts:  counterIn(reg, metricBatchCallTimeouts, "batched-frame calls abandoned at their deadline"),
 		pipelineFrames:     counterIn(reg, metricPipelineFrames, "pipelined invoke-batch frames sent"),
 		pipelineCalls:      counterIn(reg, metricPipelineCalls, "invocations carried by pipelined frames"),
-		fieldFetches:       counterIn(reg, metricFieldFetches, "lazy-migration field pulls issued"),
-		lazyBytesSaved:     counterIn(reg, metricLazyBytesSaved, "migration wire bytes withheld by lazy state transfer"),
 		duplicatesDropped:  counterIn(reg, metricDuplicatesDropped, "incoming requests suppressed by the dedupe window"),
 		releasesDropped:    counterIn(reg, metricReleasesDropped, "decrefs lost when a release batch exhausted its retries"),
 		snapshotBytes:      counterIn(reg, metricSnapshotBytes, "snapshot image bytes moved (both directions)"),

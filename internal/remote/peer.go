@@ -127,10 +127,6 @@ type Peer struct {
 	// release decrefs apply exactly once.
 	dedupe *dedupeWindow
 
-	// lazyMigration switches offload to predictor-driven partial state
-	// transfer (vm.ExtractMigrationLazy); fixed at construction.
-	lazyMigration bool
-
 	// Snapshot hooks: snapHandler consumes an incoming image (push modes:
 	// restore, handoff, drain); snapSource captures this side's image for
 	// each pull request. No image bytes are kept between requests.
@@ -164,12 +160,9 @@ type Peer struct {
 
 var _ vm.Peer = (*Peer)(nil)
 
-// A Peer also implements the optional pipelining and lazy-state
-// extensions; the VM type-asserts for them, so test fakes stay minimal.
-var (
-	_ vm.PipelinePeer = (*Peer)(nil)
-	_ vm.FieldFetcher = (*Peer)(nil)
-)
+// A Peer also implements the optional pipelining extension; the VM
+// type-asserts for it, so test fakes stay minimal.
+var _ vm.PipelinePeer = (*Peer)(nil)
 
 // Stats counts wire activity.
 type Stats struct {
@@ -204,12 +197,9 @@ type Stats struct {
 
 	// PipelineFrames counts MsgInvokeBatch frames sent; PipelineCalls the
 	// invocations they carried (PipelineCalls/PipelineFrames is the mean
-	// pipeline depth). FieldFetches counts lazy-migration field pulls and
-	// LazyBytesSaved the migration wire bytes lazy extraction withheld.
+	// pipeline depth).
 	PipelineFrames int64
 	PipelineCalls  int64
-	FieldFetches   int64
-	LazyBytesSaved int64
 
 	// DuplicatesDropped counts incoming requests suppressed by the
 	// dedupe window; ReleasesDropped counts decrefs lost when a release
@@ -303,12 +293,6 @@ type Options struct {
 	// spans (RPC calls, migrations, disconnects, orphan replies).
 	Tracer *telemetry.Tracer
 
-	// LazyMigration switches Offload to predictor-driven partial state
-	// transfer: fields the local VM's FieldPredictor calls cold stay
-	// behind as residuals and cross on first access (MsgFieldFetch).
-	// Without a predictor installed the option is inert.
-	LazyMigration bool
-
 	// Gate, when set, screens every incoming request before dispatch
 	// (admission control, load shedding). A non-nil return fails the
 	// request with the error's text and typed code (CodeOf) instead of
@@ -357,7 +341,6 @@ func NewPeer(local *vm.VM, t Transport, opts Options) *Peer {
 		onDown:          opts.OnDown,
 		gate:            opts.Gate,
 		sessionInfo:     opts.SessionInfo,
-		lazyMigration:   opts.LazyMigration,
 		dedupe:          &dedupeWindow{seen: make(map[uint64]struct{}, dedupeSlots)},
 		stop:            make(chan struct{}),
 		m:               newPeerMetrics(opts.Telemetry),
@@ -571,8 +554,6 @@ func (p *Peer) Stats() Stats {
 		BatchCallTimeouts:  p.m.batchCallTimeouts.Value(),
 		PipelineFrames:     p.m.pipelineFrames.Value(),
 		PipelineCalls:      p.m.pipelineCalls.Value(),
-		FieldFetches:       p.m.fieldFetches.Value(),
-		LazyBytesSaved:     p.m.lazyBytesSaved.Value(),
 		DuplicatesDropped:  p.m.duplicatesDropped.Value(),
 		ReleasesDropped:    p.m.releasesDropped.Value(),
 		SelfReads:          p.m.selfReads.Value(),
@@ -1005,23 +986,6 @@ func (p *Peer) servePipeline(calls []vm.PipelineCall) (rets []vm.WireValue, elap
 	return rets, elapsed, -1, nil
 }
 
-// FetchFieldsRemote implements vm.FieldFetcher: it pulls fields a lazy
-// migration withheld from the origin VM (nil fields = all remaining).
-func (p *Peer) FetchFieldsRemote(peerObj vm.ObjectID, fields []string) ([]string, []vm.Value, int64, error) {
-	p.m.fieldFetches.Inc()
-	req := &Message{Kind: MsgFieldFetch, Obj: peerObj, Classes: fields}
-	reply, err := p.call(req)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	vals, err := p.local.DecodeIncomingAll(p.idx, reply.Args)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	p.local.AdvanceClock(p.netCost(req, reply))
-	return reply.Classes, vals, reply.MovedBytes, nil
-}
-
 // GetFieldRemote implements vm.Peer.
 func (p *Peer) GetFieldRemote(peerObj vm.ObjectID, field string) (vm.Value, error) {
 	req := &Message{Kind: MsgGetField, Obj: peerObj, Field: field}
@@ -1155,13 +1119,7 @@ func (p *Peer) span(ctx context.Context, kind telemetry.SpanKind, note string, b
 }
 
 func (p *Peer) offload(ctx context.Context, classNames []string) (objects int, bytes int64, err error) {
-	var batch []vm.MigratedObject
-	var plan *vm.LazyPlan
-	if p.lazyMigration {
-		batch, plan, err = p.local.ExtractMigrationLazy(classNames)
-	} else {
-		batch, err = p.local.ExtractMigration(classNames)
-	}
+	batch, err := p.local.ExtractMigration(classNames)
 	if err != nil {
 		return 0, 0, fmt.Errorf("remote: offload: %w", err)
 	}
@@ -1180,19 +1138,10 @@ func (p *Peer) offload(ctx context.Context, classNames []string) (objects int, b
 	for i := range batch {
 		ids[i] = batch[i].SenderID
 	}
-	if err := p.local.ConvertToStubsLazy(p.idx, ids, reply.IDs, plan); err != nil {
+	if err := p.local.ConvertToStubs(p.idx, ids, reply.IDs); err != nil {
 		return 0, 0, fmt.Errorf("remote: offload: %w", err)
 	}
 	moved := vm.MigrationWireBytes(batch)
-	if plan != nil && plan.SavedBytes > 0 {
-		// Withheld fields crossed as one-byte placeholders; the residual
-		// bytes stay home until (unless) the receiver faults them in.
-		moved -= plan.SavedBytes
-		if moved < 0 {
-			moved = 0
-		}
-		p.m.lazyBytesSaved.Add(plan.SavedBytes)
-	}
 	if p.link != nil {
 		p.local.AdvanceClock(p.link.Transfer(moved, 1400))
 	}

@@ -5,29 +5,8 @@ import (
 	"errors"
 	"testing"
 
-	"aide/internal/netmodel"
 	"aide/internal/vm"
 )
-
-// newLazyPlatform is newPlatform with lazy state transfer enabled on
-// both peers (only the offloading side's flag matters).
-func newLazyPlatform(t *testing.T) (client, surrogate *vm.VM, pc, ps *Peer) {
-	t.Helper()
-	reg := testRegistry(t)
-	client = vm.New(reg, vm.Config{Role: vm.RoleClient, HeapCapacity: 1 << 20})
-	surrogate = vm.New(reg, vm.Config{Role: vm.RoleSurrogate, HeapCapacity: 8 << 20, CPUSpeed: 3.5})
-	link := netmodel.WaveLAN()
-	pc, ps = NewPair(client, surrogate, Options{Workers: 2, Link: &link, LazyMigration: true})
-	t.Cleanup(func() {
-		if err := pc.Close(); err != nil {
-			t.Errorf("close client peer: %v", err)
-		}
-		if err := ps.Close(); err != nil {
-			t.Errorf("close surrogate peer: %v", err)
-		}
-	})
-	return client, surrogate, pc, ps
-}
 
 // offloadDoc creates one Doc, roots it, and offloads the Doc class.
 func offloadDoc(t *testing.T, client *vm.VM, pc *Peer) vm.ObjectID {
@@ -122,124 +101,5 @@ func TestPipelineFrameErrorFailsDependentsOnce(t *testing.T) {
 	th := client.NewThread()
 	if v, gerr := th.GetField(doc, "len"); gerr != nil || v.I != 0 {
 		t.Fatalf("len = %v err=%v: the call after the failure must not have executed", v, gerr)
-	}
-}
-
-// TestLazyMigrationDefersAndFetches: with a predictor marking only "len"
-// hot, the migration withholds "title", charges fewer wire bytes than a
-// full-state migration, and the surrogate's first access to the cold
-// field pulls it with one MsgFieldFetch.
-func TestLazyMigrationDefersAndFetches(t *testing.T) {
-	seed := func(t *testing.T, client *vm.VM) vm.ObjectID {
-		t.Helper()
-		th := client.NewThread()
-		doc, err := th.New("Doc", 2048)
-		if err != nil {
-			t.Fatalf("new Doc: %v", err)
-		}
-		if err := th.SetField(doc, "len", vm.Int(3)); err != nil {
-			t.Fatal(err)
-		}
-		if err := th.SetField(doc, "title", vm.Str("cold title payload")); err != nil {
-			t.Fatal(err)
-		}
-		client.SetRoot("doc", doc)
-		return doc
-	}
-
-	// Full-state baseline for the wire-byte comparison.
-	fullClient, _, fullPC, _ := newPlatform(t)
-	seed(t, fullClient)
-	_, movedFull, err := fullPC.Offload([]string{"Doc"})
-	if err != nil {
-		t.Fatalf("full offload: %v", err)
-	}
-
-	client, surrogate, pc, ps := newLazyPlatform(t)
-	client.SetFieldPredictor(func(class, field string) bool { return field == "len" })
-	doc := seed(t, client)
-	n, movedLazy, err := pc.Offload([]string{"Doc"})
-	if err != nil {
-		t.Fatalf("lazy offload: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("offloaded %d objects, want 1", n)
-	}
-	saved := pc.Stats().LazyBytesSaved
-	if saved <= 0 {
-		t.Fatalf("LazyBytesSaved = %d, want > 0", saved)
-	}
-	if movedLazy+saved != movedFull {
-		t.Fatalf("moved %d + saved %d != full migration's %d", movedLazy, saved, movedFull)
-	}
-	if rc := client.ResidualCount(); rc != 1 {
-		t.Fatalf("residuals = %d, want 1", rc)
-	}
-
-	// The hot field shipped eagerly: reading it on the surrogate must not
-	// fault back to the client.
-	sid := client.Object(doc).PeerID
-	sth := surrogate.NewThread()
-	if v, err := sth.GetField(sid, "len"); err != nil || v.I != 3 {
-		t.Fatalf("hot field = %v err=%v, want 3", v, err)
-	}
-	if f := ps.Stats().FieldFetches; f != 0 {
-		t.Fatalf("hot-field read triggered %d fetches, want 0", f)
-	}
-
-	// First cold access pulls the residual; the second is served locally.
-	if v, err := sth.GetField(sid, "title"); err != nil || v.S != "cold title payload" {
-		t.Fatalf("cold field = %v err=%v", v, err)
-	}
-	if f := ps.Stats().FieldFetches; f != 1 {
-		t.Fatalf("FieldFetches = %d after first cold access, want 1", f)
-	}
-	if rc := client.ResidualCount(); rc != 0 {
-		t.Fatalf("residuals = %d after fetch, want 0 (store must drain)", rc)
-	}
-	if v, err := sth.GetField(sid, "title"); err != nil || v.S != "cold title payload" {
-		t.Fatalf("second cold read = %v err=%v", v, err)
-	}
-	if f := ps.Stats().FieldFetches; f != 1 {
-		t.Fatalf("FieldFetches = %d after second read, want still 1", f)
-	}
-}
-
-// TestLazyFetchPullsAllRemainingOnce: one fault fetches every withheld
-// field of the object (prefetch batching) — the second cold field is
-// already present when accessed, so the object faults at most once.
-func TestLazyFetchPullsAllRemainingOnce(t *testing.T) {
-	client, surrogate, pc, ps := newLazyPlatform(t)
-	client.SetFieldPredictor(func(class, field string) bool { return false })
-
-	th := client.NewThread()
-	doc, err := th.New("Doc", 2048)
-	if err != nil {
-		t.Fatalf("new Doc: %v", err)
-	}
-	if err := th.SetField(doc, "len", vm.Int(7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := th.SetField(doc, "title", vm.Str("also cold")); err != nil {
-		t.Fatal(err)
-	}
-	client.SetRoot("doc", doc)
-	if _, _, err := pc.Offload([]string{"Doc"}); err != nil {
-		t.Fatalf("offload: %v", err)
-	}
-
-	sid := client.Object(doc).PeerID
-	sth := surrogate.NewThread()
-	if v, err := sth.GetField(sid, "len"); err != nil || v.I != 7 {
-		t.Fatalf("first cold field = %v err=%v, want 7", v, err)
-	}
-	if v, err := sth.GetField(sid, "title"); err != nil || v.S != "also cold" {
-		t.Fatalf("second cold field = %v err=%v", v, err)
-	}
-	if f := ps.Stats().FieldFetches; f != 1 {
-		t.Fatalf("FieldFetches = %d, want 1 — one fault must batch the whole object", f)
-	}
-	if rc := client.ResidualCount(); rc != 0 {
-		t.Fatalf("residuals = %d, want 0", rc)
 	}
 }

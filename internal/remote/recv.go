@@ -482,7 +482,7 @@ func (p *Peer) route(m *Message, self uint64) (own *Message, held bool) {
 // batches of them, field and static access block on nothing but the wire
 // (a callback, which the serving goroutine reads for itself — the paper's
 // thread that "is not migrated"; nesting costs stack, not workers); so are
-// the kinds that cannot block at all, lazy field pulls, pings, releases.
+// the kinds that cannot block at all, pings and releases.
 // The rest wait on something else or outlive their frame (migrate adopts a
 // heap's worth of objects, recall runs a whole offload, snapshot pushes end
 // in a handler that dials another surrogate, attach and info run the
@@ -496,7 +496,7 @@ func (p *Peer) servesInPlace(k MsgKind, background bool) bool {
 	}
 	switch k {
 	case MsgInvoke, MsgNativeInvoke, MsgGetField, MsgSetField, MsgGetStatic, MsgSetStatic,
-		MsgInvokeBatch, MsgFieldFetch, MsgPing, MsgRelease, MsgReleaseBatch:
+		MsgInvokeBatch, MsgPing, MsgRelease, MsgReleaseBatch:
 		return !background || p.rd.inPlace.CompareAndSwap(false, true)
 	}
 	return false
@@ -700,20 +700,6 @@ func (p *Peer) serve(m *Message) {
 			// 1-based on the wire; errIdx -1 (not attributable) maps to 0.
 			reply.ErrIndex = int32(errIdx) + 1
 		}
-	case MsgFieldFetch:
-		names, vals, moved, err := p.local.ServeFetchFields(m.Obj, m.Classes)
-		if err != nil {
-			reply.Err = err.Error()
-			break
-		}
-		wvals, err := p.local.EncodeOutgoingAll(p.idx, vals)
-		if err != nil {
-			reply.Err = err.Error()
-			break
-		}
-		reply.Classes = names
-		reply.Args = wvals
-		reply.MovedBytes = moved
 	case MsgMigrate:
 		ids, err := p.local.AdoptMigration(p.idx, m.Batch)
 		if err != nil {

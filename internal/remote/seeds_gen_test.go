@@ -9,7 +9,9 @@ import (
 
 // TestRegenerateFuzzSeeds rewrites the checked-in corpus seeds that are
 // derived from codecMessages(): one file per late-added message kind
-// plus a truncated frame. Guarded so a normal test run never touches
+// plus a truncated frame. Seeds 25 and 26 are not rewritten: they are
+// fixed frames of the retired kind 16, which the codec still carries and
+// serve refuses. Guarded so a normal test run never touches
 // testdata; regenerate after a codec change with
 //
 //	AIDE_REGEN_SEEDS=1 go test -run TestRegenerateFuzzSeeds ./internal/remote
@@ -42,10 +44,6 @@ func TestRegenerateFuzzSeeds(t *testing.T) {
 			write("seed-23-invoke-batch", buf)
 		case m.Kind == MsgInvokeBatch && m.Reply && m.Err != "":
 			write("seed-24-invoke-batch-error-reply", buf)
-		case m.Kind == MsgFieldFetch && !m.Reply:
-			write("seed-25-field-fetch", buf)
-		case m.Kind == MsgFieldFetch && m.Reply:
-			write("seed-26-field-fetch-reply", buf)
 		case m.Kind == MsgSnapshot && !m.Reply && m.Method == "restore" && snap == nil:
 			snap = buf
 			write("seed-28-snapshot-chunk", buf)

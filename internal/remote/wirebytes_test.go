@@ -66,8 +66,8 @@ func TestWireBytesExact(t *testing.T) {
 	}
 	for k := MsgInvoke; k <= MsgSnapshot; k++ {
 		// MsgPromiseRef is never a frame's kind: it marks a promise
-		// receiver inside a MsgInvokeBatch payload.
-		if k != MsgPromiseRef && !seen[k] {
+		// receiver inside a MsgInvokeBatch payload. Kind 16 is retired.
+		if k != MsgPromiseRef && k != 16 && !seen[k] {
 			t.Errorf("codecMessages covers no %s message", k)
 		}
 	}

@@ -13,11 +13,11 @@ func FuzzImageDecode(f *testing.F) {
 	f.Add(goldenImage().Encode())
 	f.Add((&Image{}).Encode())
 	// Truncated mid-object.
-	f.Add([]byte{1, 2, 1, 1, 1, 'A'})
+	f.Add([]byte{imageVersion, 2, 1, 1, 1, 'A'})
 	// Bad version byte.
 	f.Add([]byte{0x7f, 1, 0})
 	// Oversize declared length: object count far beyond the input.
-	f.Add([]byte{1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{imageVersion, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := Decode(data)
 		if err != nil {

@@ -1,10 +1,9 @@
 // Package snapshot captures a VM's complete heap and class state as a
 // deterministic, self-contained image: the object table with exact IDs,
-// field values, roots, statics, lazy-migration residuals, and an opaque
-// auxiliary blob (monitor heat travels there). The image has a versioned
-// binary encoding with a byte-identical round-trip guarantee — encoding
-// the restored state reproduces the original bytes exactly — pinned by
-// golden tests.
+// field values, roots, and statics. The image has a versioned binary
+// encoding with a byte-identical round-trip guarantee — encoding the
+// restored state reproduces the original bytes exactly — pinned by golden
+// tests.
 //
 // Copy-on-write: a snapshot copies object payloads once, at capture, and
 // shares the immutable class state (the registry) by reference. Mutating
@@ -31,15 +30,13 @@ import (
 	"aide/internal/vm"
 )
 
-// Image is one captured VM state plus an opaque auxiliary blob the
-// platform uses for monitor heat. The zero Aux is valid (no heat).
+// Image is one captured VM state.
 type Image struct {
 	State *vm.SnapshotState
-	Aux   []byte
 }
 
-// Snapshot captures v's heap, roots, statics, and residual store. The
-// image shares no mutable memory with the VM.
+// Snapshot captures v's heap, roots, and statics. The image shares no
+// mutable memory with the VM.
 func Snapshot(v *vm.VM) *Image {
 	return &Image{State: v.ExportSnapshot()}
 }
@@ -47,7 +44,7 @@ func Snapshot(v *vm.VM) *Image {
 // Restore replaces v's heap and class state with the image's, preserving
 // object IDs exactly. Every class named by the image must exist in v's
 // registry and the restored bytes must fit v's heap; on error v is
-// unchanged. The image's Aux blob is the caller's to interpret.
+// unchanged.
 func Restore(v *vm.VM, img *Image) error {
 	if img == nil || img.State == nil {
 		return fmt.Errorf("snapshot: restore: empty image")

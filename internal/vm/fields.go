@@ -52,9 +52,6 @@ retry:
 		if val.Kind == KindRef {
 			v.addTempLocked(val.Ref)
 		}
-		if v.fieldHooks != nil {
-			v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
-		}
 		v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
 		v.mu.Unlock()
 		return val, nil
@@ -65,20 +62,8 @@ retry:
 		return Nil(), fmt.Errorf("vm: get %s.%s: %w", to, field, ErrNoSuchField)
 	}
 	val := o.Fields[ix]
-	if val.Kind == KindDeferred {
-		// Lazy-migration fault: the value stayed behind on the origin VM.
-		// Pull every withheld field of the object in one round trip, then
-		// retry the access (fetchDeferred guarantees no slot stays
-		// deferred, so the retry cannot fault again).
-		v.mu.Unlock()
-		v.fetchDeferred(target)
-		goto retry
-	}
 	if val.Kind == KindRef {
 		v.addTempLocked(val.Ref)
-	}
-	if v.fieldHooks != nil {
-		v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
 	}
 	v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
 	v.mu.Unlock()
@@ -126,9 +111,6 @@ retry:
 			return fmt.Errorf("vm: remote set %s.%s: %w", to, field, err)
 		}
 		v.mu.Lock()
-		if v.fieldHooks != nil {
-			v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
-		}
 		v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
 		v.mu.Unlock()
 		return nil
@@ -138,14 +120,7 @@ retry:
 		v.mu.Unlock()
 		return fmt.Errorf("vm: set %s.%s: %w", to, field, ErrNoSuchField)
 	}
-	// Writing a deferred slot overwrites the placeholder; the origin's
-	// residual copy is stale from here on and loses to this value if the
-	// object ever migrates home (AdoptMigration folds residuals into
-	// still-deferred slots only).
 	o.Fields[ix] = val
-	if v.fieldHooks != nil {
-		v.fieldHooks.OnFieldAccess(to, field, val.WireSize())
-	}
 	v.emitLocked(trace.KindAccess, from, o.Class, target, val.WireSize(), 0, false, false)
 	v.mu.Unlock()
 	return nil

@@ -150,8 +150,6 @@ func (v *VM) collectLocked() {
 			released = append(released, importKey{peer: o.PeerIdx, id: o.PeerID})
 			delete(v.imports, importKey{peer: o.PeerIdx, id: o.PeerID})
 			delete(v.objects, id)
-			// A dead stub can never fault its lazily withheld fields back.
-			v.dropResidualLocked(id)
 			// The migrated object is now releasable on the peer; tell
 			// monitoring so class memory accounting follows the release.
 			if o.RemoteSize > 0 {
@@ -225,7 +223,6 @@ func (v *VM) FreeObject(id ObjectID) error {
 		// account for the migrated object's memory leaving the platform.
 		delete(v.objects, id)
 		delete(v.imports, importKey{peer: o.PeerIdx, id: o.PeerID})
-		v.dropResidualLocked(id)
 		if o.RemoteSize > 0 {
 			v.emitLocked(trace.KindDelete, nil, o.Class, id, o.RemoteSize, 0, false, false)
 		}

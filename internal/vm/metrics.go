@@ -18,9 +18,6 @@ const (
 	metricMigratedOut    = "aide_vm_migrated_out_objects_total"
 	metricMigratedIn     = "aide_vm_migrated_in_objects_total"
 	metricReclaimedStubs = "aide_vm_reclaimed_stubs_total"
-	metricLazyDeferred   = "aide_vm_lazy_fields_deferred_total"
-	metricLazyFaults     = "aide_vm_lazy_field_faults_total"
-	metricLazyFetched    = "aide_vm_lazy_fields_fetched_total"
 	metricHeapLive       = "aide_vm_heap_live_bytes"
 	metricHeapFree       = "aide_vm_heap_free_bytes"
 	metricHeapObjects    = "aide_vm_heap_objects"
@@ -39,9 +36,6 @@ type vmMetrics struct {
 	migratedOut    *telemetry.Counter
 	migratedIn     *telemetry.Counter
 	reclaimedStubs *telemetry.Counter
-	lazyDeferred   *telemetry.Counter
-	lazyFaults     *telemetry.Counter
-	lazyFetched    *telemetry.Counter
 }
 
 func newVMMetrics(reg *telemetry.Registry) vmMetrics {
@@ -58,9 +52,6 @@ func newVMMetrics(reg *telemetry.Registry) vmMetrics {
 		migratedOut:    reg.Counter(metricMigratedOut, "objects extracted into outgoing migrations"),
 		migratedIn:     reg.Counter(metricMigratedIn, "objects adopted from incoming migrations"),
 		reclaimedStubs: reg.Counter(metricReclaimedStubs, "stubs re-materialized locally after a peer was lost"),
-		lazyDeferred:   reg.Counter(metricLazyDeferred, "fields withheld from lazy migrations"),
-		lazyFaults:     reg.Counter(metricLazyFaults, "accesses that faulted on a lazily withheld field"),
-		lazyFetched:    reg.Counter(metricLazyFetched, "withheld fields pulled from their origin vm"),
 	}
 }
 

@@ -26,25 +26,11 @@ type MigratedObject struct {
 // The objects are not yet removed; call ConvertToStubs with the IDs the
 // receiver assigned to complete the move.
 func (v *VM) ExtractMigration(classNames []string) ([]MigratedObject, error) {
-	batch, _, err := v.extractMigration(classNames, false)
-	return batch, err
-}
-
-// extractMigration is the shared body of ExtractMigration and
-// ExtractMigrationLazy. With lazy set and a FieldPredictor installed,
-// predictor-cold scalar fields are withheld into the returned plan as
-// KindDeferred placeholders (lazy.go).
-func (v *VM) extractMigration(classNames []string, lazy bool) ([]MigratedObject, *LazyPlan, error) {
 	moving := make(map[string]bool, len(classNames))
 	for _, n := range classNames {
 		moving[n] = true
 	}
 	v.mu.Lock()
-	pred := v.fieldPredictor
-	if !lazy {
-		pred = nil
-	}
-	plan := &LazyPlan{deferred: make(map[ObjectID]*residual)}
 	var ids []ObjectID
 	for id, o := range v.objects {
 		if !o.Remote && moving[o.Class.Name] {
@@ -66,25 +52,13 @@ func (v *VM) extractMigration(classNames []string, lazy bool) ([]MigratedObject,
 			Size:     o.Size,
 			Fields:   make([]WireValue, len(o.Fields)),
 		}
-		var res *residual
 		for i, val := range o.Fields {
-			if pred != nil && lazyDeferrable(val) && i < len(o.Class.Fields) &&
-				!pred(o.Class.Name, o.Class.Fields[i]) {
-				if res == nil {
-					res = &residual{fields: make(map[string]Value)}
-				}
-				res.fields[o.Class.Fields[i]] = val
-				res.bytes += val.WireSize()
-				m.Fields[i] = WireValue{Kind: KindDeferred}
-				plan.DeferredFields++
-				continue
-			}
 			w := WireValue{Kind: val.Kind, I: val.I, F: val.F, B: val.B, S: val.S, Bytes: val.Bytes}
 			if val.Kind == KindRef && val.Ref != InvalidObject {
 				ro, ok := v.objects[val.Ref]
 				if !ok {
 					v.mu.Unlock()
-					return nil, nil, fmt.Errorf("vm: migrate %s#%d field %d: %w", o.Class.Name, id, i, ErrNoSuchObject)
+					return nil, fmt.Errorf("vm: migrate %s#%d field %d: %w", o.Class.Name, id, i, ErrNoSuchObject)
 				}
 				switch {
 				case ro.Remote:
@@ -103,25 +77,15 @@ func (v *VM) extractMigration(classNames []string, lazy bool) ([]MigratedObject,
 			}
 			m.Fields[i] = w
 		}
-		if res != nil {
-			// The residual keeps at most the object's own heap accounting
-			// live, so withholding can never inflate the heap.
-			if res.bytes > o.Size {
-				res.bytes = o.Size
-			}
-			plan.deferred[id] = res
-			plan.SavedBytes += res.bytes
-		}
 		batch = append(batch, m)
 	}
 	v.mu.Unlock()
 	v.tm.migratedOut.Add(int64(len(batch)))
-	v.tm.lazyDeferred.Add(plan.DeferredFields)
-	return batch, plan, nil
+	return batch, nil
 }
 
-// WireBytes returns the approximate on-the-wire size of the batch, used to
-// charge the offload transfer to the network model.
+// MigrationWireBytes returns the approximate on-the-wire size of the
+// batch, used to charge the offload transfer to the network model.
 func MigrationWireBytes(batch []MigratedObject) int64 {
 	var n int64
 	for i := range batch {
@@ -142,10 +106,6 @@ func (v *VM) AdoptMigration(peerIdx int, batch []MigratedObject) ([]ObjectID, er
 	// the batch can be re-linked.
 	assigned := make([]ObjectID, len(batch))
 	senderToLocal := make(map[ObjectID]ObjectID, len(batch))
-	// recalled holds residuals this VM kept as the origin of an earlier
-	// lazy migration of the same object: when the object comes home, the
-	// withheld values fold back into any still-deferred slots.
-	var recalled map[ObjectID]*residual
 	for i := range batch {
 		m := &batch[i]
 		class := v.registry.Class(m.Class)
@@ -164,14 +124,6 @@ func (v *VM) AdoptMigration(peerIdx int, batch []MigratedObject) ([]ObjectID, er
 			o.PeerID = 0
 			o.RemoteSize = 0
 			delete(v.imports, importKey{peer: peerIdx, id: m.SenderID})
-			if res, ok := v.residuals[stubID]; ok {
-				if recalled == nil {
-					recalled = make(map[ObjectID]*residual)
-				}
-				recalled[stubID] = res
-				v.liveBytes -= res.bytes
-				delete(v.residuals, stubID)
-			}
 		} else {
 			id := v.nextID
 			v.nextID++
@@ -213,28 +165,6 @@ func (v *VM) AdoptMigration(peerIdx int, batch []MigratedObject) ([]ObjectID, er
 					val.Ref = id
 				}
 			}
-			if w.Kind == KindDeferred {
-				if res := recalled[o.ID]; res != nil {
-					// The object is home again; fold the withheld value back
-					// in. A slot the residual no longer holds was fetched
-					// while the object was away and came back concrete, so a
-					// miss here means the value is unrecoverable — zero it.
-					if fi < len(o.Class.Fields) {
-						if rv, ok := res.fields[o.Class.Fields[fi]]; ok {
-							val = rv
-						} else {
-							val = Nil()
-						}
-					} else {
-						val = Nil()
-					}
-				} else {
-					// Freshly adopted lazy field: remember the origin so the
-					// first access can pull the value (fields.go fault path).
-					o.lazyFrom = peerIdx
-					o.lazySrc = m.SenderID
-				}
-			}
 			o.Fields[fi] = val
 		}
 	}
@@ -262,21 +192,43 @@ func (v *VM) stubForLocked(peerIdx int, peerID ObjectID, className string) (Obje
 // a stub pointing at the peer ID the receiver assigned, and its heap
 // memory is freed. ids and peerIDs correspond positionally.
 func (v *VM) ConvertToStubs(peerIdx int, ids, peerIDs []ObjectID) error {
-	return v.ConvertToStubsLazy(peerIdx, ids, peerIDs, nil)
+	if len(ids) != len(peerIDs) {
+		return fmt.Errorf("vm: convert to stubs: %d ids but %d peer ids", len(ids), len(peerIDs))
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for i, id := range ids {
+		o, ok := v.objects[id]
+		if !ok {
+			return fmt.Errorf("vm: convert #%d: %w", id, ErrNoSuchObject)
+		}
+		if o.Remote {
+			return fmt.Errorf("vm: convert #%d: already a stub", id)
+		}
+		v.liveBytes -= o.Size
+		o.RemoteSize = o.Size
+		o.Size = 0
+		o.Fields = nil
+		o.Remote = true
+		o.PeerIdx = peerIdx
+		o.PeerID = peerIDs[i]
+		o.exported = 0
+		v.imports[importKey{peer: peerIdx, id: peerIDs[i]}] = id
+	}
+	return nil
 }
 
 // ReclaimStubs re-materializes every stub hosted by the given peer as a
 // fresh local object: the fallback half of the migrate path, run when a
 // surrogate vanishes (paper §2: the client must keep running without the
 // surrogate). The remote copies are unrecoverable, so each object
-// restarts from zeroed fields with its remembered size — except fields a
-// lazy migration withheld, which survived here in the residual store and
-// are put back; existing local references stay valid because the stub
-// upgrades in place, exactly like AdoptMigration's stub upgrade. Pins the
-// vanished peer held on local objects are dropped when it was the only
-// attached peer (they could never be released now); with other peers
-// still attached the pins are left in place — a leak, never a
-// corruption. Returns the number of objects reclaimed.
+// restarts from zeroed fields with its remembered size; existing local
+// references stay valid because the stub upgrades in place, exactly like
+// AdoptMigration's stub upgrade. Pins the vanished peer held on local
+// objects are dropped when it was the only attached peer (they could
+// never be released now); with other peers still attached the pins are
+// left in place — a leak, never a corruption. Returns the number of
+// objects reclaimed.
 func (v *VM) ReclaimStubs(peerIdx int) int {
 	n := v.reclaimStubs(peerIdx, nil)
 	if v.tracer.Enabled() {

@@ -368,81 +368,6 @@ func TestReclaimStubsRebuildsLocally(t *testing.T) {
 	}
 }
 
-// TestReclaimKeepsLazilyWithheldFields: this VM is the origin of a lazy
-// migration and still holds what it withheld, so losing the peer must not
-// lose those values — with a donor or without. The donor (the peer's
-// heap, where the cold slot is still KindDeferred) contributes what it
-// does know: the hot field it changed.
-func TestReclaimKeepsLazilyWithheldFields(t *testing.T) {
-	entries := map[string]func(client *VM, idx int, donor *SnapshotState) int{
-		"ReclaimStubs":     func(client *VM, idx int, _ *SnapshotState) int { return client.ReclaimStubs(idx) },
-		"ReclaimStubsFrom": (*VM).ReclaimStubsFrom,
-	}
-	for name, reclaim := range entries {
-		t.Run(name, func(t *testing.T) {
-			reg := NewRegistry()
-			if _, err := reg.Register(ClassSpec{Name: "Doc", Fields: []string{"len", "title"}}); err != nil {
-				t.Fatal(err)
-			}
-			client := New(reg, Config{Role: RoleClient, HeapCapacity: 1 << 20, CPUSpeed: 1})
-			surrogate := New(reg, Config{Role: RoleSurrogate, HeapCapacity: 8 << 20, CPUSpeed: 1})
-			cp, sp := wireLoopPair(client, surrogate)
-			client.SetFieldPredictor(func(class, field string) bool { return field == "len" })
-
-			th := client.NewThread()
-			doc, err := th.New("Doc", 2048)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := th.SetField(doc, "len", Int(3)); err != nil {
-				t.Fatal(err)
-			}
-			if err := th.SetField(doc, "title", Str("cold title payload")); err != nil {
-				t.Fatal(err)
-			}
-			client.SetRoot("doc", doc)
-			liveHome := client.Heap().Live
-
-			batch, plan, err := client.ExtractMigrationLazy([]string{"Doc"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assigned, err := surrogate.AdoptMigration(sp.selfIdx, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := client.ConvertToStubsLazy(cp.selfIdx, []ObjectID{doc}, assigned, plan); err != nil {
-				t.Fatal(err)
-			}
-			if client.ResidualCount() != 1 {
-				t.Fatalf("residuals = %d after a lazy offload, want 1", client.ResidualCount())
-			}
-			if err := surrogate.NewThread().SetField(assigned[0], "len", Int(4)); err != nil {
-				t.Fatal(err)
-			}
-			donor := surrogate.ExportSnapshot()
-
-			client.DetachPeer(cp.selfIdx)
-			if n := reclaim(client, cp.selfIdx, donor); n != 1 {
-				t.Fatalf("reclaimed %d objects, want 1", n)
-			}
-			if v, err := th.GetField(doc, "title"); err != nil || v.S != "cold title payload" {
-				t.Fatalf("title = %v err=%v, want the value this VM withheld", v, err)
-			}
-			wantLen := int64(0) // the peer's copy is unrecoverable without a donor
-			if name == "ReclaimStubsFrom" {
-				wantLen = 4
-			}
-			if v, err := th.GetField(doc, "len"); err != nil || v.I != wantLen {
-				t.Fatalf("len = %v err=%v, want %d", v, err, wantLen)
-			}
-			if rc, live := client.ResidualCount(), client.Heap().Live; rc != 0 || live != liveHome {
-				t.Fatalf("after reclaim: %d residuals, %d live bytes; want 0 and %d", rc, live, liveHome)
-			}
-		})
-	}
-}
-
 // TestReclaimStubsKeepsPinsWithOtherPeers: with a second peer still
 // attached, reclaiming one peer's stubs must NOT zero export pins — the
 // survivor may still hold stubs (a leak is acceptable, a corruption is

@@ -32,11 +32,6 @@ type SnapshotObject struct {
 	// Exported is the distributed-GC pin count the peer holds.
 	Exported int64
 
-	// Lazy-migration provenance (lazy.go): set when the object still has
-	// KindDeferred fields to fault in from its origin VM.
-	LazyFrom int
-	LazySrc  ObjectID
-
 	// Fields holds the instance slots. KindRef values reference the
 	// snapshot's own ID namespace.
 	Fields []Value
@@ -54,26 +49,15 @@ type SnapshotStatic struct {
 	Values []Value
 }
 
-// SnapshotResidual is the withheld field state of one lazily migrated
-// object (the origin side of a lazy migration).
-type SnapshotResidual struct {
-	ID     ObjectID
-	Bytes  int64
-	Names  []string
-	Values []Value
-}
-
 // SnapshotState is a VM's complete heap and class state in deterministic
-// order: objects ascending by ID, roots by name, statics by class name,
-// residual fields by field name. Two exports of the same VM state are
-// structurally identical, which is what lets the snapshot package pin a
-// byte-identical encoding.
+// order: objects ascending by ID, roots by name, statics by class name.
+// Two exports of the same VM state are structurally identical, which is
+// what lets the snapshot package pin a byte-identical encoding.
 type SnapshotState struct {
-	NextID   ObjectID
-	Objects  []SnapshotObject
-	Roots    []SnapshotRoot
-	Statics  []SnapshotStatic
-	Residual []SnapshotResidual
+	NextID  ObjectID
+	Objects []SnapshotObject
+	Roots   []SnapshotRoot
+	Statics []SnapshotStatic
 }
 
 // copyValue deep-copies a Value so the snapshot shares no mutable memory
@@ -85,8 +69,8 @@ func copyValue(val Value) Value {
 	return val
 }
 
-// ExportSnapshot captures the VM's heap, roots, statics, and residual
-// store as a self-contained, deterministically ordered state. The export
+// ExportSnapshot captures the VM's heap, roots, and statics as a
+// self-contained, deterministically ordered state. The export
 // shares no mutable memory with the VM: mutating the VM afterwards never
 // changes the snapshot (copy-on-write at the granularity of the export).
 func (v *VM) ExportSnapshot() *SnapshotState {
@@ -112,8 +96,6 @@ func (v *VM) ExportSnapshot() *SnapshotState {
 			PeerID:     o.PeerID,
 			RemoteSize: o.RemoteSize,
 			Exported:   o.exported,
-			LazyFrom:   o.lazyFrom,
-			LazySrc:    o.lazySrc,
 		}
 		if len(o.Fields) > 0 {
 			so.Fields = make([]Value, len(o.Fields))
@@ -146,37 +128,16 @@ func (v *VM) ExportSnapshot() *SnapshotState {
 		}
 		s.Statics = append(s.Statics, ss)
 	}
-
-	resIDs := make([]ObjectID, 0, len(v.residuals))
-	for id := range v.residuals {
-		resIDs = append(resIDs, id)
-	}
-	sortObjectIDs(resIDs)
-	for _, id := range resIDs {
-		res := v.residuals[id]
-		sr := SnapshotResidual{ID: id, Bytes: res.bytes}
-		names := make([]string, 0, len(res.fields))
-		for name := range res.fields {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			sr.Names = append(sr.Names, name)
-			sr.Values = append(sr.Values, copyValue(res.fields[name]))
-		}
-		s.Residual = append(s.Residual, sr)
-	}
 	return s
 }
 
-// ImportSnapshot replaces the VM's heap, roots, statics, and residual
-// store with the snapshot's state, preserving object IDs exactly. Every
-// class named by the snapshot must exist in this VM's registry, every
-// reference — in object fields, roots, statics, and residual values —
-// must resolve to an object in the image (images arrive over the wire,
-// so a dangling reference is hostile input, not a tolerable glitch),
-// and the restored live bytes must fit the heap; on error the VM is
-// unchanged.
+// ImportSnapshot replaces the VM's heap, roots, and statics with the
+// snapshot's state, preserving object IDs exactly. Every class named by
+// the snapshot must exist in this VM's registry, every reference — in
+// object fields, roots, and statics — must resolve to an object in the
+// image (images arrive over the wire, so a dangling reference is hostile
+// input, not a tolerable glitch), and the restored live bytes must fit
+// the heap; on error the VM is unchanged.
 // Peer slots are NOT part of the snapshot — stubs keep their PeerIdx and
 // resolve against whatever peers the receiving VM has attached, which is
 // what lets a restored session VM keep serving the same client.
@@ -205,8 +166,6 @@ func (v *VM) ImportSnapshot(s *SnapshotState) error {
 			PeerID:     so.PeerID,
 			RemoteSize: so.RemoteSize,
 			exported:   so.Exported,
-			lazyFrom:   so.LazyFrom,
-			lazySrc:    so.LazySrc,
 		}
 		if !o.Remote {
 			o.Fields = make([]Value, len(class.Fields))
@@ -263,29 +222,6 @@ func (v *VM) ImportSnapshot(s *SnapshotState) error {
 		roots[r.Name] = r.ID
 	}
 
-	var residuals map[ObjectID]*residual
-	for _, sr := range s.Residual {
-		if residuals == nil {
-			residuals = make(map[ObjectID]*residual, len(s.Residual))
-		}
-		if len(sr.Names) != len(sr.Values) {
-			return fmt.Errorf("vm: restore residual #%d: %d names, %d values", sr.ID, len(sr.Names), len(sr.Values))
-		}
-		res := &residual{fields: make(map[string]Value, len(sr.Names)), bytes: sr.Bytes}
-		for i, name := range sr.Names {
-			val := sr.Values[i]
-			if val.Kind == KindRef && val.Ref != InvalidObject {
-				if _, ok := objects[val.Ref]; !ok {
-					return fmt.Errorf("vm: restore residual #%d field %q: dangling reference #%d",
-						sr.ID, name, val.Ref)
-				}
-			}
-			res.fields[name] = copyValue(val)
-		}
-		residuals[sr.ID] = res
-		live += sr.Bytes
-	}
-
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if live > v.cfg.HeapCapacity {
@@ -296,7 +232,6 @@ func (v *VM) ImportSnapshot(s *SnapshotState) error {
 	v.imports = imports
 	v.statics = statics
 	v.roots = roots
-	v.residuals = residuals
 	v.nextID = s.NextID
 	v.liveBytes = live
 	v.garbageBytes = 0
@@ -357,9 +292,8 @@ func (v *VM) drainIfRedirected(peerIdx int, used Peer, err error) bool {
 // ID namespace is the peer's. Donor references are followed: a donor
 // object with no stub here is copied in as a fresh local object, and a
 // donor stub pointing back at this VM resolves to the local object it
-// names. A stub the donor does not know, and a slot the donor still holds
-// deferred (it never faulted the withheld value in), re-materialize
-// exactly like ReclaimStubs: from this VM's residual, else zeroed.
+// names. A stub the donor does not know re-materializes exactly like
+// ReclaimStubs: zeroed.
 // Returns the number of objects re-homed.
 func (v *VM) ReclaimStubsFrom(peerIdx int, donor *SnapshotState) int {
 	return v.reclaimStubs(peerIdx, donor)
@@ -406,17 +340,6 @@ func (v *VM) reclaimStubs(peerIdx int, donor *SnapshotState) int {
 		o.PeerIdx = 0
 		o.RemoteSize = 0
 		o.Fields = make([]Value, len(o.Class.Fields))
-		if res, ok := v.residuals[o.ID]; ok {
-			// The object lazily migrated to the vanished peer earlier and we
-			// are its origin: the withheld values survived locally, so the
-			// re-materialized object keeps them instead of restarting zeroed.
-			for name, val := range res.fields {
-				if ix, ok := o.Class.FieldIndex(name); ok {
-					o.Fields[ix] = val
-				}
-			}
-			v.dropResidualLocked(o.ID)
-		}
 		v.liveBytes += o.Size
 		n++
 	}
@@ -463,8 +386,7 @@ func (v *VM) reclaimStubs(peerIdx int, donor *SnapshotState) int {
 	}
 
 	// Pass 2: fill fields from the donor, rewriting references through
-	// the map; unresolvable references zero out. A slot the donor still
-	// holds deferred keeps what pass 1 left there: the residual's value.
+	// the map; unresolvable references zero out.
 	for localID, donorID := range fill {
 		o := v.objects[localID]
 		so := byID[donorID]
@@ -473,9 +395,6 @@ func (v *VM) reclaimStubs(peerIdx int, donor *SnapshotState) int {
 				break
 			}
 			val := copyValue(so.Fields[fi])
-			if val.Kind == KindDeferred {
-				continue
-			}
 			if val.Kind == KindRef && val.Ref != InvalidObject {
 				if mapped, ok := toLocal[val.Ref]; ok {
 					val.Ref = mapped

@@ -41,13 +41,6 @@ const (
 	KindString
 	KindBytes
 	KindRef
-
-	// KindDeferred marks a field whose value was withheld from a lazy
-	// migration: the origin VM keeps the real value as a residual and the
-	// receiver pulls it on first access (MsgFieldFetch). It never appears
-	// as a method argument or return value, only inside MigratedObject
-	// field lists and materialized object slots.
-	KindDeferred
 )
 
 // Value is the VM's tagged scalar/reference union.
@@ -127,8 +120,6 @@ func (v Value) String() string {
 		return fmt.Sprintf("bytes[%d]", len(v.Bytes))
 	case KindRef:
 		return fmt.Sprintf("ref(%d)", v.Ref)
-	case KindDeferred:
-		return "deferred"
 	default:
 		return fmt.Sprintf("Value(kind=%d)", v.Kind)
 	}

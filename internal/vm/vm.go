@@ -84,14 +84,6 @@ type Object struct {
 	// positive the object is a distributed-GC root.
 	exported int64
 
-	// lazyFrom/lazySrc remember where a lazily migrated object came from:
-	// the peer index of the origin VM and the object's ID in that VM's
-	// namespace (its residual-store key). Set when AdoptMigration installs
-	// KindDeferred fields; the first access pulls the withheld values from
-	// there (lazy.go).
-	lazyFrom int
-	lazySrc  ObjectID
-
 	marked bool
 }
 
@@ -221,16 +213,6 @@ type VM struct {
 	// events buffers monitoring events for hooks.OnEvents (emitLocked).
 	events []trace.Event
 
-	// fieldHooks caches hooks' optional FieldHooks extension (SetHooks
-	// type-asserts once, so the per-access check is a nil compare).
-	fieldHooks FieldHooks
-
-	// fieldPredictor, when set, lets ExtractMigrationLazy withhold
-	// predictor-cold fields; residuals holds the withheld values of
-	// objects this VM lazily migrated away, keyed by local stub ID.
-	fieldPredictor FieldPredictor
-	residuals      map[ObjectID]*residual
-
 	// peers are the attached remote-invocation modules. A client may
 	// attach several surrogates (paper §2: "multiple surrogates could be
 	// used by the client"); a surrogate attaches exactly one client at
@@ -306,19 +288,12 @@ func (v *VM) Registry() *Registry { return v.registry }
 func (v *VM) CPUSpeed() float64 { return v.cfg.CPUSpeed }
 
 // SetHooks installs (or removes, with nil) monitoring hooks, delivering
-// what the VM has buffered to the hooks it replaces first. A Hooks value
-// that also implements FieldHooks additionally receives per-field access
-// callbacks (the lazy-migration heat signal) directly, never buffered.
+// what the VM has buffered to the hooks it replaces first.
 func (v *VM) SetHooks(h Hooks) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.deliverLocked()
 	v.hooks = h
-	if fh, ok := h.(FieldHooks); ok {
-		v.fieldHooks = fh
-	} else {
-		v.fieldHooks = nil
-	}
 	if h != nil {
 		h.Attach(v.flushEvents)
 	}

@@ -64,8 +64,7 @@ func (w *WireValue) AppendWire(buf []byte) []byte {
 func (w *WireValue) ReadWire(r *wire.Reader) {
 	*w = WireValue{Kind: ValueKind(r.Byte())}
 	switch w.Kind {
-	case KindNil, KindDeferred:
-		// No payload: KindDeferred's kind byte alone marks a withheld field.
+	case KindNil:
 	case KindInt:
 		w.I = r.Varint()
 	case KindFloat:

@@ -102,7 +102,7 @@ func (sp *specPeer) ensureClone(ctx context.Context) (*vm.VM, error) {
 // and returned without translating between object namespaces.
 func scalarValues(vs []Value) bool {
 	for _, v := range vs {
-		if v.Kind == vm.KindRef || v.Kind == vm.KindDeferred {
+		if v.Kind == vm.KindRef {
 			return false
 		}
 	}
@@ -291,9 +291,4 @@ func (sp *specPeer) Release(peerObj ObjectID) {
 func (sp *specPeer) InvokePipeline(ctx context.Context, calls []vm.PipelineCall) (vm.PipelineOutcome, error) {
 	sp.dropClone()
 	return sp.inner.InvokePipeline(ctx, calls)
-}
-
-// FetchFieldsRemote forwards lazy-migration field pulls (a read).
-func (sp *specPeer) FetchFieldsRemote(peerObj ObjectID, fields []string) ([]string, []Value, int64, error) {
-	return sp.inner.FetchFieldsRemote(peerObj, fields)
 }

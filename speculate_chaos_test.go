@@ -30,7 +30,7 @@ func TestSpeculationChaosSevers(t *testing.T) {
 		delta   = int64(2)
 	)
 	reg := demoRegistry(t)
-	s := NewSurrogate(reg, WithHeap(1 << 30))
+	s := NewSurrogate(reg, WithHeap(1<<30))
 	client := NewClient(reg,
 		WithHeap(1<<20),
 		WithSpeculation(),
