@@ -317,12 +317,7 @@ func decodeMessage(data []byte) (*Message, error) {
 		case tagElapsedNanos:
 			m.ElapsedNanos = r.Varint()
 		case tagBatch:
-			if n := r.Count(); n > 0 {
-				m.Batch = make([]vm.MigratedObject, n)
-				for i := range m.Batch {
-					m.Batch[i].ReadWire(&r)
-				}
-			}
+			m.Batch = vm.ReadMigrationBatch(&r)
 		case tagIDs:
 			if n := r.Count(); n > 0 {
 				m.IDs = make([]vm.ObjectID, n)

@@ -1038,21 +1038,23 @@ func (p *Peer) SetStaticRemote(class, field string, v vm.Value) error {
 	return nil
 }
 
-// Release implements vm.Peer: fire-and-forget distributed-GC decrement.
+// Release implements vm.Peer: fire-and-forget distributed-GC decrements.
 // Decrefs coalesce into a per-peer buffer and ship as one
 // MsgReleaseBatch (paper §3.2's reference releases, batched so a stub
-// collection storm costs O(storm/batch) wire messages, not O(storm)).
-func (p *Peer) Release(peerObj vm.ObjectID) {
-	if p.closed.Load() {
+// collection storm costs O(storm/batch) wire messages, not O(storm)). A
+// call that brings the buffer to the batch size ships all of it in one
+// frame, so a collection's releases cost one frame however many there are.
+func (p *Peer) Release(peerObjs ...vm.ObjectID) {
+	if p.closed.Load() || len(peerObjs) == 0 {
 		return
 	}
-	p.m.releasesSent.Inc()
+	p.m.releasesSent.Add(int64(len(peerObjs)))
 	t := p.now()
 	p.relMu.Lock()
 	if len(p.relBuf) == 0 {
 		p.relFirst = t
 	}
-	p.relBuf = append(p.relBuf, peerObj)
+	p.relBuf = append(p.relBuf, peerObjs...)
 	flush := len(p.relBuf) >= p.relBatch || t.Sub(p.relFirst) >= p.relInterval
 	p.relMu.Unlock()
 	if flush {

@@ -223,9 +223,14 @@ func TestDistributedGCReleasesExports(t *testing.T) {
 	}
 
 	// Drop the client's only reference; collecting the stub must release
-	// the surrogate object.
+	// the surrogate object. A lone release waits in the client's batch
+	// until its next blocking call, which ships it first.
+	th.ClearTemps()
 	client.SetRoot("doc", vm.InvalidObject)
 	client.Collect()
+	if err := pc.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for surrogate.Heap().Live >= 2048 && time.Now().Before(deadline) {
 		surrogate.Collect()

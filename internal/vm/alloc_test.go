@@ -55,3 +55,62 @@ func TestWarmLocalCallAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestMigrationAllocationsDoNotGrowWithTheBatch: extracting a batch and
+// adopting it allocate the same number of times for 64 objects as for
+// 1,024 — each slice is sized once for the whole batch, and no object's
+// fields are a heap allocation of their own. The adopting VM holds a stub
+// for every incoming object (a recall's shape), because each fresh object
+// inserted grows the heap's map, a cost of the map and not of the batch.
+func TestMigrationAllocationsDoNotGrowWithTheBatch(t *testing.T) {
+	counts := func(n int) (extract, adopt float64) {
+		client, _, _, _ := newLoopVMs(t)
+		th := client.NewThread()
+		prev := InvalidObject
+		for i := 0; i < n; i++ {
+			id, err := th.New("Node", 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := th.SetField(id, "val", Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+			if err := th.SetField(id, "next", RefOf(prev)); err != nil {
+				t.Fatal(err)
+			}
+			prev = id
+		}
+		var batch []MigratedObject
+		extract = testing.AllocsPerRun(10, func() {
+			var err error
+			if batch, err = client.ExtractMigration([]string{"Node"}); err != nil || len(batch) != n {
+				t.Fatalf("extract: %d objects, %v; want %d", len(batch), err, n)
+			}
+		})
+		// AllocsPerRun(1, f) calls f twice, so two receivers.
+		var receivers []*VM
+		for range 2 {
+			r := New(client.Registry(), Config{Role: RoleSurrogate})
+			for i := range batch {
+				if _, err := r.StubFor(0, batch[i].SenderID, "Node"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			receivers = append(receivers, r)
+		}
+		adopt = testing.AllocsPerRun(1, func() {
+			r := receivers[0]
+			receivers = receivers[1:]
+			if ids, err := r.AdoptMigration(0, batch); err != nil || len(ids) != n {
+				t.Fatalf("adopt: %d objects, %v; want %d", len(ids), err, n)
+			}
+		})
+		return extract, adopt
+	}
+	e64, a64 := counts(64)
+	e1k, a1k := counts(1024)
+	if e64 != e1k || a64 != a1k {
+		t.Errorf("allocations for 64 and 1,024 objects: extract %v and %v, adopt %v and %v; want each pair equal", e64, e1k, a64, a1k)
+	}
+	t.Logf("extract %v, adopt %v allocations a batch", e64, a64)
+}

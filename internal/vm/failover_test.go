@@ -22,7 +22,7 @@ func (p *erringPeer) SetStaticRemote(string, string, Value) error    { return p.
 func (p *erringPeer) InvokeNativeRemote(string, string, ObjectID, bool, []Value) (Value, time.Duration, error) {
 	return Nil(), 0, p.err
 }
-func (p *erringPeer) Release(ObjectID) {}
+func (p *erringPeer) Release(...ObjectID) {}
 
 // newErringRig builds a client VM whose peer 0 always fails with err,
 // holding one Node stub supposedly hosted there.

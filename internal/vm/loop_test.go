@@ -120,8 +120,8 @@ func (p *loopPeer) InvokeNativeRemote(class, method string, peerSelf ObjectID, s
 	return out, elapsed, nil
 }
 
-func (p *loopPeer) Release(peerObj ObjectID) {
-	p.other.ReleaseExport(peerObj)
+func (p *loopPeer) Release(peerObjs ...ObjectID) {
+	p.other.ReleaseExport(peerObjs...)
 }
 
 // migRegistry builds the classes the migration tests use: a linked Node

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aide/internal/telemetry"
@@ -19,65 +20,68 @@ type MigratedObject struct {
 }
 
 // ExtractMigration serializes the live local objects of the named classes
-// for offloading. References between migrated objects are encoded in the
-// sender's namespace and re-linked by the receiver; references to objects
-// staying behind become exports (the receiver will hold stubs).
+// for offloading, in ascending ID order. References between migrated
+// objects are encoded in the sender's namespace and re-linked by the
+// receiver; references to objects staying behind become exports (the
+// receiver will hold stubs).
 //
 // The objects are not yet removed; call ConvertToStubs with the IDs the
-// receiver assigned to complete the move.
+// receiver assigned to complete the move. One walk of the heap finds the
+// batch; every object's Fields is carved from one slab of the batch's
+// exact field total.
 func (v *VM) ExtractMigration(classNames []string) ([]MigratedObject, error) {
-	moving := make(map[string]bool, len(classNames))
-	for _, n := range classNames {
-		moving[n] = true
-	}
 	v.mu.Lock()
-	var ids []ObjectID
+	moving := make([]bool, len(v.registry.table.Classes))
+	for _, n := range classNames {
+		if c := v.registry.Class(n); c != nil {
+			moving[c.ix] = true
+		}
+	}
+	ids := make([]ObjectID, 0, len(v.objects))
+	fields := 0
 	for id, o := range v.objects {
-		if !o.Remote && moving[o.Class.Name] {
+		if !o.Remote && moving[o.Class.ix] {
 			ids = append(ids, id)
+			fields += len(o.Fields)
 		}
 	}
-	sortObjectIDs(ids)
-	inBatch := make(map[ObjectID]bool, len(ids))
-	for _, id := range ids {
-		inBatch[id] = true
-	}
+	slices.Sort(ids)
 
-	batch := make([]MigratedObject, 0, len(ids))
-	for _, id := range ids {
+	batch := make([]MigratedObject, len(ids))
+	slab := make([]WireValue, fields)
+	for bi, id := range ids {
 		o := v.objects[id]
-		m := MigratedObject{
-			SenderID: id,
-			Class:    o.Class.Name,
-			Size:     o.Size,
-			Fields:   make([]WireValue, len(o.Fields)),
-		}
+		m := &batch[bi]
+		*m = MigratedObject{SenderID: id, Class: o.Class.Name, Size: o.Size, Fields: slab[:len(o.Fields):len(o.Fields)]}
+		slab = slab[len(o.Fields):]
 		for i, val := range o.Fields {
-			w := WireValue{Kind: val.Kind, I: val.I, F: val.F, B: val.B, S: val.S, Bytes: val.Bytes}
-			if val.Kind == KindRef && val.Ref != InvalidObject {
-				ro, ok := v.objects[val.Ref]
-				if !ok {
-					v.mu.Unlock()
-					return nil, fmt.Errorf("vm: migrate %s#%d field %d: %w", o.Class.Name, id, i, ErrNoSuchObject)
-				}
-				switch {
-				case ro.Remote:
-					// The receiver must be the stub's host; forwarding a
-					// reference to a third VM is unsupported (paper §8).
-					w.Ref = WireRef{ReceiverLocal: true, ID: ro.PeerID}
-				case inBatch[val.Ref]:
-					// Re-linked by the receiver to the migrated copy.
-					w.Ref = WireRef{ReceiverLocal: false, ID: val.Ref, Class: ro.Class.Name}
-				default:
-					ro.exported++
-					w.Ref = WireRef{ReceiverLocal: false, ID: val.Ref, Class: ro.Class.Name}
-				}
-			} else if val.Kind == KindRef {
-				w.Kind = KindNil
+			w := &m.Fields[i]
+			*w = WireValue{Kind: val.Kind, I: val.I, F: val.F, B: val.B, S: val.S, Bytes: val.Bytes}
+			if val.Kind != KindRef {
+				continue
 			}
-			m.Fields[i] = w
+			if val.Ref == InvalidObject {
+				w.Kind = KindNil
+				continue
+			}
+			ro, ok := v.objects[val.Ref]
+			if !ok {
+				v.mu.Unlock()
+				return nil, fmt.Errorf("vm: migrate %s#%d field %d: %w", o.Class.Name, id, i, ErrNoSuchObject)
+			}
+			if ro.Remote {
+				// The receiver must be the stub's host; forwarding a
+				// reference to a third VM is unsupported (paper §8).
+				w.Ref = WireRef{ReceiverLocal: true, ID: ro.PeerID}
+				continue
+			}
+			if _, in := slices.BinarySearch(ids, val.Ref); !in {
+				ro.exported++ // for the stub the receiver makes
+			}
+			// An in-batch reference is re-linked by the receiver to the
+			// migrated copy.
+			w.Ref = WireRef{ReceiverLocal: false, ID: val.Ref, Class: ro.Class.Name}
 		}
-		batch = append(batch, m)
 	}
 	v.mu.Unlock()
 	v.tm.migratedOut.Add(int64(len(batch)))
@@ -94,75 +98,109 @@ func MigrationWireBytes(batch []MigratedObject) int64 {
 	return n
 }
 
-// AdoptMigration installs a received offload batch. If this VM already
+// AdoptMigration installs a received offload batch, whose entries must be
+// in ascending sender-ID order (ExtractMigration's). If this VM already
 // held a stub for an incoming object, the stub is upgraded in place to the
 // real object, so existing local references stay valid. It returns the
 // local ID assigned to each batch entry, in order.
+//
+// Every adopted object carries one export pin for the stub the sender
+// keeps in its place; the sender's collector releases it when that stub
+// dies. The batch is checked whole before anything changes: a rejected
+// batch leaves the heap and the import table as they were.
 func (v *VM) AdoptMigration(peerIdx int, batch []MigratedObject) ([]ObjectID, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
-	// Pass 1: create or upgrade every object so cross-references within
-	// the batch can be re-linked.
-	assigned := make([]ObjectID, len(batch))
-	senderToLocal := make(map[ObjectID]ObjectID, len(batch))
+	// Pass 1: validate, and size the slabs.
+	senders := make([]ObjectID, len(batch))
+	classes := make([]*Class, len(batch))
+	fields, fresh := 0, 0
 	for i := range batch {
 		m := &batch[i]
+		if i > 0 && m.SenderID <= senders[i-1] {
+			return nil, fmt.Errorf("vm: adopt %s#%d: batch not in ascending sender-ID order", m.Class, m.SenderID)
+		}
+		senders[i] = m.SenderID
 		class := v.registry.Class(m.Class)
 		if class == nil {
 			return nil, fmt.Errorf("vm: adopt %s: unknown class", m.Class)
 		}
+		if len(m.Fields) > len(class.Fields) {
+			return nil, fmt.Errorf("vm: adopt %s: field %d out of range", m.Class, len(class.Fields))
+		}
+		classes[i] = class
+		fields += len(class.Fields)
+		if _, ok := v.imports.get(peerIdx, m.SenderID); !ok {
+			fresh++
+		}
+	}
+	for i := range batch {
+		for _, w := range batch[i].Fields {
+			if w.Kind != KindRef || w.Ref.ReceiverLocal {
+				continue
+			}
+			if _, in := slices.BinarySearch(senders, w.Ref.ID); in {
+				continue
+			}
+			if v.registry.Class(w.Ref.Class) == nil {
+				return nil, fmt.Errorf("vm: stub for %s#%d: unknown class", w.Ref.Class, w.Ref.ID)
+			}
+		}
+	}
+
+	// Pass 2: create or upgrade every object so cross-references within
+	// the batch can be re-linked.
+	assigned := make([]ObjectID, len(batch))
+	slab := make([]Value, fields)
+	objs := make([]Object, fresh) // the objects no stub stood for
+	for i := range batch {
+		m, class := &batch[i], classes[i]
 		var o *Object
 		// counted: the object is coming home to a stub that kept its bytes
 		// on the class's books (RemoteSize, debited when a stub dies), so
 		// a second OnCreate would credit the class twice on every recall.
 		counted := false
-		if stubID, ok := v.imports[importKey{peer: peerIdx, id: m.SenderID}]; ok {
+		if stubID, ok := v.imports.get(peerIdx, m.SenderID); ok {
 			o = v.objects[stubID]
 			counted = o.RemoteSize > 0
 			o.Remote = false
 			o.PeerID = 0
 			o.RemoteSize = 0
-			delete(v.imports, importKey{peer: peerIdx, id: m.SenderID})
+			v.imports.drop(peerIdx, m.SenderID)
 		} else {
-			id := v.nextID
+			o = &objs[0]
+			objs = objs[1:]
+			*o = Object{ID: v.nextID, Class: class}
 			v.nextID++
-			o = &Object{ID: id, Class: class}
-			v.objects[id] = o
+			v.objects[o.ID] = o
 		}
 		o.Size = m.Size
-		o.Fields = make([]Value, len(class.Fields))
+		o.Fields = slab[:len(class.Fields):len(class.Fields)]
+		slab = slab[len(class.Fields):]
+		o.exported++
 		v.liveBytes += m.Size
 		v.objsSinceGC++
 		v.bytesSinceGC += m.Size
 		assigned[i] = o.ID
-		senderToLocal[m.SenderID] = o.ID
 		if !counted {
 			v.emitLocked(trace.KindCreate, nil, class, o.ID, m.Size, 0, false, false)
 		}
 	}
 
-	// Pass 2: decode fields, re-linking intra-batch references and
+	// Pass 3: decode fields, re-linking intra-batch references and
 	// creating stubs for references back to the sender.
 	for i := range batch {
-		m := &batch[i]
 		o := v.objects[assigned[i]]
-		for fi, w := range m.Fields {
-			if fi >= len(o.Fields) {
-				return nil, fmt.Errorf("vm: adopt %s: field %d out of range", m.Class, fi)
-			}
+		for fi, w := range batch[i].Fields {
 			val := Value{Kind: w.Kind, I: w.I, F: w.F, B: w.B, S: w.S, Bytes: w.Bytes}
 			if w.Kind == KindRef {
 				if w.Ref.ReceiverLocal {
 					val.Ref = w.Ref.ID
-				} else if local, ok := senderToLocal[w.Ref.ID]; ok {
-					val.Ref = local
+				} else if j, in := slices.BinarySearch(senders, w.Ref.ID); in {
+					val.Ref = assigned[j]
 				} else {
-					id, err := v.stubForLocked(peerIdx, w.Ref.ID, w.Ref.Class)
-					if err != nil {
-						return nil, err
-					}
-					val.Ref = id
+					val.Ref, _ = v.stubForLocked(peerIdx, w.Ref.ID, w.Ref.Class) // class checked in pass 1
 				}
 			}
 			o.Fields[fi] = val
@@ -177,14 +215,13 @@ func (v *VM) stubForLocked(peerIdx int, peerID ObjectID, className string) (Obje
 	if class == nil {
 		return InvalidObject, fmt.Errorf("vm: stub for %s#%d: unknown class", className, peerID)
 	}
-	key := importKey{peer: peerIdx, id: peerID}
-	if id, ok := v.imports[key]; ok {
+	if id, ok := v.imports.get(peerIdx, peerID); ok {
 		return id, nil
 	}
 	id := v.nextID
 	v.nextID++
 	v.objects[id] = &Object{ID: id, Class: class, Remote: true, PeerIdx: peerIdx, PeerID: peerID}
-	v.imports[key] = id
+	v.imports.set(peerIdx, peerID, id)
 	return id, nil
 }
 
@@ -213,7 +250,7 @@ func (v *VM) ConvertToStubs(peerIdx int, ids, peerIDs []ObjectID) error {
 		o.PeerIdx = peerIdx
 		o.PeerID = peerIDs[i]
 		o.exported = 0
-		v.imports[importKey{peer: peerIdx, id: peerIDs[i]}] = id
+		v.imports.set(peerIdx, peerIDs[i], id)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -208,7 +209,9 @@ func TestLoopMigrationRefArguments(t *testing.T) {
 
 // TestMigrationFailurePaths pins every error branch of the migrate
 // half: dangling refs at extraction, unknown classes and malformed
-// batches at adoption, and the ConvertToStubs preconditions.
+// batches at adoption, and the ConvertToStubs preconditions. A rejected
+// batch changes nothing on the receiver: not its heap, not its objects,
+// not its import table.
 func TestMigrationFailurePaths(t *testing.T) {
 	client, surrogate, cp, sp := newLoopVMs(t)
 	_ = cp
@@ -239,23 +242,41 @@ func TestMigrationFailurePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Unknown class in a received batch.
-	if _, err := surrogate.AdoptMigration(sp.selfIdx, []MigratedObject{{SenderID: 1, Class: "Nope"}}); err == nil || !strings.Contains(err.Error(), "unknown class") {
-		t.Fatalf("adopt unknown class: err = %v", err)
+	// The receiver holds a stub for the sender's object 5, which a
+	// rejected batch must leave a stub.
+	stub, err := surrogate.StubFor(sp.selfIdx, 5, "Keep")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// More fields than the class declares.
-	bad := []MigratedObject{{SenderID: 1, Class: "Keep", Size: 10, Fields: []WireValue{{Kind: KindInt, I: 1}, {Kind: KindInt, I: 2}}}}
-	if _, err := surrogate.AdoptMigration(sp.selfIdx, bad); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("adopt oversized field list: err = %v", err)
-	}
-
-	// A batch referencing an unknown class through a field stub.
-	badRef := []MigratedObject{{SenderID: 2, Class: "Keep", Size: 10, Fields: []WireValue{
-		{Kind: KindRef, Ref: WireRef{ID: 77, Class: "Nope"}},
-	}}}
-	if _, err := surrogate.AdoptMigration(sp.selfIdx, badRef); err == nil || !strings.Contains(err.Error(), "unknown class") {
-		t.Fatalf("adopt stub of unknown class: err = %v", err)
+	heap, imports := surrogate.Heap(), maps.Clone(surrogate.imports[sp.selfIdx])
+	keep := MigratedObject{SenderID: 1, Class: "Keep", Size: 10}
+	upgrade := MigratedObject{SenderID: 5, Class: "Keep", Size: 10}
+	for _, tc := range []struct {
+		name, want string
+		batch      []MigratedObject
+	}{
+		{"unknown class", "unknown class", []MigratedObject{{SenderID: 1, Class: "Nope"}}},
+		{"unknown class after a good entry", "unknown class", []MigratedObject{keep, {SenderID: 2, Class: "Nope"}}},
+		{"unknown class after a stub upgrade", "unknown class", []MigratedObject{upgrade, {SenderID: 6, Class: "Nope"}}},
+		{"more fields than the class declares", "out of range", []MigratedObject{
+			{SenderID: 1, Class: "Keep", Size: 10, Fields: []WireValue{{Kind: KindInt, I: 1}, {Kind: KindInt, I: 2}}}}},
+		{"a field stub of an unknown class", "unknown class", []MigratedObject{keep, upgrade,
+			{SenderID: 7, Class: "Keep", Size: 10, Fields: []WireValue{{Kind: KindRef, Ref: WireRef{ID: 77, Class: "Nope"}}}}}},
+		{"sender IDs out of order", "ascending", []MigratedObject{upgrade, keep}},
+		{"a sender ID twice", "ascending", []MigratedObject{keep, keep}},
+	} {
+		if _, err := surrogate.AdoptMigration(sp.selfIdx, tc.batch); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("adopt %s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if h := surrogate.Heap(); h.Live != heap.Live || h.Objects != heap.Objects {
+			t.Fatalf("adopt %s: heap %d B in %d objects after the rejection, was %d B in %d", tc.name, h.Live, h.Objects, heap.Live, heap.Objects)
+		}
+		if !maps.Equal(surrogate.imports[sp.selfIdx], imports) {
+			t.Fatalf("adopt %s: import table %v after the rejection, was %v", tc.name, surrogate.imports[sp.selfIdx], imports)
+		}
+		if o := surrogate.Object(stub); o == nil || !o.Remote {
+			t.Fatalf("adopt %s: the stub for the sender's #5 was upgraded by a rejected batch", tc.name)
+		}
 	}
 
 	// ConvertToStubs preconditions.
@@ -270,6 +291,43 @@ func TestMigrationFailurePaths(t *testing.T) {
 	}
 	if err := client.ConvertToStubs(0, []ObjectID{node}, []ObjectID{50}); err == nil || !strings.Contains(err.Error(), "already a stub") {
 		t.Fatalf("double convert: err = %v", err)
+	}
+}
+
+// TestAdoptPinsForTheSendersStub: each adopted object carries one export
+// pin for the stub its sender keeps, so a collection on the receiver — the
+// surrogate's next allocation may run one — keeps migrated state only the
+// sender references, and the pin goes when the sender's collector drops
+// that stub.
+func TestAdoptPinsForTheSendersStub(t *testing.T) {
+	client, surrogate, cp, sp := newLoopVMs(t)
+	th := client.NewThread()
+	node, err := th.New("Node", 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.SetField(node, "val", Int(11)); err != nil {
+		t.Fatal(err)
+	}
+	client.SetRoot("node", node)
+	_, assigned := offload(t, client, surrogate, cp, sp, "Node")
+	if n := surrogate.ExportCount(assigned[0]); n != 1 {
+		t.Fatalf("adopted object's export count = %d, want 1", n)
+	}
+	surrogate.Collect()
+	if h := surrogate.Heap(); h.Objects != 1 || h.Live != 600 {
+		t.Fatalf("surrogate holds %d B in %d objects after a collection, want the migrated 600 B in 1", h.Live, h.Objects)
+	}
+	if ret, err := th.Invoke(node, "getVal"); err != nil || ret.I != 11 {
+		t.Fatalf("getVal through the stub = %v, %v; want 11", ret, err)
+	}
+
+	th.ClearTemps()
+	client.SetRoot("node", InvalidObject)
+	client.Collect() // the stub dies and releases the pin
+	surrogate.Collect()
+	if h := surrogate.Heap(); h.Objects != 0 || h.Live != 0 {
+		t.Fatalf("surrogate holds %d B in %d objects after the sender's stub died, want none", h.Live, h.Objects)
 	}
 }
 

@@ -42,7 +42,7 @@ func (p *fakePipePeer) SetStaticRemote(string, string, Value) error { return err
 func (p *fakePipePeer) InvokeNativeRemote(string, string, ObjectID, bool, []Value) (Value, time.Duration, error) {
 	return Nil(), 0, errors.New("fake: unused")
 }
-func (p *fakePipePeer) Release(ObjectID) {}
+func (p *fakePipePeer) Release(...ObjectID) {}
 
 var _ Peer = (*fakePipePeer)(nil)
 

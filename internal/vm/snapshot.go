@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -83,7 +84,7 @@ func (v *VM) ExportSnapshot() *SnapshotState {
 	for id := range v.objects {
 		ids = append(ids, id)
 	}
-	sortObjectIDs(ids)
+	slices.Sort(ids)
 	s.Objects = make([]SnapshotObject, 0, len(ids))
 	for _, id := range ids {
 		o := v.objects[id]
@@ -143,7 +144,7 @@ func (v *VM) ExportSnapshot() *SnapshotState {
 // what lets a restored session VM keep serving the same client.
 func (v *VM) ImportSnapshot(s *SnapshotState) error {
 	objects := make(map[ObjectID]*Object, len(s.Objects))
-	imports := make(map[importKey]ObjectID, len(s.Objects))
+	var imports importTable
 	var live int64
 	for i := range s.Objects {
 		so := &s.Objects[i]
@@ -156,6 +157,9 @@ func (v *VM) ImportSnapshot(s *SnapshotState) error {
 		}
 		if so.ID >= s.NextID {
 			return fmt.Errorf("vm: restore: object #%d not below next ID %d", so.ID, s.NextID)
+		}
+		if so.Remote && (so.PeerIdx < 0 || so.PeerIdx >= maxPeerSlots) {
+			return fmt.Errorf("vm: restore stub #%d: peer slot %d out of range", so.ID, so.PeerIdx)
 		}
 		o := &Object{
 			ID:         so.ID,
@@ -178,7 +182,7 @@ func (v *VM) ImportSnapshot(s *SnapshotState) error {
 		}
 		objects[so.ID] = o
 		if o.Remote {
-			imports[importKey{peer: o.PeerIdx, id: o.PeerID}] = o.ID
+			imports.set(o.PeerIdx, o.PeerID, o.ID)
 		}
 	}
 	for _, o := range objects {
@@ -327,7 +331,7 @@ func (v *VM) reclaimStubs(peerIdx int, donor *SnapshotState) int {
 		if !o.Remote || o.PeerIdx != peerIdx {
 			continue
 		}
-		delete(v.imports, importKey{peer: peerIdx, id: o.PeerID})
+		v.imports.drop(peerIdx, o.PeerID)
 		toLocal[o.PeerID] = o.ID
 		work = append(work, o.PeerID)
 		o.Remote = false
@@ -343,7 +347,7 @@ func (v *VM) reclaimStubs(peerIdx int, donor *SnapshotState) int {
 		v.liveBytes += o.Size
 		n++
 	}
-	sortObjectIDs(work)
+	slices.Sort(work)
 	for len(work) > 0 {
 		donorID := work[0]
 		work = work[1:]

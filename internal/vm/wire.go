@@ -204,12 +204,14 @@ func (v *VM) StubFor(peerIdx int, peerID ObjectID, className string) (ObjectID, 
 	return v.stubForLocked(peerIdx, peerID, className)
 }
 
-// ReleaseExport decrements the export pin on a local object after the peer
-// collected its stub.
-func (v *VM) ReleaseExport(id ObjectID) {
+// ReleaseExport decrements the export pin on each local object after the
+// peer collected its stub.
+func (v *VM) ReleaseExport(ids ...ObjectID) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if o, ok := v.objects[id]; ok && o.exported > 0 {
-		o.exported--
+	for _, id := range ids {
+		if o, ok := v.objects[id]; ok && o.exported > 0 {
+			o.exported--
+		}
 	}
 }

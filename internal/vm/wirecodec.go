@@ -97,12 +97,43 @@ func (m *MigratedObject) AppendWire(buf []byte) []byte {
 // ReadWire decodes one MigratedObject in place; a fieldless object
 // decodes with nil Fields.
 func (m *MigratedObject) ReadWire(r *wire.Reader) {
+	var slab []WireValue
+	m.readWire(r, &slab, 1)
+}
+
+// ReadMigrationBatch decodes a counted list of MigratedObjects (an empty
+// list is nil), carving their Fields from as few slabs as the batch's
+// shapes allow: one when every object has as many fields as the first.
+func ReadMigrationBatch(r *wire.Reader) []MigratedObject {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	batch := make([]MigratedObject, n)
+	var slab []WireValue
+	for i := range batch {
+		batch[i].readWire(r, &slab, n-i)
+	}
+	return batch
+}
+
+// readWire decodes one MigratedObject in place, the first of left still to
+// come, taking its Fields from the front of *slab. When the slab is short
+// it is replaced by one sized for left objects shaped like this one,
+// bounded by the bytes left (every field is at least one).
+func (m *MigratedObject) readWire(r *wire.Reader, slab *[]WireValue, left int) {
 	*m = MigratedObject{SenderID: ObjectID(r.Varint()), Class: r.String(), Size: r.Varint()}
-	if n := r.Count(); n > 0 {
-		m.Fields = make([]WireValue, n)
-		for i := range m.Fields {
-			m.Fields[i].ReadWire(r)
-		}
+	k := r.Count()
+	if k == 0 {
+		return
+	}
+	if len(*slab) < k {
+		*slab = make([]WireValue, min(k*left, r.Len()))
+	}
+	m.Fields = (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	for i := range m.Fields {
+		m.Fields[i].ReadWire(r)
 	}
 }
 

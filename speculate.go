@@ -282,8 +282,8 @@ func (sp *specPeer) InvokeNativeRemote(class, method string, peerSelf ObjectID, 
 	return sp.inner.InvokeNativeRemote(class, method, peerSelf, selfIsCallerLocal, args)
 }
 
-func (sp *specPeer) Release(peerObj ObjectID) {
-	sp.inner.Release(peerObj)
+func (sp *specPeer) Release(peerObjs ...ObjectID) {
+	sp.inner.Release(peerObjs...)
 }
 
 // InvokePipeline forwards pipelined frames; the batch mutates the
