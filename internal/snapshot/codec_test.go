@@ -382,6 +382,10 @@ func TestRestoreRejectsBadImages(t *testing.T) {
 			Statics: []vm.SnapshotStatic{{Class: "Ghost"}}}},
 		{"dangling static ref", &vm.SnapshotState{NextID: 1,
 			Statics: []vm.SnapshotStatic{{Class: "Account", Values: []vm.Value{vm.RefOf(9)}}}}},
+		{"negative peer slot", &vm.SnapshotState{NextID: 2, Objects: []vm.SnapshotObject{
+			{ID: 1, Class: "Leaf", Remote: true, PeerIdx: -1, PeerID: 4}}}},
+		{"peer slot past the bound", &vm.SnapshotState{NextID: 2, Objects: []vm.SnapshotObject{
+			{ID: 1, Class: "Leaf", Remote: true, PeerIdx: 1 << 20, PeerID: 4}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
