@@ -541,6 +541,14 @@ func (c *Client) migrate(ctx context.Context, chosen []classInfo) (moved []strin
 	sort.Strings(moved)
 	if len(moved) > 0 {
 		c.vm.Collect() // reclaim the space the migrated objects occupied
+		// The stubs it freed release their objects' pins now: the
+		// application may not call a surrogate again soon.
+		live, _ := c.slots.live()
+		for _, p := range live {
+			if p != nil {
+				p.FlushReleases()
+			}
+		}
 	}
 	return moved, objects, bytes, err
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"aide/internal/vm"
+	"aide/internal/wire"
 )
 
 // codecMessages is one representative message per wire kind, every field
@@ -31,13 +33,13 @@ func codecMessages() []*Message {
 		{Kind: MsgSetField, ID: 5, Obj: 42, Field: "len", Args: []vm.WireValue{{Kind: vm.KindBool, B: true}}},
 		{Kind: MsgGetStatic, ID: 6, Class: "Doc", Field: "count"},
 		{Kind: MsgSetStatic, ID: 7, Class: "Doc", Field: "count", Args: []vm.WireValue{{Kind: vm.KindNil}}},
-		{Kind: MsgMigrate, ID: 8, Batch: []vm.MigratedObject{
-			{SenderID: 11, Class: "Doc", Size: 4096, Fields: []vm.WireValue{
+		{Kind: MsgMigrate, ID: 8, Batch: batchOf(
+			migrated{11, "Doc", 4096, []vm.WireValue{
 				{Kind: vm.KindInt, I: 10},
 				{Kind: vm.KindRef, Ref: vm.WireRef{ReceiverLocal: true, ID: 3}},
 			}},
-			{SenderID: 12, Class: "Doc", Size: 128},
-		}},
+			migrated{12, "Doc", 128, nil},
+		)},
 		{Kind: MsgMigrate, ID: 8, Reply: true, IDs: []vm.ObjectID{1001, 1002}},
 		{Kind: MsgRelease, ID: 9, Obj: 1001},
 		{Kind: MsgReleaseBatch, ID: 10, IDs: []vm.ObjectID{1001, 1002, 1002, 1003}},
@@ -66,12 +68,12 @@ func codecMessages() []*Message {
 		{Kind: MsgRecall, ID: 16, Classes: []string{"text", "thumb"}},
 		{Kind: MsgRecall, ID: 16, Reply: true, Objects: 1, MovedBytes: 6},
 		// A migrated object ships every field, an unset one as KindNil.
-		{Kind: MsgMigrate, ID: 17, Batch: []vm.MigratedObject{
-			{SenderID: 13, Class: "Note", Size: 2048, Fields: []vm.WireValue{
+		{Kind: MsgMigrate, ID: 17, Batch: batchOf(
+			migrated{13, "Note", 2048, []vm.WireValue{
 				{Kind: vm.KindString, S: "title"},
 				{Kind: vm.KindNil},
 			}},
-		}},
+		)},
 		{Kind: MsgAttach, ID: 18},
 		// Admitted: the reply carries surrogate-wide occupancy.
 		{Kind: MsgAttach, ID: 18, Reply: true, Sessions: 7,
@@ -94,6 +96,30 @@ func codecMessages() []*Message {
 		// Drain directive: no image crosses, Blob is the sender's drain key.
 		{Kind: MsgSnapshot, ID: 24, Method: "drain", Class: "127.0.0.1:9022", Blob: []byte("fleet-key")},
 	}
+}
+
+// migrated is one object of a hand-built migration batch.
+type migrated struct {
+	id     vm.ObjectID
+	class  string
+	size   int64
+	fields []vm.WireValue
+}
+
+// batchOf writes objs in a migration batch's wire form (vm.Migration's
+// Batch), as vm.ExtractMigration would.
+func batchOf(objs ...migrated) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(objs)))
+	for _, o := range objs {
+		buf = binary.AppendVarint(buf, int64(o.id))
+		buf = wire.AppendString(buf, o.class)
+		buf = binary.AppendVarint(buf, o.size)
+		buf = binary.AppendUvarint(buf, uint64(len(o.fields)))
+		for i := range o.fields {
+			buf = o.fields[i].AppendWire(buf)
+		}
+	}
+	return buf
 }
 
 // TestMessageRoundTrip pins decode(encode(m)) == m for the
@@ -125,6 +151,11 @@ func TestCodecCoversEveryField(t *testing.T) {
 			{Recv: -1, Obj: 2, Method: "b"},
 			{Recv: 0, Method: "c", Args: []vm.WireValue{{Kind: vm.KindInt, I: 1}, {Kind: vm.KindNil}},
 				ArgPromises: []vm.PromiseArg{{Pos: 1, Call: 1}}},
+		}},
+		// A reference in the receiver's namespace, handed back as an
+		// argument (a migration batch carries them too, but as bytes).
+		&Message{Kind: MsgSetField, ID: 31, Obj: 1, Field: "next", Args: []vm.WireValue{
+			{Kind: vm.KindRef, Ref: vm.WireRef{ReceiverLocal: true, ID: 3}},
 		}},
 	)
 	carried := map[string]bool{}
@@ -298,21 +329,22 @@ func randomMessage(rng *rand.Rand) *Message {
 		m.ElapsedNanos = rng.Int63()
 	}
 	if n := rng.Intn(3); n > 0 {
-		m.Batch = make([]vm.MigratedObject, n)
-		for i := range m.Batch {
-			mo := vm.MigratedObject{
-				SenderID: vm.ObjectID(rng.Int63n(1 << 20)),
-				Class:    randomString(rng, 1+rng.Intn(8)),
-				Size:     rng.Int63n(1 << 16),
+		objs := make([]migrated, n)
+		for i := range objs {
+			o := migrated{
+				id:    vm.ObjectID(rng.Int63n(1 << 20)),
+				class: randomString(rng, 1+rng.Intn(8)),
+				size:  rng.Int63n(1 << 16),
 			}
 			if f := rng.Intn(4); f > 0 {
-				mo.Fields = make([]vm.WireValue, f)
-				for j := range mo.Fields {
-					mo.Fields[j] = randomWireValue(rng)
+				o.fields = make([]vm.WireValue, f)
+				for j := range o.fields {
+					o.fields[j] = randomWireValue(rng)
 				}
 			}
-			m.Batch[i] = mo
+			objs[i] = o
 		}
+		m.Batch = batchOf(objs...)
 	}
 	if n := rng.Intn(6); n > 0 {
 		m.IDs = make([]vm.ObjectID, n)
@@ -444,13 +476,31 @@ func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
 	}
 	// Value kind 7 once marked a withheld field; nothing assigns it now.
 	cases["migrate field of retired value kind 7"] = appendMessage(nil, &Message{Kind: MsgMigrate, ID: 1,
-		Batch: []vm.MigratedObject{{SenderID: 1, Class: "Doc", Size: 8, Fields: []vm.WireValue{{Kind: 7}}}}})
+		Batch: batchOf(migrated{1, "Doc", 8, []vm.WireValue{{Kind: 7}}})})
 	if tagBlob != 24 {
 		t.Errorf("tagBlob = %d, want 24: tags 25 and 26 are retired and a new tag starts at 27", tagBlob)
 	}
 	for name, data := range cases {
 		if _, err := decodeMessage(data); err == nil {
 			t.Errorf("%s: decodeMessage accepted corrupt input", name)
+		}
+	}
+	// Nor does a corrupt batch get adopted by a VM that is handed its
+	// bytes directly: the kind-7 field and every strict prefix of every
+	// batch are refused, and the VM is left as it was.
+	receiver := vm.New(testRegistry(t), vm.Config{Role: vm.RoleSurrogate, HeapCapacity: 1 << 20})
+	batches := [][]byte{batchOf(migrated{1, "Doc", 8, []vm.WireValue{{Kind: 7}}})}
+	for _, m := range codecMessages() {
+		for cut := 1; cut < len(m.Batch); cut++ {
+			batches = append(batches, m.Batch[:cut])
+		}
+	}
+	for _, b := range batches {
+		if ids, err := receiver.AdoptMigration(0, bytes.Clone(b)); err == nil {
+			t.Errorf("batch %x: adopted as %v", b, ids)
+		}
+		if h := receiver.Heap(); h.Objects != 0 || h.Live != 0 {
+			t.Fatalf("batch %x: a rejected batch left %d objects of %d B", b, h.Objects, h.Live)
 		}
 	}
 	// A failed reader is still walked to the end of any list in progress:

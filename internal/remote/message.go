@@ -129,8 +129,9 @@ type Message struct {
 	// charged to the requester (paper §4's serial execution accounting).
 	ElapsedNanos int64
 
-	// Batch and IDs carry object migration payloads and assigned IDs.
-	Batch []vm.MigratedObject
+	// Batch carries a migration batch in its wire form (vm.Migration's
+	// Batch, adopted by vm.AdoptMigration); IDs carries assigned IDs.
+	Batch []byte
 	IDs   []vm.ObjectID
 
 	// Classes names the classes a recall requests; Objects and MovedBytes

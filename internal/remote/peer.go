@@ -508,7 +508,7 @@ func (p *Peer) failErr() error {
 // Buffered releases flush first, so the peer drops its export pins
 // before the transport dies.
 func (p *Peer) Close() error {
-	p.flushReleases()
+	p.FlushReleases()
 	cause := ErrClosed
 	if p.retired.Load() {
 		cause = errRetired
@@ -650,7 +650,7 @@ func (p *Peer) Call(ctx context.Context, m *Message) (*Message, error) {
 
 // doCall is Call without the instrumentation wrapper.
 func (p *Peer) doCall(ctx context.Context, m *Message) (*Message, error) {
-	p.flushReleases()
+	p.FlushReleases()
 	if p.closed.Load() {
 		return nil, p.failErr()
 	}
@@ -1058,14 +1058,17 @@ func (p *Peer) Release(peerObjs ...vm.ObjectID) {
 	flush := len(p.relBuf) >= p.relBatch || t.Sub(p.relFirst) >= p.relInterval
 	p.relMu.Unlock()
 	if flush {
-		p.flushReleases()
+		p.FlushReleases()
 	}
 }
 
-// flushReleases ships the buffered release decrefs as one batch message.
+// FlushReleases ships the buffered release decrefs now, as one batch
+// message. A side that has just collected and may not call its peer again
+// soon — the client after an offload, the surrogate after serving a
+// recall — calls it so the far side's pins drop without waiting.
 // It deliberately does not read the clock: callers on the blocking-call
 // path (call, Info) must not consume fake-clock readings.
-func (p *Peer) flushReleases() {
+func (p *Peer) FlushReleases() {
 	p.relMu.Lock()
 	ids := p.relBuf
 	p.relBuf = nil
@@ -1121,35 +1124,37 @@ func (p *Peer) span(ctx context.Context, kind telemetry.SpanKind, note string, b
 }
 
 func (p *Peer) offload(ctx context.Context, classNames []string) (objects int, bytes int64, err error) {
-	batch, err := p.local.ExtractMigration(classNames)
+	// The batch is written into a pooled frame buffer; the transport is
+	// done with it by the time Call returns.
+	bp := getFrameBuf()
+	mig, err := p.local.ExtractMigration((*bp)[:0], classNames)
 	if err != nil {
+		putFrameBuf(bp, *bp)
 		return 0, 0, fmt.Errorf("remote: offload: %w", err)
 	}
-	if len(batch) == 0 {
+	defer putFrameBuf(bp, mig.Batch)
+	if len(mig.IDs) == 0 {
 		return 0, 0, nil
 	}
-	req := &Message{Kind: MsgMigrate, Batch: batch}
-	reply, err := p.Call(ctx, req)
+	reply, err := p.Call(ctx, &Message{Kind: MsgMigrate, Batch: mig.Batch})
+	if err == nil && len(reply.IDs) != len(mig.IDs) {
+		err = fmt.Errorf("peer assigned %d ids for %d objects", len(reply.IDs), len(mig.IDs))
+	}
+	if err == nil {
+		err = p.local.ConvertToStubs(p.idx, mig.IDs, reply.IDs)
+	}
 	if err != nil {
+		// The objects stay here: drop the pins that kept them for the
+		// copies in flight.
+		p.local.ReleaseExport(mig.IDs...)
 		return 0, 0, fmt.Errorf("remote: offload: %w", err)
 	}
-	if len(reply.IDs) != len(batch) {
-		return 0, 0, fmt.Errorf("remote: offload: peer assigned %d ids for %d objects", len(reply.IDs), len(batch))
-	}
-	ids := make([]vm.ObjectID, len(batch))
-	for i := range batch {
-		ids[i] = batch[i].SenderID
-	}
-	if err := p.local.ConvertToStubs(p.idx, ids, reply.IDs); err != nil {
-		return 0, 0, fmt.Errorf("remote: offload: %w", err)
-	}
-	moved := vm.MigrationWireBytes(batch)
 	if p.link != nil {
-		p.local.AdvanceClock(p.link.Transfer(moved, 1400))
+		p.local.AdvanceClock(p.link.Transfer(mig.Bytes, 1400))
 	}
-	p.m.objectsMigrated.Add(int64(len(batch)))
-	p.m.migrationBytes.Add(moved)
-	return len(batch), moved, nil
+	p.m.objectsMigrated.Add(int64(len(mig.IDs)))
+	p.m.migrationBytes.Add(mig.Bytes)
+	return len(mig.IDs), mig.Bytes, nil
 }
 
 // Ping round-trips a health probe (MsgPing → MsgPong; latency probe; the

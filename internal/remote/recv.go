@@ -621,7 +621,7 @@ func (p *Peer) serve(m *Message) {
 		// shipped now: this side may not call the requester again soon.
 		defer func() {
 			p.local.Collect()
-			p.flushReleases()
+			p.FlushReleases()
 		}()
 	case MsgInvoke:
 		args, err := p.local.DecodeIncomingAll(p.idx, m.Args)
@@ -713,9 +713,9 @@ func (p *Peer) serve(m *Message) {
 			break
 		}
 		reply.IDs = ids
-		p.m.objectsMigrated.Add(int64(len(m.Batch)))
+		p.m.objectsMigrated.Add(int64(len(ids)))
 		if p.tracer.Enabled() {
-			p.tracer.Emit(telemetry.Span{Kind: telemetry.SpanMigration, Note: "adopt", Peer: p.idx, N: int64(len(m.Batch))})
+			p.tracer.Emit(telemetry.Span{Kind: telemetry.SpanMigration, Note: "adopt", Peer: p.idx, N: int64(len(ids))})
 		}
 	case MsgSnapshot:
 		p.serveSnapshot(m, reply)

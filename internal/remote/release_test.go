@@ -340,6 +340,46 @@ func TestReleaseBatchTransportFailure(t *testing.T) {
 	})
 }
 
+// TestRetriedMigrationPinsOnce: a migrate frame whose first send fails is
+// sent again as the same bytes — the batch is extracted once — so the
+// object staying behind that a migrated one references carries exactly
+// one pin, for the one stub the surrogate makes.
+func TestRetriedMigrationPinsOnce(t *testing.T) {
+	reg := testRegistry(t)
+	client := vm.New(reg, vm.Config{Role: vm.RoleClient, HeapCapacity: 1 << 20})
+	surrogate := vm.New(reg, vm.Config{Role: vm.RoleSurrogate, HeapCapacity: 8 << 20})
+	ta, tb := NewChannelPair()
+	flaky := &flakyTransport{Transport: ta, failKind: MsgMigrate, failOn: 1}
+	pc := NewPeer(client, flaky, Options{Workers: 2})
+	ps := NewPeer(surrogate, tb, Options{Workers: 2})
+	t.Cleanup(func() { _ = pc.Close(); _ = ps.Close() })
+
+	th := client.NewThread()
+	ui, err := th.New("UI", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := th.New("Doc", 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.SetField(doc, "title", vm.RefOf(ui)); err != nil {
+		t.Fatal(err)
+	}
+	client.SetRoot("ui", ui)
+	client.SetRoot("doc", doc)
+	th.ClearTemps()
+	if n, _, err := pc.Offload([]string{"Doc"}); err != nil || n != 1 {
+		t.Fatalf("offload moved %d objects, %v; want 1", n, err)
+	}
+	if got := flaky.seen.Load(); got != 2 {
+		t.Fatalf("%d migrate sends, want the failed one and its retry", got)
+	}
+	if n := client.ExportCount(ui); n != 1 {
+		t.Fatalf("the object staying behind holds %d pins after a retried migration, want 1", n)
+	}
+}
+
 // TestOrphanReplyCounted pins the recvLoop fix: a reply with no pending
 // waiter is counted in Stats.OrphanReplies and recorded once in the
 // peer's warning state instead of vanishing silently.

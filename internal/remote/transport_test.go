@@ -64,12 +64,9 @@ func tcpTransportPair(t *testing.T) (client, server Transport) {
 func fullMessage() *Message {
 	return &Message{
 		ID: 42, Kind: MsgMigrate, Class: "C", Method: "m", Field: "f",
-		Args: []vm.WireValue{{Kind: vm.KindInt, I: 7}, {Kind: vm.KindRef, Ref: vm.WireRef{ID: 3, Class: "C"}}},
-		Ret:  vm.WireValue{Kind: vm.KindString, S: "ok"},
-		Batch: []vm.MigratedObject{{
-			SenderID: 9, Class: "C", Size: 100,
-			Fields: []vm.WireValue{{Kind: vm.KindBytes, Bytes: []byte{1, 2, 3}}},
-		}},
+		Args:         []vm.WireValue{{Kind: vm.KindInt, I: 7}, {Kind: vm.KindRef, Ref: vm.WireRef{ID: 3, Class: "C"}}},
+		Ret:          vm.WireValue{Kind: vm.KindString, S: "ok"},
+		Batch:        batchOf(migrated{9, "C", 100, []vm.WireValue{{Kind: vm.KindBytes, Bytes: []byte{1, 2, 3}}}}),
 		IDs:          []vm.ObjectID{5, 6},
 		ElapsedNanos: 12345,
 	}
@@ -79,7 +76,7 @@ func checkFullMessage(t *testing.T, got *Message) {
 	t.Helper()
 	want := fullMessage()
 	if got.ID != want.ID || got.Kind != want.Kind || len(got.Args) != 2 ||
-		got.Ret.S != "ok" || len(got.Batch) != 1 || got.Batch[0].Size != 100 ||
+		got.Ret.S != "ok" || !bytes.Equal(got.Batch, want.Batch) ||
 		len(got.IDs) != 2 || got.ElapsedNanos != 12345 {
 		t.Fatalf("round trip lost data: %+v", got)
 	}

@@ -56,10 +56,11 @@ func TestWarmLocalCallAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMigrationAllocationsDoNotGrowWithTheBatch: extracting a batch and
-// adopting it allocate the same number of times for 64 objects as for
-// 1,024 — each slice is sized once for the whole batch, and no object's
-// fields are a heap allocation of their own. The adopting VM holds a stub
+// TestMigrationAllocationsDoNotGrowWithTheBatch: extracting a batch into
+// a reused buffer and adopting it allocate the same number of times for 64
+// objects as for 1,024, and at most 4 times each — each slice is sized
+// once for the whole batch, and no object's fields are a heap allocation
+// of their own. The adopting VM holds a stub
 // for every incoming object (a recall's shape), because each fresh object
 // inserted grows the heap's map, a cost of the map and not of the batch.
 func TestMigrationAllocationsDoNotGrowWithTheBatch(t *testing.T) {
@@ -80,19 +81,19 @@ func TestMigrationAllocationsDoNotGrowWithTheBatch(t *testing.T) {
 			}
 			prev = id
 		}
-		var batch []MigratedObject
+		var mig Migration
 		extract = testing.AllocsPerRun(10, func() {
 			var err error
-			if batch, err = client.ExtractMigration([]string{"Node"}); err != nil || len(batch) != n {
-				t.Fatalf("extract: %d objects, %v; want %d", len(batch), err, n)
+			if mig, err = client.ExtractMigration(mig.Batch[:0], []string{"Node"}); err != nil || len(mig.IDs) != n {
+				t.Fatalf("extract: %d objects, %v; want %d", len(mig.IDs), err, n)
 			}
 		})
 		// AllocsPerRun(1, f) calls f twice, so two receivers.
 		var receivers []*VM
 		for range 2 {
 			r := New(client.Registry(), Config{Role: RoleSurrogate})
-			for i := range batch {
-				if _, err := r.StubFor(0, batch[i].SenderID, "Node"); err != nil {
+			for _, id := range mig.IDs {
+				if _, err := r.StubFor(0, id, "Node"); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -101,7 +102,7 @@ func TestMigrationAllocationsDoNotGrowWithTheBatch(t *testing.T) {
 		adopt = testing.AllocsPerRun(1, func() {
 			r := receivers[0]
 			receivers = receivers[1:]
-			if ids, err := r.AdoptMigration(0, batch); err != nil || len(ids) != n {
+			if ids, err := r.AdoptMigration(0, mig.Batch); err != nil || len(ids) != n {
 				t.Fatalf("adopt: %d objects, %v; want %d", len(ids), err, n)
 			}
 		})
@@ -111,6 +112,9 @@ func TestMigrationAllocationsDoNotGrowWithTheBatch(t *testing.T) {
 	e1k, a1k := counts(1024)
 	if e64 != e1k || a64 != a1k {
 		t.Errorf("allocations for 64 and 1,024 objects: extract %v and %v, adopt %v and %v; want each pair equal", e64, e1k, a64, a1k)
+	}
+	if e64 > 4 || a64 > 4 {
+		t.Errorf("extract %v, adopt %v allocations a batch; want at most 4 each", e64, a64)
 	}
 	t.Logf("extract %v, adopt %v allocations a batch", e64, a64)
 }

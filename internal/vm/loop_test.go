@@ -232,20 +232,16 @@ func newLoopVMs(t testing.TB) (client, surrogate *VM, cp, sp *loopPeer) {
 // client to the surrogate and returns sender IDs and assigned IDs.
 func offload(t testing.TB, client, surrogate *VM, cp, sp *loopPeer, classes ...string) (ids, assigned []ObjectID) {
 	t.Helper()
-	batch, err := client.ExtractMigration(classes)
+	mig, err := client.ExtractMigration(nil, classes)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
-	assigned, err = surrogate.AdoptMigration(sp.selfIdx, batch)
+	assigned, err = surrogate.AdoptMigration(sp.selfIdx, mig.Batch)
 	if err != nil {
 		t.Fatalf("adopt: %v", err)
 	}
-	ids = make([]ObjectID, len(batch))
-	for i := range batch {
-		ids[i] = batch[i].SenderID
-	}
-	if err := client.ConvertToStubs(cp.selfIdx, ids, assigned); err != nil {
+	if err := client.ConvertToStubs(cp.selfIdx, mig.IDs, assigned); err != nil {
 		t.Fatalf("convert: %v", err)
 	}
-	return ids, assigned
+	return mig.IDs, assigned
 }

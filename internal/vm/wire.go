@@ -144,13 +144,17 @@ func (v *VM) decodeIncomingRefLocked(peerIdx int, w *WireValue, val *Value) erro
 		val.Ref = w.Ref.ID
 		return nil
 	}
-	id, err := v.stubForLocked(peerIdx, w.Ref.ID, w.Ref.Class)
-	if err != nil {
+	class := v.registry.Class(w.Ref.Class)
+	if class == nil {
 		*val = Nil()
-		return err
+		return errUnknownStubClass(w.Ref.Class, w.Ref.ID)
 	}
-	val.Ref = id
+	val.Ref = v.stubForLocked(peerIdx, w.Ref.ID, class)
 	return nil
+}
+
+func errUnknownStubClass(className string, peerID ObjectID) error {
+	return fmt.Errorf("vm: stub for %s#%d: unknown class", className, peerID)
 }
 
 // DecodeIncomingAll converts a received parameter list.
@@ -201,7 +205,11 @@ func (v *VM) DecodeIncomingSlice(peerIdx int, ws []WireValue, out []Value) error
 func (v *VM) StubFor(peerIdx int, peerID ObjectID, className string) (ObjectID, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.stubForLocked(peerIdx, peerID, className)
+	class := v.registry.Class(className)
+	if class == nil {
+		return InvalidObject, errUnknownStubClass(className, peerID)
+	}
+	return v.stubForLocked(peerIdx, peerID, class), nil
 }
 
 // ReleaseExport decrements the export pin on each local object after the

@@ -146,25 +146,21 @@ func TestMigrationRoundTripRelinksReferences(t *testing.T) {
 	a.SetRoot("head", prev)
 	a.SetRoot("leaf", leaf)
 
-	batch, err := a.ExtractMigration([]string{"Node"})
+	mig, err := a.ExtractMigration(nil, []string{"Node"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 3 {
-		t.Fatalf("batch = %d objects", len(batch))
+	if len(mig.IDs) != 3 {
+		t.Fatalf("batch = %d objects", len(mig.IDs))
 	}
-	if got := MigrationWireBytes(batch); got < 300 {
-		t.Fatalf("wire bytes = %d", got)
+	if mig.Bytes != 300+3*16 {
+		t.Fatalf("transfer bytes = %d, want the 300 B moved plus 16 a record", mig.Bytes)
 	}
-	assigned, err := b.AdoptMigration(0, batch)
+	assigned, err := b.AdoptMigration(0, mig.Batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]ObjectID, len(batch))
-	for i := range batch {
-		ids[i] = batch[i].SenderID
-	}
-	if err := a.ConvertToStubs(0, ids, assigned); err != nil {
+	if err := a.ConvertToStubs(0, mig.IDs, assigned); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,11 +218,11 @@ func TestAdoptMigrationUpgradesExistingStub(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch, err := a.ExtractMigration([]string{"Leaf"})
+	mig, err := a.ExtractMigration(nil, []string{"Leaf"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assigned, err := b.AdoptMigration(0, batch)
+	assigned, err := b.AdoptMigration(0, mig.Batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +258,8 @@ func TestConvertToStubsValidation(t *testing.T) {
 
 func TestExtractMigrationUnknownClassIsEmpty(t *testing.T) {
 	v := New(wireRegistry(t), Config{})
-	batch, err := v.ExtractMigration([]string{"Ghost"})
-	if err != nil || len(batch) != 0 {
-		t.Fatalf("batch = %v, %v", batch, err)
+	mig, err := v.ExtractMigration(nil, []string{"Ghost"})
+	if err != nil || len(mig.Batch) != 0 || len(mig.IDs) != 0 {
+		t.Fatalf("batch = %+v, %v", mig, err)
 	}
 }

@@ -2,17 +2,20 @@ package vm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"aide/internal/wire"
 )
 
-// Binary wire form of the VM's wire types (WireValue, WireRef,
-// MigratedObject), embedded by the remote module's message codec. Each
+// Binary wire form of the VM's wire types (WireValue, WireRef) and of a
+// migration batch, embedded by the remote module's message codec. Each
 // type's AppendWire and ReadWire sit next to each other so the
 // codec and the structs are one review unit; the remote codec's
 // field-coverage test (internal/remote/codec_test.go) fails when a field
-// of these structs does not survive a round trip. Primitives, their
+// of these structs does not survive a round trip. A batch has no struct:
+// ExtractMigration writes it from the heap, ScanBatch finds its end, and
+// AdoptMigration reads it into the heap (migrate.go). Primitives, their
 // failure modes and the encoding rules are internal/wire's.
 
 // AppendWire appends the reference's binary wire form: a locality byte,
@@ -39,20 +42,27 @@ func (r *WireRef) ReadWire(rd *wire.Reader) {
 // by the kind-dependent payload. Fields irrelevant to the kind are not
 // encoded, so decoding always yields the canonical representation.
 func (w *WireValue) AppendWire(buf []byte) []byte {
-	buf = append(buf, byte(w.Kind))
-	switch w.Kind {
+	if w.Kind == KindRef {
+		return w.Ref.AppendWire(append(buf, byte(KindRef)))
+	}
+	return appendScalar(buf, w.Kind, w.I, w.F, w.B, w.S, w.Bytes)
+}
+
+// appendScalar appends a non-reference value's wire form. WireValue and a
+// migration batch's fields (ExtractMigration) both write theirs with it.
+func appendScalar(buf []byte, kind ValueKind, i int64, f float64, b bool, s string, bs []byte) []byte {
+	buf = append(buf, byte(kind))
+	switch kind {
 	case KindInt:
-		buf = binary.AppendVarint(buf, w.I)
+		buf = binary.AppendVarint(buf, i)
 	case KindFloat:
-		buf = wire.AppendFloat(buf, w.F)
+		buf = wire.AppendFloat(buf, f)
 	case KindBool:
-		buf = wire.AppendBool(buf, w.B)
+		buf = wire.AppendBool(buf, b)
 	case KindString:
-		buf = wire.AppendString(buf, w.S)
+		buf = wire.AppendString(buf, s)
 	case KindBytes:
-		buf = wire.AppendBytes(buf, w.Bytes)
-	case KindRef:
-		buf = w.Ref.AppendWire(buf)
+		buf = wire.AppendBytes(buf, bs)
 	}
 	return buf
 }
@@ -82,59 +92,49 @@ func (w *WireValue) ReadWire(r *wire.Reader) {
 	}
 }
 
-// AppendWire appends the migrated object's binary wire form.
-func (m *MigratedObject) AppendWire(buf []byte) []byte {
-	buf = binary.AppendVarint(buf, int64(m.SenderID))
-	buf = wire.AppendString(buf, m.Class)
-	buf = binary.AppendVarint(buf, m.Size)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Fields)))
-	for i := range m.Fields {
-		buf = m.Fields[i].AppendWire(buf)
-	}
-	return buf
-}
+// errTrailing rejects bytes after a batch's last object.
+var errTrailing = errors.New("trailing bytes after the batch")
 
-// ReadWire decodes one MigratedObject in place; a fieldless object
-// decodes with nil Fields.
-func (m *MigratedObject) ReadWire(r *wire.Reader) {
-	var slab []WireValue
-	m.readWire(r, &slab, 1)
-}
-
-// ReadMigrationBatch decodes a counted list of MigratedObjects (an empty
-// list is nil), carving their Fields from as few slabs as the batch's
-// shapes allow: one when every object has as many fields as the first.
-func ReadMigrationBatch(r *wire.Reader) []MigratedObject {
+// ScanBatch consumes a migration batch's wire form (Migration.Batch) from
+// r, failing r where it is malformed, and returns its object count. It
+// copies nothing and checks nothing a heap decides: the remote codec uses
+// it to find where the batch ends, and AdoptMigration checks the rest.
+func ScanBatch(r *wire.Reader) int {
 	n := r.Count()
-	if n == 0 {
-		return nil
+	for i := 0; i < n; i++ {
+		r.Varint()
+		r.View()
+		r.Varint()
+		for k := r.Count(); k > 0; k-- {
+			skipValue(r)
+		}
 	}
-	batch := make([]MigratedObject, n)
-	var slab []WireValue
-	for i := range batch {
-		batch[i].readWire(r, &slab, n-i)
-	}
-	return batch
+	return n
 }
 
-// readWire decodes one MigratedObject in place, the first of left still to
-// come, taking its Fields from the front of *slab. When the slab is short
-// it is replaced by one sized for left objects shaped like this one,
-// bounded by the bytes left (every field is at least one).
-func (m *MigratedObject) readWire(r *wire.Reader, slab *[]WireValue, left int) {
-	*m = MigratedObject{SenderID: ObjectID(r.Varint()), Class: r.String(), Size: r.Varint()}
-	k := r.Count()
-	if k == 0 {
-		return
+// skipValue consumes one value's wire form. For a reference in the
+// sender's namespace it reports the ID and the class name, aliasing r's
+// input.
+func skipValue(r *wire.Reader) (id ObjectID, class []byte, senderRef bool) {
+	switch kind := ValueKind(r.Byte()); kind {
+	case KindNil:
+	case KindInt:
+		r.Varint()
+	case KindFloat:
+		r.Float()
+	case KindBool:
+		r.Byte()
+	case KindString, KindBytes:
+		r.View()
+	case KindRef:
+		local, ref := r.Bool(), ObjectID(r.Varint())
+		if !local {
+			return ref, r.View(), r.Err() == nil
+		}
+	default:
+		r.Fail(fmt.Errorf("vm: wire: unknown value kind %d", kind))
 	}
-	if len(*slab) < k {
-		*slab = make([]WireValue, min(k*left, r.Len()))
-	}
-	m.Fields = (*slab)[:k:k]
-	*slab = (*slab)[k:]
-	for i := range m.Fields {
-		m.Fields[i].ReadWire(r)
-	}
+	return 0, nil, false
 }
 
 // ExportCount reports how many export pins the peers currently hold on a

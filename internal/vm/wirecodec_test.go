@@ -75,35 +75,20 @@ func TestWireRefRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMigratedObjectRoundTrip(t *testing.T) {
-	m := MigratedObject{
-		SenderID: 17,
-		Class:    "Node",
-		Size:     4096,
-		Fields:   wireValues(),
+// TestScanBatchSpan: ScanBatch consumes a batch's wire form exactly —
+// fieldless objects and every value kind included — and reports its
+// object count, leaving what follows for the next decoder.
+func TestScanBatchSpan(t *testing.T) {
+	batch := refAppendBatch(nil, []refMigratedObject{
+		{SenderID: 17, Class: "Node", Size: 4096, Fields: wireValues()},
+		{SenderID: 18, Class: "Keep", Size: 8},
+	})
+	r := wire.NewReader(append(batch, 0xAA))
+	if n := ScanBatch(&r); n != 2 || r.Err() != nil {
+		t.Fatalf("ScanBatch = %d objects, err %v; want 2", n, r.Err())
 	}
-	buf := m.AppendWire(nil)
-	r := wire.NewReader(buf)
-	var got MigratedObject
-	got.ReadWire(&r)
-	if r.Err() != nil || r.Len() != 0 {
-		t.Fatalf("decode err=%v rest=%d", r.Err(), r.Len())
-	}
-	if got.SenderID != m.SenderID || got.Class != m.Class || got.Size != m.Size || len(got.Fields) != len(m.Fields) {
-		t.Fatalf("round trip changed header: %+v", got)
-	}
-	for i := range m.Fields {
-		if !reflect.DeepEqual(got.Fields[i], m.Fields[i]) {
-			t.Fatalf("field %d changed: %+v -> %+v", i, m.Fields[i], got.Fields[i])
-		}
-	}
-
-	// Fieldless objects canonicalize to a nil slice.
-	empty := MigratedObject{SenderID: 1, Class: "Keep", Size: 8}
-	r = wire.NewReader(empty.AppendWire(nil))
-	got.ReadWire(&r)
-	if r.Err() != nil || got.Fields != nil {
-		t.Fatalf("empty object: err=%v fields=%v", r.Err(), got.Fields)
+	if r.Len() != 1 || r.Byte() != 0xAA {
+		t.Fatal("ScanBatch consumed the wrong span")
 	}
 }
 
@@ -118,13 +103,13 @@ func readErr(data []byte, read func(*wire.Reader)) error {
 // TestWireDecodeTruncation feeds every decoder every strict prefix of a
 // valid encoding: all must error, none may panic or succeed.
 func TestWireDecodeTruncation(t *testing.T) {
-	m := MigratedObject{SenderID: 300, Class: "Node", Size: 1024, Fields: wireValues()}
+	batch := refAppendBatch(nil, []refMigratedObject{{SenderID: 300, Class: "Node", Size: 1024, Fields: wireValues()}})
 	type tcase struct {
 		full []byte
 		read func(*wire.Reader)
 	}
 	cases := []tcase{
-		{m.AppendWire(nil), new(MigratedObject).ReadWire},
+		{batch, func(r *wire.Reader) { ScanBatch(r) }},
 		{(&WireRef{ID: 99, Class: "Doc"}).AppendWire(nil), new(WireRef).ReadWire},
 	}
 	for _, w := range wireValues() {
@@ -153,9 +138,14 @@ func TestWireDecodeMalformed(t *testing.T) {
 	if err := readErr([]byte{byte(KindBytes), 0x05, 1}, new(WireValue).ReadWire); !errors.Is(err, wire.ErrCount) {
 		t.Fatalf("blob length beyond buffer: err = %v", err)
 	}
-	// Field count past the end of the buffer: SenderID 0, empty class,
-	// size 0, then a huge count with no payload.
-	if err := readErr([]byte{0x00, 0x00, 0x00, 0x40}, new(MigratedObject).ReadWire); !errors.Is(err, wire.ErrCount) {
+	// Field count past the end of the buffer: one object, SenderID 0,
+	// empty class, size 0, then a huge count with no payload.
+	scan := func(r *wire.Reader) { ScanBatch(r) }
+	if err := readErr([]byte{0x01, 0x00, 0x00, 0x00, 0x40}, scan); !errors.Is(err, wire.ErrCount) {
 		t.Fatalf("oversized field count: err = %v", err)
+	}
+	// A batch field of an unknown kind.
+	if err := readErr([]byte{0x01, 0x00, 0x00, 0x00, 0x01, 7}, scan); err == nil || !strings.Contains(err.Error(), "unknown value kind") {
+		t.Fatalf("batch field of kind 7: err = %v", err)
 	}
 }

@@ -55,7 +55,7 @@ func (e *Error) Unwrap() error { return e.Err }
 // and allocates nothing — in particular Count returns 0, so no further
 // decode loop starts and one in progress finishes as no-ops — and Err
 // keeps reporting that first failure.
-// Nothing a Reader returns aliases its input.
+// Nothing a Reader returns aliases its input, except View's result.
 //
 // The position is an index, not a shrinking slice: advancing it stores no
 // pointer through r, so reads carry no GC write barrier (measured: a
@@ -160,6 +160,17 @@ func (r *Reader) next() []byte {
 
 // Bytes reads a counted blob into a fresh slice; an empty blob is nil.
 func (r *Reader) Bytes() []byte { return append([]byte(nil), r.next()...) }
+
+// View reads a counted blob in place: the result aliases the input, so
+// whoever keeps it keeps the input and must not let it be reused. An empty
+// blob is nil; the capacity is clipped, so appending to the result copies.
+func (r *Reader) View() []byte {
+	b := r.next()
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
+}
 
 // String reads a counted string. The result is a copy, or an interned
 // equal when it is short.

@@ -24,6 +24,7 @@ var prims = []prim{
 	{"Float", func(r *Reader) any { return r.Float() }, float64(0)},
 	{"Count", func(r *Reader) any { return r.Count() }, 0},
 	{"Bytes", func(r *Reader) any { return string(r.Bytes()) }, ""},
+	{"View", func(r *Reader) any { return string(r.View()) }, ""},
 	{"String", func(r *Reader) any { return r.String() }, ""},
 }
 
@@ -132,6 +133,20 @@ func TestHostileInputs(t *testing.T) {
 	in[2], in[5] = 'X', 'X'
 	if empty != nil || string(b) != "hi" || s != "yo" || r.Err() != nil {
 		t.Errorf("got %v %q %q (err %v), want nil, hi, yo unaffected by the input changing", empty, b, s, r.Err())
+	}
+
+	// View is the one read that aliases: it sees the input change, and
+	// its capacity stops at the blob, so an append cannot overwrite
+	// what follows.
+	r = NewReader(in)
+	empty, b = r.View(), r.View()
+	in[2] = 'h'
+	if empty != nil || string(b) != "hi" || cap(b) != 2 || r.Err() != nil {
+		t.Errorf("View got %v %q (cap %d, err %v), want nil and hi of capacity 2", empty, b, cap(b), r.Err())
+	}
+	_ = append(b, '!')
+	if in[4] != 2 {
+		t.Errorf("appending to a View overwrote the next byte of the input")
 	}
 }
 

@@ -3,6 +3,7 @@ package aide
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -295,5 +296,61 @@ func TestServeRacingCloseBalancesLedger(t *testing.T) {
 	s.mu.Unlock()
 	if st := s.Stats(); st.Active != 0 || committed != 0 {
 		t.Fatalf("after close: Active %d, committed %d; want 0, 0", st.Active, committed)
+	}
+}
+
+// TestOffloadShipsItsCollectionsReleases: the collection that follows an
+// offload frees the stubs of migrated objects that only other migrated
+// objects reference, and their releases — fewer than a release batch —
+// ship when it ends: the surrogate's pins on those objects drop with no
+// further call from the client.
+func TestOffloadShipsItsCollectionsReleases(t *testing.T) {
+	const chunks = 8
+	reg := demoRegistry(t)
+	client, surrogate, err := NewLocalPair(reg, []Option{WithHeap(2 << 20)}, []Option{WithHeap(8 << 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = client.Close()
+		_ = surrogate.Close()
+	}()
+	th := client.Thread()
+	var head ObjectID
+	for i := 0; i < chunks; i++ {
+		id, err := th.New("Chunk", 160<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := th.SetField(id, "next", RefOf(head)); err != nil {
+			t.Fatal(err)
+		}
+		head = id
+		client.VM().SetRoot("chunks", head)
+	}
+	th.ClearTemps()
+	rep, err := client.Offload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(rep.Classes, "Chunk") {
+		t.Fatalf("the offload moved %v, not the chunks: the test lost its premise", rep.Classes)
+	}
+	// Only the head's stub is still referenced on the client, so only the
+	// head keeps a pin on the surrogate.
+	pinned := func() (n int) {
+		for _, o := range surrogate.VM().ExportSnapshot().Objects {
+			if o.Class == "Chunk" && o.Exported > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for pinned() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d chunks still pinned on the surrogate after the offload's collection, want only the head", pinned(), chunks)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
